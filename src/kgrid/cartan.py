@@ -24,7 +24,7 @@ from math import comb
 from itertools import combinations
 from typing import Sequence
 
-from .exact import HALF, Matrix, ONE, ParseError, ZERO, matrix_unit, zeros
+from .exact import HALF, Matrix, ParseError, matrix_unit, sparse_matrix, zeros
 from .tro import TroElement, TroSpace, zero_element
 
 
@@ -325,15 +325,15 @@ def b_matrix(n: int, k: int, i: int) -> Matrix:
     col_subsets = list(combinations(range(1, n + 1), k - 1))
     row_index = {s: r for r, s in enumerate(row_subsets)}
     nrows, ncols = len(row_subsets), len(col_subsets)
-    out = [ZERO] * (nrows * ncols)
+    num = {}
     for c, subset_i in enumerate(col_subsets):
         if i in subset_i:
             continue
         subset_j = tuple(sorted(set(range(1, n + 1)) - set(subset_i) - {i}))
         r = row_index[subset_j]
         sign = _perm_sign(list(subset_i) + [i] + list(subset_j))
-        out[r * ncols + c] = ONE if sign == 1 else -ONE
-    return Matrix(nrows, ncols, tuple(out))
+        num[r] = {c: (sign, 0)}
+    return sparse_matrix(nrows, ncols, num, 1)
 
 
 @lru_cache(maxsize=None)

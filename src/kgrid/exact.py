@@ -1,5 +1,6 @@
-"""Exact arithmetic over the Gaussian rationals Q(i): scalars, dense matrices,
-rank, Kronecker products and direct sums.
+"""Exact arithmetic over the Gaussian rationals Q(i): scalars, sparse matrices
+of Gaussian-integer numerators over one common denominator, rank and span by
+one fraction-free elimination, Kronecker products and direct sums.
 
 Everything here is exact; no floating point is ever involved.  Matrices are
 immutable value types, so they can be shared freely and used as dict keys.
@@ -7,6 +8,7 @@ immutable value types, so they can be shared freely and used as dict keys.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -54,19 +56,15 @@ class Scalar:
         return Scalar(-self.re, -self.im)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        return Scalar(self.re * other.re - self.im * other.im,
+                      self.re * other.im + self.im * other.re)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         d = other.re * other.re + other.im * other.im
         if d == 0:
             raise ZeroDivisionError("division by zero Scalar")
-        return Scalar(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        return Scalar((self.re * other.re + self.im * other.im) / d,
+                      (self.im * other.re - self.re * other.im) / d)
 
     def conjugate(self) -> "Scalar":
         return Scalar(self.re, -self.im)
@@ -121,78 +119,145 @@ def _scalar(x: EntryLike) -> Scalar:
     return x if isinstance(x, Scalar) else Scalar(x)
 
 
-@dataclass(frozen=True, slots=True)
+def _gauss(s: Scalar) -> tuple:  # (re, im, den): over the least denominator
+    den = math.lcm(s.re.denominator, s.im.denominator)
+    return (s.re.numerator * (den // s.re.denominator),
+            s.im.numerator * (den // s.im.denominator), den)
+
+
+def _gmul(x: tuple, y: tuple) -> tuple:
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+# one shared tuple for each small numerator, so dense inputs hold no copies
+_SMALL = {(a, b): (a, b) for a in range(-16, 17) for b in range(-16, 17)}
+
+
 class Matrix:
-    """Dense rows x cols matrix of Scalars, stored row-major."""
+    """Immutable rows x cols matrix over Q(i), stored sparse and normalized:
+    ``num`` maps each row with a nonzero entry to {col: (re, im)}, its nonzero
+    Gaussian-integer numerators over the positive denominator ``den``.  den and
+    the numerators have gcd 1, so equal matrices store equal data, compare and
+    hash equal.  Matrices share rows of ``num``, so those are never mutated."""
 
-    rows: int
-    cols: int
-    entries: tuple
+    __slots__ = ("rows", "cols", "num", "den")
 
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ShapeError(f"degenerate shape {self.rows}x{self.cols}")
-        if len(self.entries) != self.rows * self.cols:
-            raise ShapeError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.entries)}"
-            )
+    def __init__(self, rows: int, cols: int, entries: tuple) -> None:
+        """Build from a dense row-major tuple of rows * cols Scalars."""
+        if len(entries) != rows * cols:
+            raise ShapeError(f"{rows}x{cols} needs {rows * cols} entries, got {len(entries)}")
+        nonzero = [(idx, _gauss(s)) for idx, s in enumerate(entries) if s.re or s.im]
+        # the lcm of least denominators leaves no common factor to divide out
+        den = math.lcm(*(d for _, (_, _, d) in nonzero))
+        num: dict = {}
+        for idx, (re, im, d) in nonzero:
+            i, j = divmod(idx, cols)
+            v = (re * (den // d), im * (den // d))
+            num.setdefault(i, {})[j] = _SMALL.get(v, v)
+        self._fill(rows, cols, num, den)
+
+    def _fill(self, rows: int, cols: int, num: dict, den: int) -> "Matrix":
+        if rows < 1 or cols < 1:
+            raise ShapeError(f"degenerate shape {rows}x{cols}")
+        self.rows, self.cols, self.num, self.den = rows, cols, num, den
+        return self
 
     def __getitem__(self, ij: tuple) -> Scalar:
         i, j = ij
-        return self.entries[i * self.cols + j]
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"index {ij} outside a {self.rows}x{self.cols} matrix")
+        v = self.num.get(i, {}).get(j)
+        return ZERO if v is None else Scalar(Fraction(v[0], self.den), Fraction(v[1], self.den))
 
     @property
     def shape(self) -> tuple:
         return (self.rows, self.cols)
 
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Matrix) and (self.rows, self.cols, self.den, self.num) \
+            == (other.rows, other.cols, other.den, other.num)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.den, frozenset(
+            (i, frozenset(row.items())) for i, row in self.num.items())))
+
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      tuple(a + b for a, b in zip(self.entries, other.entries)))
+        if self.shape != other.shape:
+            raise ShapeError(f"shape mismatch: {self.shape} vs {other.shape}")
+        den = math.lcm(self.den, other.den)
+        num = _scaled(self.num, den // self.den)
+        for i, orow in _scaled(other.num, den // other.den).items():
+            row = dict(num.get(i, ()))
+            for j, (re, im) in orow.items():
+                old = row.pop(j, (0, 0))
+                if (old[0] + re, old[1] + im) != (0, 0):
+                    row[j] = (old[0] + re, old[1] + im)
+            num[i] = row
+            if not row:
+                del num[i]
+        return sparse_matrix(self.rows, self.cols, num, den)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return self + -other
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(-a for a in self.entries))
+        return _new(self.rows, self.cols, _scaled(self.num, -1), self.den)
 
     def scale(self, s: EntryLike) -> "Matrix":
-        s = _scalar(s)
-        return Matrix(self.rows, self.cols, tuple(s * a for a in self.entries))
+        sr, si, sd = _gauss(_scalar(s))
+        if not (sr or si):
+            return zeros(self.rows, self.cols)
+        num = self.num if (sr, si) == (1, 0) else {
+            i: {j: _gmul(v, (sr, si)) for j, v in row.items()}
+            for i, row in self.num.items()}
+        return sparse_matrix(self.rows, self.cols, num, self.den * sd)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return mat_mul(self, other)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      tuple(self.entries[j * self.cols + i]
-                            for i in range(self.cols) for j in range(self.rows)))
+        return self.dagger().conj()
 
     def conj(self) -> "Matrix":
-        return Matrix(self.rows, self.cols,
-                      tuple(a.conjugate() for a in self.entries))
+        return _new(self.rows, self.cols, {i: {j: (re, -im) for j, (re, im) in row.items()}
+                                           for i, row in self.num.items()}, self.den)
 
     def dagger(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      tuple(self.entries[j * self.cols + i].conjugate()
-                            for i in range(self.cols) for j in range(self.rows)))
+        num: dict = {}
+        for i, row in self.num.items():
+            for j, (re, im) in row.items():
+                num.setdefault(j, {})[i] = (re, -im)
+        return _new(self.cols, self.rows, num, self.den)
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.entries)
-
-    def _same_shape(self, other: "Matrix") -> None:
-        if self.shape != other.shape:
-            raise ShapeError(f"shape mismatch: {self.shape} vs {other.shape}")
+        return not self.num
 
     def __repr__(self) -> str:
-        body = "; ".join(
-            ", ".join(str(self[i, j]) for j in range(self.cols))
-            for i in range(self.rows)
-        )
-        return f"Matrix[{body}]"
+        return f"Matrix[{'; '.join(', '.join(r) for r in matrix_to_strings(self))}]"
+
+
+def _new(rows: int, cols: int, num: dict, den: int) -> Matrix:  # normalized data
+    return Matrix.__new__(Matrix)._fill(rows, cols, num, den)
+
+
+def sparse_matrix(rows: int, cols: int, num: dict, den: int) -> Matrix:
+    """The Matrix with nonzero numerators num = {row: {col: (re, im)}} over a
+    positive denominator den.  num holds no zero value and no empty row, and
+    is taken over, not copied; its common factor with den is divided out."""
+    g = math.gcd(den, *(x for row in num.values() for v in row.values() for x in v)) \
+        if den != 1 else 1
+    if g != 1:
+        num = {i: {j: (re // g, im // g) for j, (re, im) in row.items()}
+               for i, row in num.items()}
+        den //= g
+    return _new(rows, cols, num, den)
+
+
+def _scaled(num: dict, f: int) -> dict:  # a new row map, every value times f
+    if f == 1:
+        return dict(num)
+    return {i: {j: (re * f, im * f) for j, (re, im) in row.items()}
+            for i, row in num.items()}
 
 
 def mat(rows: Sequence[Sequence[EntryLike]]) -> Matrix:
@@ -202,24 +267,22 @@ def mat(rows: Sequence[Sequence[EntryLike]]) -> Matrix:
     ncols = len(rows[0])
     if any(len(r) != ncols for r in rows):
         raise ShapeError("ragged rows")
-    return Matrix(len(rows), ncols,
-                  tuple(_scalar(x) for r in rows for x in r))
+    return Matrix(len(rows), ncols, tuple(_scalar(x) for r in rows for x in r))
 
 
 def zeros(rows: int, cols: int) -> Matrix:
-    return Matrix(rows, cols, (ZERO,) * (rows * cols))
+    return _new(rows, cols, {}, 1)
 
 
 def identity(n: int) -> Matrix:
-    return Matrix(n, n, tuple(ONE if i == j else ZERO
-                              for i in range(n) for j in range(n)))
+    return _new(n, n, {i: {i: (1, 0)} for i in range(n)}, 1)
 
 
 def matrix_unit(rows: int, cols: int, i: int, j: int) -> Matrix:
     """E_{i,j} with a single 1 at 0-based position (i, j)."""
-    ent = [ZERO] * (rows * cols)
-    ent[i * cols + j] = ONE
-    return Matrix(rows, cols, tuple(ent))
+    if not (0 <= i < rows and 0 <= j < cols):
+        raise IndexError(f"unit ({i}, {j}) outside a {rows}x{cols} matrix")
+    return _new(rows, cols, {i: {j: (1, 0)}}, 1)
 
 
 # Pauli convention fixed once for the whole package:
@@ -229,25 +292,21 @@ SIGMA3 = mat([[1, 0], [0, -1]])
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact matrix product."""
+    """Exact matrix product, visiting only products of two nonzero entries."""
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    n, m, p = a.rows, a.cols, b.cols
-    out = [ZERO] * (n * p)
-    ae, be = a.entries, b.entries
-    for i in range(n):
-        arow = i * m
-        obase = i * p
-        for k in range(m):
-            aik = ae[arow + k]
-            if aik.is_zero():
-                continue
-            bbase = k * p
-            for j in range(p):
-                bkj = be[bbase + j]
-                if not bkj.is_zero():
-                    out[obase + j] = out[obase + j] + aik * bkj
-    return Matrix(n, p, tuple(out))
+    num = {}
+    for i, arow in a.num.items():
+        acc: dict = {}
+        for k, (ar, ai) in arow.items():
+            for j, (br, bi) in b.num.get(k, {}).items():
+                old = acc.get(j, (0, 0))
+                acc[j] = (old[0] + ar * br - ai * bi, old[1] + ar * bi + ai * br)
+        if (0, 0) in acc.values():
+            acc = {j: v for j, v in acc.items() if v != (0, 0)}
+        if acc:
+            num[i] = acc
+    return sparse_matrix(a.rows, b.cols, num, a.den * b.den)
 
 
 def dagger(a: Matrix) -> Matrix:
@@ -257,107 +316,89 @@ def dagger(a: Matrix) -> Matrix:
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product with block layout a[i,j]*b."""
-    rows, cols = a.rows * b.rows, a.cols * b.cols
-    out = [ZERO] * (rows * cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            aij = a[i, j]
-            if aij.is_zero():
-                continue
-            for k in range(b.rows):
-                rbase = (i * b.rows + k) * cols + j * b.cols
-                bbase = k * b.cols
-                for l in range(b.cols):
-                    bkl = b.entries[bbase + l]
-                    if not bkl.is_zero():
-                        out[rbase + l] = aij * bkl
-    return Matrix(rows, cols, tuple(out))
+    num = {}
+    for i, arow in a.num.items():
+        for k, brow in b.num.items():
+            num[i * b.rows + k] = {j * b.cols + l: _gmul(x, y)
+                                   for j, x in arow.items() for l, y in brow.items()}
+    return sparse_matrix(a.rows * b.rows, a.cols * b.cols, num, a.den * b.den)
 
 
 def kron_all(ms: Sequence[Matrix]) -> Matrix:
     """Fold kron over a nonempty list; a single factor is returned as-is."""
     if not ms:
         raise ShapeError("kron_all() of no factors")
-    acc = ms[0]
-    for m in ms[1:]:
-        acc = kron(acc, m)
-    return acc
+    return functools.reduce(kron, ms)
 
 
 def direct_sum(a: Matrix, b: Matrix) -> Matrix:
-    rows, cols = a.rows + b.rows, a.cols + b.cols
-    out = [ZERO] * (rows * cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            out[i * cols + j] = a[i, j]
-    for i in range(b.rows):
-        for j in range(b.cols):
-            out[(a.rows + i) * cols + (a.cols + j)] = b[i, j]
-    return Matrix(rows, cols, tuple(out))
+    den = math.lcm(a.den, b.den)
+    num = _scaled(a.num, den // a.den)
+    num.update((a.rows + i, {a.cols + j: v for j, v in row.items()})
+               for i, row in _scaled(b.num, den // b.den).items())
+    return sparse_matrix(a.rows + b.rows, a.cols + b.cols, num, den)
+
+
+def _gdiv(x: tuple, d: tuple) -> tuple:  # x / d, known to be a Gaussian integer
+    n = d[0] * d[0] + d[1] * d[1]
+    return ((x[0] * d[0] + x[1] * d[1]) // n, (x[1] * d[0] - x[0] * d[1]) // n)
+
+
+def _eliminate(row: dict, at: tuple, pivot_row: dict, c: int, p: tuple) -> dict:
+    # Bareiss step clearing column c of a row current at ``at``: (p row - row[c] pivot_row) / at
+    x = row[c]
+    acc = {j: _gmul(p, v) for j, v in row.items() if j != c}
+    for j, v in pivot_row.items():
+        if j != c:
+            old, sub = acc.get(j, (0, 0)), _gmul(x, v)
+            acc[j] = (old[0] - sub[0], old[1] - sub[1])
+    return {j: _gdiv(v, at) for j, v in acc.items() if v != (0, 0)}
+
+
+def _bareiss(rows: list, limit: int) -> tuple:
+    """Fraction-free (Bareiss) elimination of sparse rows {col: (re, im)}, in
+    order: a nonzero row pivots on its least column below ``limit``, cleared
+    from every later row.  Returns the (col, row) pivots and the nonzero rows
+    left with no column below ``limit``.  A row a step skips is owed p_new /
+    p_old, which telescopes, so each row keeps the pivot it is current at and
+    is updated only when used.  Every division is exact (Sylvester's identity),
+    which keeps coefficient growth polynomial."""
+    prev, pivots, rest = (1, 0), [], []
+    work = [(row, prev) for row in rows]
+    for t, (row, at) in enumerate(work):
+        if at != prev:
+            row = {j: _gdiv(_gmul(v, prev), at) for j, v in row.items()}
+        c = min((j for j in row if j < limit), default=None)
+        if c is None:
+            rest += [row] if row else []
+            continue
+        p = row[c]
+        for u in range(t + 1, len(work)):
+            if c in work[u][0]:
+                work[u] = (_eliminate(*work[u], row, c, p), p)
+        pivots.append((c, row))
+        prev = p
+    return pivots, rest
 
 
 def rank(a: Matrix) -> int:
-    """Exact rank, computed by fraction-free elimination.
+    """Exact rank: the pivot count of the fraction-free sweep on the numerators."""
+    return len(_bareiss(list(a.num.values()), a.cols)[0])
 
-    Rows are first scaled to clear denominators, then a Bareiss-style sweep
-    runs over the Gaussian integers; every division below is exact by the
-    Sylvester minor identity, which keeps coefficient growth polynomial.
-    """
-    nrows, ncols = a.rows, a.cols
-    m: list = []
-    for i in range(nrows):
-        row = a.entries[i * ncols:(i + 1) * ncols]
-        den = 1
-        for s in row:
-            den = math.lcm(den, s.re.denominator, s.im.denominator)
-        m.append([(int(s.re * den), int(s.im * den)) for s in row])
-    r = 0
-    prev_re, prev_im = 1, 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c] != (0, 0):
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pr, pi = m[r][c]
-        pden = prev_re * prev_re + prev_im * prev_im
-        trivial_prev = prev_re == 1 and prev_im == 0
-        rowr = m[r]
-        for i in range(r + 1, nrows):
-            rowi = m[i]
-            xr, xi = rowi[c]
-            for j in range(c + 1, ncols):
-                ar, ai = rowi[j]
-                br, bi = rowr[j]
-                nr = pr * ar - pi * ai - (xr * br - xi * bi)
-                ni = pr * ai + pi * ar - (xr * bi + xi * br)
-                if trivial_prev:
-                    rowi[j] = (nr, ni)
-                else:
-                    rowi[j] = ((nr * prev_re + ni * prev_im) // pden,
-                               (ni * prev_re - nr * prev_im) // pden)
-            rowi[c] = (0, 0)
-        prev_re, prev_im = pr, pi
-        r += 1
-        if r == nrows:
-            break
-    return r
+
+def _flat(m: Matrix, shape: tuple) -> dict:  # {row-major position: numerator}
+    if m.shape != shape:
+        raise ShapeError(f"span over mixed shapes: {shape} vs {m.shape}")
+    return {i * m.cols + j: v for i, row in m.num.items() for j, v in row.items()}
 
 
 def span_dim(ms: Sequence[Matrix]) -> int:
     """Dimension of the complex linear span of same-shaped matrices."""
     if not ms:
         return 0
-    shape = ms[0].shape
-    for m in ms:
-        if m.shape != shape:
-            raise ShapeError(f"span over mixed shapes: {shape} vs {m.shape}")
-    stacked = Matrix(len(ms), shape[0] * shape[1],
-                     tuple(e for m in ms for e in m.entries))
-    return rank(stacked)
+    # row r is ms[r] flattened and times its denominator, which keeps the rank
+    stacked = {r: flat for r, flat in enumerate(_flat(m, ms[0].shape) for m in ms) if flat}
+    return rank(_new(len(ms), ms[0].rows * ms[0].cols, stacked, 1))
 
 
 def span_coords(ms: Sequence[Matrix], target: Matrix) -> Optional[list]:
@@ -367,55 +408,20 @@ def span_coords(ms: Sequence[Matrix], target: Matrix) -> Optional[list]:
     callers (span membership tests and basis pullbacks).
     """
     k = len(ms)
-    if k == 0:
-        return [] if target.is_zero() else None
-    for m in ms:
-        if m.shape != target.shape:
-            raise ShapeError(f"span over mixed shapes: {m.shape} vs {target.shape}")
-    n = target.rows * target.cols
-    a = [[m.entries[idx] for m in ms] for idx in range(n)]
-    b = [target.entries[idx] for idx in range(n)]
-    pivots: list = []
-    r = 0
-    for col in range(k):
-        p = None
-        for i in range(r, n):
-            if not a[i][col].is_zero():
-                p = i
-                break
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        b[r], b[p] = b[p], b[r]
-        pivval = a[r][col]
-        for i in range(r + 1, n):
-            if a[i][col].is_zero():
-                continue
-            f = a[i][col] / pivval
-            rowi, rowr = a[i], a[r]
-            for j in range(col, k):
-                rowi[j] = rowi[j] - f * rowr[j]
-            b[i] = b[i] - f * b[r]
-        pivots.append((r, col))
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if not b[i].is_zero():
-            return None
-    coeffs = [ZERO] * k
-    for row, col in reversed(pivots):
-        s = b[row]
-        arow = a[row]
-        for j in range(col + 1, k):
-            if not arow[j].is_zero():
-                s = s - arow[j] * coeffs[j]
-        coeffs[col] = s / arow[col]
-    return coeffs
-
-
-def in_span(ms: Sequence[Matrix], target: Matrix) -> bool:
-    return span_coords(ms, target) is not None
+    # one equation per entry position over the numerators N_j of ms[j] and,
+    # in column k, N of the target: sum_j x_j N_j = N, so c_j = x_j d_j / d
+    eqs: dict = {}
+    for j, m in enumerate([*ms, target]):
+        for pos, v in _flat(m, target.shape).items():
+            eqs.setdefault(pos, {})[j] = v
+    pivots, rest = _bareiss(list(eqs.values()), k)
+    if rest:
+        return None
+    x = [ZERO] * k
+    for c, row in reversed(pivots):
+        known = sum((Scalar(*v) * x[j] for j, v in row.items() if j != c and j < k), ZERO)
+        x[c] = (Scalar(*row.get(k, (0, 0))) - known) / Scalar(*row[c])
+    return [xj * Scalar(Fraction(m.den, target.den)) for xj, m in zip(x, ms)]
 
 
 def matrix_to_strings(m: Matrix) -> list:
@@ -424,10 +430,4 @@ def matrix_to_strings(m: Matrix) -> list:
 
 
 def matrix_from_strings(rows: Sequence[Sequence[str]]) -> Matrix:
-    if not rows or not rows[0]:
-        raise ShapeError("matrix literal needs at least one row and column")
-    ncols = len(rows[0])
-    if any(len(r) != ncols for r in rows):
-        raise ShapeError("ragged matrix literal")
-    return Matrix(len(rows), ncols,
-                  tuple(parse_scalar(x) for r in rows for x in r))
+    return mat([[parse_scalar(x) for x in r] for r in rows])

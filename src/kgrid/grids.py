@@ -33,9 +33,9 @@ from .tro import (
     TroElement,
     TroSpace,
     element_span_dim,
-    flatten_element,
     is_tripotent,
     jordan_triple,
+    ternary_product,
 )
 
 _ID2 = identity(2)
@@ -316,13 +316,11 @@ class GridReport:
 
 def _in_complex_line(e: TroElement, w: TroElement) -> bool:
     """True iff w is a complex multiple of e."""
-    fe = flatten_element(e).entries
-    fw = flatten_element(w).entries
-    pivot = next((idx for idx, v in enumerate(fe) if not v.is_zero()), None)
-    if pivot is None:
-        return w.is_zero()
-    lam = fw[pivot] / fe[pivot]
-    return w == e.scale(lam)
+    for b, blk in enumerate(e.blocks):
+        for i, row in blk.num.items():
+            j = next(iter(row))
+            return w == e.scale(w.blocks[b][i, j] / blk[i, j])
+    return w.is_zero()
 
 
 def _expect_minimal(kind: str, label: str) -> bool:
@@ -369,28 +367,22 @@ def _spin_identity_checks(g: Grid) -> tuple:
     return tuple(checks)
 
 
-def _system_relations_hold(system: SpinSystem) -> bool:
-    # SpinSystem.__post_init__ already enforces these; re-derive for reporting
-    try:
-        SpinSystem(system.identity, system.symmetries)
-    except ValueError:
-        return False
-    return True
-
-
 def verify_grid(g: Grid) -> GridReport:
-    """Check tripotency, span, minimality and (for spin) the system relations
-    and the triple-product identities; failures are reported, never raised."""
+    """Check tripotency, span, minimality and (for spin) the triple-product
+    identities; failures are reported, never raised.  A spin grid's system
+    relations were checked when its SpinSystem was constructed."""
     basis = _minimality_basis(g)
     checks = []
     for label, e in zip(g.labels, g.elements):
         tripotent = is_tripotent(e)
-        minimal = all(_in_complex_line(e, jordan_triple(e, b, e)) for b in basis)
+        # {e,b,e} = e b* e: one ternary product, no halving
+        minimal = all(_in_complex_line(e, ternary_product(e, b, e)) for b in basis)
         checks.append(ElementCheck(label, tripotent, minimal,
                                    expect_minimal=_expect_minimal(g.kind, label)))
     expected = intrinsic_dim(g.factor) if g.factor is not None else len(basis)
     found = element_span_dim(list(g.elements))
-    system_ok = _system_relations_hold(g.system) if g.system is not None else None
+    # a SpinSystem enforces its relations when it is constructed
+    system_ok = True if g.system is not None else None
     identity_checks = _spin_identity_checks(g) if g.kind == "spin" else ()
     return GridReport(
         kind=g.kind,

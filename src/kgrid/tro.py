@@ -9,6 +9,7 @@ copies block-diagonally and pads with zeros.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -19,13 +20,13 @@ from .exact import (
     Matrix,
     ParseError,
     ShapeError,
-    ZERO,
     _scalar,
     mat_mul,
     matrix_from_strings,
     matrix_to_strings,
     span_coords,
     span_dim,
+    sparse_matrix,
     zeros,
 )
 
@@ -188,7 +189,8 @@ def jordan_triple(a: TroElement, b: TroElement, c: TroElement) -> TroElement:
 
 
 def is_tripotent(e: TroElement) -> bool:
-    return jordan_triple(e, e, e) == e
+    # {e,e,e} = e e* e, so one ternary product suffices
+    return ternary_product(e, e, e) == e
 
 
 def range_projection(x: TroElement) -> TroElement:
@@ -201,8 +203,17 @@ def range_projection(x: TroElement) -> TroElement:
 
 def flatten_element(x: TroElement) -> Matrix:
     """All block entries as a single row vector, for span computations."""
-    ent = tuple(e for b in x.blocks for e in b.entries)
-    return Matrix(1, len(ent), ent)
+    den = math.lcm(*(b.den for b in x.blocks))
+    row = {}
+    offset = 0
+    for b in x.blocks:
+        f = den // b.den
+        for i, brow in b.num.items():
+            base = offset + i * b.cols
+            for j, v in brow.items():
+                row[base + j] = v if f == 1 else (v[0] * f, v[1] * f)
+        offset += b.rows * b.cols
+    return sparse_matrix(1, offset, {0: row} if row else {}, den)
 
 
 def element_span_dim(els: Sequence[TroElement]) -> int:
@@ -275,21 +286,21 @@ def apply_hom(h: TroHom, x: TroElement) -> TroElement:
     """Concrete block-diagonal realization: copies first, zero padding last."""
     if x.space != h.source:
         raise SpaceMismatch(f"element lives in {x.space}, hom expects {h.source}")
+    den = math.lcm(*(b.den for b in x.blocks))
     blocks = []
     for k, (nk, mk) in enumerate(h.target.summands):
-        out = [ZERO] * (nk * mk)
+        out = {}
         ro = co = 0
         for i, (ni, mi) in enumerate(h.source.summands):
             xi = x.blocks[i]
+            f = den // xi.den
             for _ in range(h.mult[k][i]):
-                for a in range(ni):
-                    base = (ro + a) * mk + co
-                    src = a * mi
-                    for b in range(mi):
-                        out[base + b] = xi.entries[src + b]
+                for a, row in xi.num.items():
+                    out[ro + a] = ({co + b: v for b, v in row.items()} if f == 1 else
+                                   {co + b: (v[0] * f, v[1] * f) for b, v in row.items()})
                 ro += ni
                 co += mi
-        blocks.append(Matrix(nk, mk, tuple(out)))
+        blocks.append(sparse_matrix(nk, mk, out, den))
     return TroElement(h.target, tuple(blocks))
 
 

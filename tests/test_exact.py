@@ -31,7 +31,7 @@ from kgrid.exact import (
     zeros,
 )
 
-from .strategies import any_matrices, matrices, scalars
+from .strategies import any_matrices, int_scalars, matrices, scalars
 
 
 def naive_rank(m: Matrix) -> int:
@@ -241,3 +241,231 @@ def test_scale_and_arithmetic():
     assert a.scale(ONE) == a
     assert (a - a).is_zero()
     assert a.transpose() == mat([[1, 3], [2, 4]])
+
+
+# --- the sparse kernel against a naive dense reference ----------------------
+#
+# The reference holds a matrix as rows of (re, im) Fraction pairs and computes
+# every operation by the textbook formula, with no sparsity and no common
+# denominator, so it shares no code with the kernel under test.
+
+entry_mix = st.one_of(st.just(ZERO), int_scalars, scalars)
+# mostly zero, so that rows skip elimination steps and pivots are not units
+sparse_ints = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3]).map(Scalar)
+
+
+def dense_pairs(rows: int, cols: int, entries=entry_mix):
+    """(Matrix, reference) built from the same drawn entries."""
+    return st.lists(entries, min_size=rows * cols, max_size=rows * cols).map(
+        lambda es: (Matrix(rows, cols, tuple(es)),
+                    [[(s.re, s.im) for s in es[i * cols:(i + 1) * cols]]
+                     for i in range(rows)])
+    )
+
+
+shapes = st.tuples(st.integers(1, 3), st.integers(1, 3))
+
+
+def ref_of(m: Matrix) -> list:
+    return [[(m[i, j].re, m[i, j].im) for j in range(m.cols)] for i in range(m.rows)]
+
+
+def r_mul_scalar(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def r_add_scalar(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def r_matmul(a, b):
+    zero = (Fraction(0), Fraction(0))
+    out = []
+    for i in range(len(a)):
+        row = []
+        for j in range(len(b[0])):
+            acc = zero
+            for k in range(len(b)):
+                acc = r_add_scalar(acc, r_mul_scalar(a[i][k], b[k][j]))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def r_combine(a, b, sign):
+    return [[(x[0] + sign * y[0], x[1] + sign * y[1]) for x, y in zip(ra, rb)]
+            for ra, rb in zip(a, b)]
+
+
+def r_scale(c, a):
+    return [[r_mul_scalar(c, x) for x in row] for row in a]
+
+
+def r_dagger(a):
+    return [[(a[i][j][0], -a[i][j][1]) for i in range(len(a))] for j in range(len(a[0]))]
+
+
+def r_kron(a, b):
+    return [[r_mul_scalar(a[i][j], b[k][l]) for j in range(len(a[0])) for l in range(len(b[0]))]
+            for i in range(len(a)) for k in range(len(b))]
+
+
+def r_direct_sum(a, b):
+    zero = (Fraction(0), Fraction(0))
+    return ([row + [zero] * len(b[0]) for row in a]
+            + [[zero] * len(a[0]) + row for row in b])
+
+
+def r_rank(rows) -> int:
+    # division-based Gaussian elimination on (re, im) Fraction pairs
+    rows = [list(r) for r in rows]
+    zero = (Fraction(0), Fraction(0))
+    r = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != zero), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pr, pi = rows[r][col]
+        norm = pr * pr + pi * pi
+        for i in range(r + 1, len(rows)):
+            x = rows[i][col]
+            if x == zero:
+                continue
+            f = r_mul_scalar(x, (pr / norm, -pi / norm))
+            rows[i] = [(a[0] - fb[0], a[1] - fb[1])
+                       for a, fb in ((a, r_mul_scalar(f, b)) for a, b in zip(rows[i], rows[r]))]
+        r += 1
+    return r
+
+
+def r_flat(a) -> list:
+    return [x for row in a for x in row]
+
+
+class TestKernelAgainstReference:
+    @given(shapes.flatmap(lambda s: dense_pairs(*s)))
+    def test_entries(self, pair):
+        m, ref = pair
+        assert ref_of(m) == ref
+
+    @given(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)).flatmap(
+        lambda nkm: st.tuples(dense_pairs(nkm[0], nkm[1]), dense_pairs(nkm[1], nkm[2]))))
+    def test_mat_mul(self, pairs):
+        (a, ra), (b, rb) = pairs
+        assert ref_of(mat_mul(a, b)) == r_matmul(ra, rb)
+
+    @given(shapes.flatmap(lambda s: st.tuples(dense_pairs(*s), dense_pairs(*s))))
+    def test_add_sub_neg(self, pairs):
+        (a, ra), (b, rb) = pairs
+        assert ref_of(a + b) == r_combine(ra, rb, 1)
+        assert ref_of(a - b) == r_combine(ra, rb, -1)
+        assert ref_of(-a) == r_scale((Fraction(-1), Fraction(0)), ra)
+
+    @given(shapes.flatmap(lambda s: dense_pairs(*s)), entry_mix)
+    def test_scale(self, pair, c):
+        m, ref = pair
+        assert ref_of(m.scale(c)) == r_scale((c.re, c.im), ref)
+
+    @given(shapes.flatmap(lambda s: dense_pairs(*s)))
+    def test_dagger_transpose_conj(self, pair):
+        m, ref = pair
+        assert ref_of(dagger(m)) == r_dagger(ref)
+        assert ref_of(m.transpose()) == [[(x[0], -x[1]) for x in row]
+                                         for row in r_dagger(ref)]
+        assert ref_of(m.conj()) == [[(x[0], -x[1]) for x in row] for row in ref]
+
+    @given(shapes.flatmap(lambda s: dense_pairs(*s)), shapes.flatmap(lambda s: dense_pairs(*s)))
+    def test_kron_direct_sum(self, pa, pb):
+        (a, ra), (b, rb) = pa, pb
+        assert ref_of(kron(a, b)) == r_kron(ra, rb)
+        assert ref_of(direct_sum(a, b)) == r_direct_sum(ra, rb)
+
+    @given(st.tuples(st.integers(2, 5), st.integers(2, 5)).flatmap(
+        lambda s: dense_pairs(*s, entries=sparse_ints)))
+    def test_rank_sparse(self, pair):
+        m, ref = pair
+        assert rank(m) == r_rank(ref)
+
+    def test_rank_row_skipping_steps(self):
+        # row 1 has no entry in the first pivot column; when it pivots later it
+        # must first be brought up to date with the pivot it skipped
+        assert rank(mat([[3, 2, 0, 0], [0, 0, -1, -2], [0, 0, 0, -2], [1, 0, -2, -1]])) == 4
+
+    @given(shapes.flatmap(lambda s: st.lists(dense_pairs(*s), min_size=1, max_size=5)))
+    def test_span_dim(self, pairs):
+        assert span_dim([m for m, _ in pairs]) == r_rank([r_flat(r) for _, r in pairs])
+
+    @given(shapes.flatmap(lambda s: st.tuples(
+        st.lists(dense_pairs(*s), min_size=1, max_size=4), dense_pairs(*s),
+        st.lists(entry_mix, min_size=4, max_size=4), st.booleans())))
+    def test_span_coords(self, drawn):
+        pairs, (free, rfree), coeffs, in_span = drawn
+        ms, refs = [m for m, _ in pairs], [r for _, r in pairs]
+        if in_span:  # a combination with real denominators
+            target, rtarget = zeros(*ms[0].shape), [[(Fraction(0), Fraction(0))] * ms[0].cols
+                                                    for _ in range(ms[0].rows)]
+            for c, m, r in zip(coeffs, ms, refs):
+                target = target + m.scale(c)
+                rtarget = r_combine(rtarget, r_scale((c.re, c.im), r), 1)
+        else:  # an arbitrary target, unsolvable whenever it raises the rank
+            target, rtarget = free, rfree
+        solvable = r_rank([r_flat(r) for r in refs + [rtarget]]) == r_rank(
+            [r_flat(r) for r in refs])
+        got = span_coords(ms, target)
+        assert (got is not None) == solvable
+        if got is not None:
+            rebuilt = [[(Fraction(0), Fraction(0))] * ms[0].cols for _ in range(ms[0].rows)]
+            for c, r in zip(got, refs):
+                rebuilt = r_combine(rebuilt, r_scale((c.re, c.im), r), 1)
+            assert rebuilt == rtarget
+
+    def test_span_coords_denominators(self):
+        basis = [mat([[HALF, 0], [0, Scalar(0, Fraction(1, 3))]]), mat([[0, Fraction(2, 5)], [1, 0]])]
+        target = basis[0].scale(Scalar(Fraction(3, 7), 1)) + basis[1].scale(Fraction(-5, 4))
+        assert span_coords(basis, target) == [Scalar(Fraction(3, 7), 1), Scalar(Fraction(-5, 4))]
+        assert span_coords(basis, matrix_unit(2, 2, 0, 0)) is None
+
+
+class TestNormalization:
+    """Equal matrices reached by different routes store, compare and hash equal."""
+
+    def assert_same(self, a: Matrix, b: Matrix) -> None:
+        assert a == b
+        assert hash(a) == hash(b)
+        assert (a.num, a.den) == (b.num, b.den)
+
+    @given(any_matrices())
+    def test_scale_and_back(self, m):
+        self.assert_same(m.scale(2).scale(HALF), m)
+
+    @given(any_matrices(), scalars)
+    def test_scale_by_inverse(self, m, s):
+        if not s.is_zero():
+            self.assert_same(m.scale(s).scale(ONE / s), m)
+
+    @given(any_matrices())
+    def test_add_then_subtract(self, m):
+        self.assert_same((m + m) - m, m)
+        self.assert_same(m - m, zeros(*m.shape))
+
+    def test_literal_against_units(self):
+        units = (matrix_unit(2, 3, 0, 0).scale(HALF) + matrix_unit(2, 3, 1, 2).scale(I)
+                 + matrix_unit(2, 3, 0, 1).scale(Fraction(-2, 3)))
+        self.assert_same(mat([[HALF, Fraction(-2, 3), 0], [0, 0, I]]), units)
+
+    def test_zero_has_one_form(self):
+        self.assert_same(mat([[0, 0]]).scale(HALF), zeros(1, 2))
+        self.assert_same(identity(2).scale(0), zeros(2, 2))
+
+    def test_fixed_rendering(self):
+        m = mat([[HALF, Scalar(0, Fraction(-2, 3)), 0],
+                 [Scalar(Fraction(3, 4), 5), 0, Scalar(-2, Fraction(1, 6))]])
+        assert repr(m) == "Matrix[1/2, 0-2/3*i, 0; 3/4+5*i, 0, -2+1/6*i]"
+        assert matrix_to_strings(m) == [["1/2", "0-2/3*i", "0"], ["3/4+5*i", "0", "-2+1/6*i"]]
+        assert m[1, 0] == Scalar(Fraction(3, 4), 5)
+        assert isinstance(m[1, 0].re, Fraction) and isinstance(m[1, 0].im, Fraction)
+        assert m[0, 2] == ZERO
+        assert repr(m[1, 2]) == "Scalar(-2+1/6*i)"
+        with pytest.raises(IndexError):
+            m[2, 0]

@@ -134,6 +134,17 @@ class TestSpinSystems:
         with pytest.raises(ValueError):
             SpinSystem(ident, (s, s))  # same symmetry twice cannot anticommute
 
+    def test_broken_relation_raises_at_construction(self):
+        # verify_grid reports spin_system_ok from this one construction-time check
+        sp = parse_space("M(2,2)")
+        ident = TroElement(sp, (identity(2),))
+        not_involution = TroElement(sp, (SIGMA3.scale(2),))
+        with pytest.raises(ValueError, match=r"anticommutator relation fails for \(0,0\)"):
+            SpinSystem(ident, (not_involution,))
+        commuting = (TroElement(sp, (SIGMA3,)), TroElement(sp, (SIGMA3.scale(-1),)))
+        with pytest.raises(ValueError, match=r"anticommutator relation fails for \(0,1\)"):
+            SpinSystem(ident, commuting)
+
     def test_non_selfadjoint_rejected(self):
         sp = parse_space("M(2,2)")
         ident = TroElement(sp, (identity(2),))

@@ -118,6 +118,12 @@ class TestTripleProducts:
         lhs = jordan_triple(a, b.scale(I), c)
         assert lhs == jordan_triple(a, b, c).scale(-I)
 
+    @given(space_with_elements(2))
+    def test_jordan_with_equal_outer_is_ternary(self, els):
+        # {e,b,e} = (e b* e + e b* e)/2 = e b* e: the verify path relies on it
+        e, b = els
+        assert jordan_triple(e, b, e) == ternary_product(e, b, e)
+
     @given(space_with_elements(4))
     def test_jordan_linear_outer(self, els):
         a, a2, b, c = els
