@@ -55,8 +55,6 @@ from .ktheory import (
     double_scaled_group,
     dsg_isomorphic,
     k0_class_of_projection,
-    k0_of_hom,
-    morita_transport,
 )
 from .cartan import (
     CartanDescriptor,

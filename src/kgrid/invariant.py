@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations, product
 from math import comb
 from typing import Optional
 
@@ -135,19 +136,77 @@ def k_grid_invariant(s: TripleSpec) -> KGridInvariant:
     return _invariant_of_canonical(canonicalize_spec(s))
 
 
-# --- isomorphism of invariants -------------------------------------------------
+# --- factor blocks and isomorphism of invariants ----------------------------------
+
+def _sorted_key(pairs, classes) -> tuple:
+    """Permutation-invariant data: the sorted cap pairs and sorted classes."""
+    return (tuple(sorted(pairs)), tuple(sorted(tuple(sorted(c)) for c in classes)))
+
 
 @lru_cache(maxsize=None)
 def _quick_key(inv: KGridInvariant) -> tuple:
-    """Permutation-invariant data; unequal keys mean non-isomorphic."""
-    pairs = tuple(sorted(zip(inv.group.left_caps, inv.group.right_caps)))
-    classes = tuple(sorted(tuple(sorted(c)) for c in inv.gamma))
-    return (inv.group.k, pairs, classes, len(inv.gamma))
+    """Unequal keys mean non-isomorphic; unequal first entries, unequal groups."""
+    return _sorted_key(zip(inv.group.left_caps, inv.group.right_caps), inv.gamma)
 
 
-def _column_signature(inv: KGridInvariant, idx: int) -> tuple:
-    sig = sorted((c[idx], tuple(sorted(c))) for c in inv.gamma)
-    return tuple(sig)
+def _blocks(inv: KGridInvariant) -> list:
+    """The factor blocks of an invariant, ordered by their first summand.
+
+    A block is a connected component of the gamma-support graph, in which two
+    summands are linked when some class is nonzero on both; each factor's
+    classes connect exactly its own summands.  A block is (columns, caps,
+    classes): its summand indices ascending, their (left, right) caps, and the
+    classes supported on it restricted to those columns.  A zero class lies
+    in no block.
+    """
+    root = list(range(inv.group.k))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    supports = [[i for i, v in enumerate(c) if v] for c in inv.gamma]
+    for support in supports:
+        for i in support[1:]:
+            root[find(i)] = find(support[0])
+    columns: dict = {}
+    for i in range(inv.group.k):
+        columns.setdefault(find(i), []).append(i)
+    classes: dict = {r: set() for r in columns}
+    for cls, support in zip(inv.gamma, supports):
+        if support:
+            r = find(support[0])
+            classes[r].add(tuple(cls[i] for i in columns[r]))
+    pairs = list(zip(inv.group.left_caps, inv.group.right_caps))
+    return [(tuple(cols), tuple(pairs[i] for i in cols), frozenset(classes[r]))
+            for r, cols in columns.items()]
+
+
+def _match_block(a: tuple, b: tuple) -> Optional[tuple]:
+    """A cap-preserving map p of block a's columns onto block b's that carries
+    a's classes onto b's (position i of a goes to position p[i] of b), or
+    None.  Only columns with equal caps are exchanged; in a factor's block at
+    most two columns share a cap pair, so at most two maps are tried."""
+    (_, caps_a, classes_a), (_, caps_b, classes_b) = a, b
+    if caps_a == caps_b and classes_a == classes_b:
+        return tuple(range(len(caps_a)))
+    slots: dict = {}
+    for i, cap in enumerate(caps_a):
+        slots.setdefault(cap, ([], []))[0].append(i)
+    for j, cap in enumerate(caps_b):
+        slots.setdefault(cap, ([], []))[1].append(j)
+    if any(len(src) != len(dst) for src, dst in slots.values()):
+        return None
+    for choice in product(*(permutations(dst) for _, dst in slots.values())):
+        p, q = [0] * len(caps_a), [0] * len(caps_a)  # q inverts p
+        for (src, _), dst in zip(slots.values(), choice):
+            for i, j in zip(src, dst):
+                p[i], q[j] = j, i
+        if {tuple(cls[i] for i in q) for cls in classes_a} == classes_b:
+            return tuple(p)
+    return None
 
 
 def invariants_isomorphic(a: KGridInvariant,
@@ -155,56 +214,31 @@ def invariants_isomorphic(a: KGridInvariant,
     """A summand permutation carrying caps to caps and gamma onto gamma.
 
     Returns pi with summand i of `a` matched to summand pi[i] of `b`, or None.
-    The search runs over cap- and column-signature-compatible candidates only;
-    candidates are tried in ascending order so canonically assembled inputs
-    match on the first branch.
+    Equal invariants get the identity.  Otherwise the factor blocks of `a`
+    are matched to those of `b` as a multiset, each pair by a cap-preserving
+    map of its columns.  The summands may come in any order; on invariants
+    assembled from factors the cost is polynomial in the number of summands.
     """
     if _quick_key(a) != _quick_key(b):
         return None
-    k = a.group.k
-    if k == 0:
-        return ()
-    a_pairs = list(zip(a.group.left_caps, a.group.right_caps))
-    b_pairs = list(zip(b.group.left_caps, b.group.right_caps))
-    a_sigs = [_column_signature(a, i) for i in range(k)]
-    b_sigs = [_column_signature(b, j) for j in range(k)]
-    candidates = [
-        [j for j in range(k) if b_pairs[j] == a_pairs[i] and b_sigs[j] == a_sigs[i]]
-        for i in range(k)
-    ]
-    if any(not c for c in candidates):
-        return None
-    gamma_b = b.gamma
-    gamma_a = list(a.gamma)
-    perm = [-1] * k
-    used = [False] * k
-
-    def gamma_matches() -> bool:
-        mapped = set()
-        for cls in gamma_a:
-            vec = [0] * k
-            for i, v in enumerate(cls):
-                vec[perm[i]] = v
-            mapped.add(tuple(vec))
-        return mapped == gamma_b
-
-    def backtrack(i: int) -> bool:
-        if i == k:
-            return gamma_matches()
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            used[j] = True
-            perm[i] = j
-            if backtrack(i + 1):
-                return True
-            used[j] = False
-        perm[i] = -1
-        return False
-
-    if backtrack(0):
-        return tuple(perm)
-    return None
+    if a == b:
+        return tuple(range(a.group.k))
+    unmatched: dict = {}
+    for block in _blocks(b):
+        unmatched.setdefault(_sorted_key(*block[1:]), []).append(block)
+    perm = [0] * a.group.k
+    for block in _blocks(a):
+        bucket = unmatched.get(_sorted_key(*block[1:]), [])
+        for n, other in enumerate(bucket):
+            p = _match_block(block, other)
+            if p is not None:
+                break
+        else:
+            return None
+        del bucket[n]  # block isomorphism is transitive: any match will do
+        for i, j in zip(block[0], p):
+            perm[i] = other[0][j]
+    return tuple(perm)
 
 
 # --- classification --------------------------------------------------------------
@@ -235,9 +269,7 @@ class Verdict:
 def classify_invariants(a: KGridInvariant, b: KGridInvariant) -> Verdict:
     perm = invariants_isomorphic(a, b)
     if perm is None:
-        if (a.group.k != b.group.k
-                or sorted(zip(a.group.left_caps, a.group.right_caps))
-                != sorted(zip(b.group.left_caps, b.group.right_caps))):
+        if _quick_key(a)[0] != _quick_key(b)[0]:
             return Verdict("NOT_ISOMORPHIC", None, "caps",
                            "double-scaled groups differ (summand dimension pairs)")
         return Verdict("NOT_ISOMORPHIC", None, "gamma",
@@ -262,82 +294,63 @@ def classify(s1: TripleSpec, s2: TripleSpec) -> Verdict:
 
 # --- factor recovery ---------------------------------------------------------------
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
-def _block_candidates(caps: list, i: int) -> list:
-    """Factor blocks that could start at summand i, judged on caps alone."""
+def _candidates(caps: list) -> list:
+    """Canonical factors whose summand caps are the sorted multiset `caps`."""
+    width = len(caps)
     out = []
-    l, r = caps[i]
-    remaining = len(caps) - i
-    if r == 1:
-        h = l
-        if h <= remaining:
-            expected = [(comb(h, t), comb(h, t - 1)) for t in range(1, h + 1)]
-            if caps[i:i + h] == expected:
-                out.append((CartanDescriptor("I", (1, h)), h))
-    if l >= 2 and r >= 2 and remaining >= 2 and caps[i + 1] == (r, l):
-        out.append((CartanDescriptor("I", (min(l, r), max(l, r))), 2))
-    if l == r:
+    if caps[0] == (1, width) and caps == sorted(
+            (comb(width, t), comb(width, t - 1)) for t in range(1, width + 1)):
+        out.append(CartanDescriptor("I", (1, width)))
+    l, r = caps[0]
+    if width == 2 and min(l, r) >= 2 and caps[1] == (r, l):
+        out.append(CartanDescriptor("I", (min(l, r), max(l, r))))
+    if width <= 2 and l == r and caps[-1] == (l, l):
         n = l
-        if n >= 5:
-            out.append((CartanDescriptor("II", (n,)), 1))
-        if n >= 2:
-            out.append((CartanDescriptor("III", (n,)), 1))
-        if n >= 4 and _is_power_of_two(n):
-            odd_dim = 2 * n.bit_length() - 1  # n = 2^p, dim = 2p + 1
-            out.append((CartanDescriptor("IV", (odd_dim,)), 1))
-            if remaining >= 2 and caps[i + 1] == (n, n):
-                even_dim = 2 * n.bit_length()  # n = 2^p, dim = 2(p + 1)
-                out.append((CartanDescriptor("IV", (even_dim,)), 2))
+        if width == 1 and n >= 5:
+            out.append(CartanDescriptor("II", (n,)))
+        if width == 1 and n >= 2:
+            out.append(CartanDescriptor("III", (n,)))
+        if n >= 4 and n & (n - 1) == 0:  # n = 2^p: IV(2p+1), IV(2p+2)
+            out.append(CartanDescriptor("IV", (2 * n.bit_length() - 2 + width,)))
     return out
+
+
+@lru_cache(maxsize=None)
+def _factor_block(f: CartanDescriptor) -> tuple:
+    """The single block of a canonical factor's own invariant."""
+    return _blocks(_invariant_of_canonical(TripleSpec((f,))))[0]
 
 
 def recover_factors(inv: KGridInvariant) -> TripleSpec:
     """Recover the unique canonical factor multiset producing the invariant.
 
-    Assumes the invariant was assembled by ``k_grid_invariant`` (factor blocks
-    occupy consecutive summands in canonical order).  The per-block grid
-    classes decide among cap-compatible candidates; the decision is verified
-    to be unambiguous.
+    Each factor block is identified on its own, so the summands may come in
+    any order: the block is matched, by the block matcher of
+    ``invariants_isomorphic``, against the single block of every factor with
+    the same cap multiset, and exactly one factor must match.
     """
     if inv.exceptional_count > 0:
         raise UnknownFactorError(
             "exceptional content cannot be recovered: V and VI leave no trace "
             "in the K-data beyond their count"
         )
-    k = inv.group.k
-    if k == 0:
+    if inv.group.k == 0:
         raise UnknownFactorError("trivial invariant carries no factors")
-    caps = list(zip(inv.group.left_caps, inv.group.right_caps))
-    remaining_classes = set(inv.gamma)
+    if any(not any(c) for c in inv.gamma):
+        raise UnknownFactorError("a zero grid class belongs to no factor block")
     factors = []
-    i = 0
-    while i < k:
-        matches = []
-        for candidate, width in _block_candidates(caps, i):
-            block = range(i, i + width)
-            touching = {c for c in remaining_classes
-                        if any(c[t] for t in block)}
-            if any(any(v for idx, v in enumerate(c) if idx not in block)
-                   for c in touching):
-                continue  # a class straddles the block boundary
-            restricted = {tuple(c[t] for t in block) for c in touching}
-            if restricted == gamma(candidate):
-                matches.append((candidate, width, touching))
+    for block in _blocks(inv):
+        columns, caps, _ = block
+        matches = [f for f in _candidates(sorted(caps))
+                   if _match_block(block, _factor_block(f)) is not None]
         if not matches:
             raise UnknownFactorError(
-                f"no supported factor matches summands starting at index {i} "
-                f"(caps {caps[i]})"
+                f"no supported factor matches the block of summands "
+                f"{list(columns)} (caps {list(caps)})"
             )
         if len(matches) > 1:
-            names = ", ".join(m[0].to_text() for m in matches)
-            raise UnknownFactorError(f"ambiguous block at index {i}: {names}")
-        candidate, width, touching = matches[0]
-        factors.append(candidate)
-        remaining_classes -= touching
-        i += width
-    if remaining_classes:
-        raise UnknownFactorError("grid classes left over after matching all blocks")
+            names = ", ".join(f.to_text() for f in matches)
+            raise UnknownFactorError(
+                f"ambiguous block of summands {list(columns)}: {names}")
+        factors.append(matches[0])
     return canonicalize_spec(TripleSpec(tuple(factors)))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .exact import rank
-from .tro import TroElement, TroHom, TroSpace, left_dims, right_dims
+from .tro import TroElement, TroSpace, left_dims, right_dims
 
 K0Class = Tuple[int, ...]
 
@@ -99,23 +99,8 @@ def dsg_isomorphic(a: DoubleScaledGroup,
     return tuple(perm)
 
 
-def k0_of_hom(h: TroHom) -> tuple:
-    """The induced map on K0 in the summand basis: the multiplicity matrix."""
-    return h.mult
-
-
 def apply_k0_matrix(mult: Sequence[Sequence[int]],
                     cls: Sequence[int]) -> K0Class:
     """Matrix-vector action of a K0 map on a class."""
     return tuple(sum(row[i] * cls[i] for i in range(len(cls))) for row in mult)
 
-
-def morita_transport(cls: Sequence[int]) -> K0Class:
-    """Transport a right-algebra class into K0 of the TRO.
-
-    Both corner embeddings into the linking algebra identify a projection
-    class with its blockwise rank vector, so in finite dimensions the
-    transport is the identity on rank vectors; its role is to place the right
-    scale inside the same group as the left one.
-    """
-    return tuple(cls)

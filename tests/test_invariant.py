@@ -1,8 +1,11 @@
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from kgrid.cartan import CartanDescriptor, TripleSpec, canonicalize_spec, parse_triple_spec
+from kgrid.catalog import catalog_descriptors
 from kgrid.grids import grid_for
 from kgrid.invariant import (
     KGridInvariant,
@@ -25,6 +28,44 @@ def CD(kind, *params):
 
 def spec(text):
     return parse_triple_spec(text)
+
+
+def permuted(inv, sigma):
+    """The invariant with summand i moved to position sigma[i]."""
+    k = len(sigma)
+    left, right = [0] * k, [0] * k
+    for i, j in enumerate(sigma):
+        left[j] = inv.group.left_caps[i]
+        right[j] = inv.group.right_caps[i]
+    classes = set()
+    for cls in inv.gamma:
+        vec = [0] * k
+        for i, v in enumerate(cls):
+            vec[sigma[i]] = v
+        classes.add(tuple(vec))
+    return KGridInvariant(DoubleScaledGroup(tuple(left), tuple(right)),
+                          frozenset(classes), inv.exceptional_count)
+
+
+def shuffled(inv, rng):
+    sigma = list(range(inv.group.k))
+    rng.shuffle(sigma)
+    return permuted(inv, sigma)
+
+
+def assert_witness(a, b, perm):
+    """perm is a summand permutation carrying a's caps and gamma onto b's."""
+    assert sorted(perm) == list(range(a.group.k))
+    for i in range(a.group.k):
+        assert a.group.left_caps[i] == b.group.left_caps[perm[i]]
+        assert a.group.right_caps[i] == b.group.right_caps[perm[i]]
+    mapped = set()
+    for cls in a.gamma:
+        vec = [0] * a.group.k
+        for i, v in enumerate(cls):
+            vec[perm[i]] = v
+        mapped.add(tuple(vec))
+    assert mapped == b.gamma
 
 
 def projection_trace_rank(block) -> int:
@@ -149,6 +190,8 @@ class TestIsomorphismSearch:
     def test_identity(self):
         a = k_grid_invariant(spec("I(2,3)"))
         assert invariants_isomorphic(a, a) == (0, 1)
+        a = k_grid_invariant(spec("I(1,3)+I(1,3)+IV(6)"))
+        assert invariants_isomorphic(a, a) == tuple(range(a.group.k))
 
     def test_reordering(self):
         a = k_grid_invariant(spec("I(2,3)+I(1,1)"))
@@ -240,19 +283,8 @@ class TestDecisionProperties:
         for a in invs:
             for b in invs:
                 perm = invariants_isomorphic(a, b)
-                if perm is None:
-                    continue
-                assert sorted(perm) == list(range(a.group.k))
-                for i in range(a.group.k):
-                    assert a.group.left_caps[i] == b.group.left_caps[perm[i]]
-                    assert a.group.right_caps[i] == b.group.right_caps[perm[i]]
-                mapped = set()
-                for cls in a.gamma:
-                    vec = [0] * a.group.k
-                    for i, v in enumerate(cls):
-                        vec[perm[i]] = v
-                    mapped.add(tuple(vec))
-                assert mapped == b.gamma
+                if perm is not None:
+                    assert_witness(a, b, perm)
 
     def test_classify_verdicts_symmetric(self):
         specs = [spec(t) for t in self.SPECS]
@@ -298,5 +330,74 @@ class TestRecovery:
 
     def test_exceptional_content_rejected(self):
         inv = k_grid_invariant(spec("I(2,2)+V"))
+        with pytest.raises(UnknownFactorError):
+            recover_factors(inv)
+
+
+class TestShuffledSummands:
+    # invariants assembled from factors, with their summands in any order
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_shuffled_multisets(self, seed):
+        rng = random.Random(seed)
+        pool = rng.sample(catalog_descriptors(), 4)  # few kinds: many repeats
+        s = TripleSpec(tuple(rng.choice(pool) for _ in range(rng.randint(2, 6))))
+        a = k_grid_invariant(s)
+        b = shuffled(a, rng)
+        assert_witness(a, b, invariants_isomorphic(a, b))
+        assert_witness(b, a, invariants_isomorphic(b, a))
+        assert recover_factors(b) == canonicalize_spec(s)
+
+    @pytest.mark.parametrize("text", ["IV(6)+IV(6)", "I(3,3)+I(3,3)"])
+    def test_cap_tied_blocks(self, text):
+        # all four summands share one cap pair; only the classes tell the
+        # two blocks apart
+        a = k_grid_invariant(spec(text))
+        rng = random.Random(text)
+        for _ in range(10):
+            b = shuffled(a, rng)
+            assert_witness(a, b, invariants_isomorphic(a, b))
+            assert recover_factors(b) == canonicalize_spec(spec(text))
+
+    def test_near_collision_stays_apart(self):
+        a = k_grid_invariant(spec("II(5)+III(6)"))
+        b = k_grid_invariant(spec("II(6)+III(5)"))
+        rng = random.Random(11)
+        for _ in range(4):
+            a2, b2 = shuffled(a, rng), shuffled(b, rng)
+            assert invariants_isomorphic(a2, b2) is None
+            assert invariants_isomorphic(b2, a2) is None
+            assert recover_factors(b2) == canonicalize_spec(spec("II(6)+III(5)"))
+
+    def test_reversed_summands_recovered(self):
+        s = spec("I(1,3)+I(2,3)+IV(6)")
+        a = k_grid_invariant(s)
+        b = permuted(a, list(reversed(range(a.group.k))))
+        assert_witness(a, b, invariants_isomorphic(a, b))
+        assert recover_factors(b) == canonicalize_spec(s)
+
+    def test_six_rank_one_copies_fast(self):
+        a = k_grid_invariant(TripleSpec((CD("I", 1, 3),) * 6))
+        b = shuffled(a, random.Random(6))
+        start = time.perf_counter()
+        perm = invariants_isomorphic(a, b)
+        assert time.perf_counter() - start < 2.0
+        assert_witness(a, b, perm)
+
+    def test_hundred_factors_fast(self):
+        rng = random.Random(100)
+        s = TripleSpec(tuple(rng.choice(catalog_descriptors()) for _ in range(100)))
+        a = k_grid_invariant(s)
+        b = shuffled(a, rng)
+        start = time.perf_counter()
+        perm = invariants_isomorphic(a, b)
+        recovered = recover_factors(b)
+        assert time.perf_counter() - start < 1.0
+        assert_witness(a, b, perm)
+        assert recovered == canonicalize_spec(s)
+
+    def test_zero_class_rejected(self):
+        inv = KGridInvariant(DoubleScaledGroup((3,), (3,)),
+                             frozenset({(0,), (1,), (2,)}))
         with pytest.raises(UnknownFactorError):
             recover_factors(inv)

@@ -12,8 +12,6 @@ from kgrid.ktheory import (
     double_scaled_group,
     dsg_isomorphic,
     k0_class_of_projection,
-    k0_of_hom,
-    morita_transport,
 )
 from kgrid.tro import (
     TroElement,
@@ -120,6 +118,11 @@ class TestDoubleScaledGroups:
         assert not g.in_left_scale((2, 0))
         assert g.in_right_scale((2, 1)) and not g.in_right_scale((0, 2))
 
+    def test_right_caps_are_column_dims(self):
+        # the identity of the right algebra has the right caps as its class
+        g = double_scaled_group(parse_space("M(2,3)+M(1,4)"))
+        assert g.right_caps == (3, 4)
+
     def test_tops_are_dims(self):
         sp = parse_space("M(3,1)+M(3,3)+M(1,3)")
         g = double_scaled_group(sp)
@@ -196,11 +199,11 @@ def hom_chain(draw):
 class TestK0OfHoms:
     def test_identity(self):
         t = parse_space("M(1,1)+M(2,2)")
-        assert k0_of_hom(identity_hom(t)) == ((1, 0), (0, 1))
+        assert identity_hom(t).mult == ((1, 0), (0, 1))
 
     def test_lift_returns_input(self):
         h = lift_hom([[2]], parse_space("M(1,1)"), parse_space("M(2,2)"))
-        assert k0_of_hom(h) == ((2,),)
+        assert h.mult == ((2,),)
 
     @given(hom_chain())
     def test_functorial(self, gh):
@@ -211,7 +214,7 @@ class TestK0OfHoms:
                   for i in range(len(h.mult[0])))
             for k in range(len(g.mult))
         )
-        assert k0_of_hom(composed) == expected
+        assert composed.mult == expected
 
     @given(hom_chain())
     def test_scale_into_scale(self, gh):
@@ -248,21 +251,3 @@ class TestK0OfHoms:
         rhs = apply_k0_matrix(h.mult, k0_class_of_projection(p))
         assert lhs == rhs
 
-
-class TestMoritaTransport:
-    def test_zero_and_top(self):
-        assert morita_transport((0, 0)) == (0, 0)
-        sp = parse_space("M(2,3)+M(1,4)")
-        g = double_scaled_group(sp)
-        # identity of the right algebra lands on the right caps
-        assert morita_transport((3, 4)) == g.right_caps
-
-    @given(hom_chain())
-    def test_naturality_matrix_identity(self, gh):
-        _, h = gh
-        # the right-algebra K0 map of the block-diagonal lift has the same
-        # multiplicities, so both composites reduce to mult * cls
-        src_right = double_scaled_group(h.source).right_caps
-        via_transport = apply_k0_matrix(h.mult, morita_transport(src_right))
-        via_right_hom = morita_transport(apply_k0_matrix(h.mult, src_right))
-        assert via_transport == via_right_hom
