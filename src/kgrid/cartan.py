@@ -414,12 +414,13 @@ def embed(d: CartanDescriptor, x: Matrix) -> TroElement:
             raise CoordinateError(f"III({n}) coordinates must be symmetric")
         return TroElement(enveloping_tro(d), (x,))
     # spin factor: coefficients over the spin basis, identity first
-    from .grids import spin_basis_elements
+    from .grids import standard_spin_system
 
     dim = d.params[0]
     if x.shape != (1, dim):
         raise CoordinateError(f"IV({dim}) expects a 1x{dim} coefficient row, got {x.shape}")
-    basis = spin_basis_elements(d)
+    system = standard_spin_system(d)
+    basis = (system.identity,) + system.symmetries
     acc = zero_element(basis[0].space)
     for idx in range(dim):
         coeff = x[0, idx]

@@ -1,9 +1,9 @@
 """Command line driver.
 
 Exit codes: 0 success (and ISOMORPHIC for classify), 1 negative result
-(NOT_ISOMORPHIC, failed verification, rejected lift), 2 indeterminate
-classification (exceptional-only difference), 64 parse error, 65 unsupported
-parameter range.
+(NOT_ISOMORPHIC, failed verification, rejected lift, a sweep mismatch or
+recovery failure), 2 indeterminate classification (exceptional-only
+difference), 64 parse error, 65 unsupported parameter range.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from typing import Optional, Sequence
 
 from .cartan import (
@@ -24,6 +25,7 @@ from .cartan import (
     is_exceptional,
     parse_triple_spec,
 )
+from .catalog import sweep
 from .grids import grid_for, verify_grid
 from .invariant import classify, gamma_report, k_grid_invariant
 from .tro import LiftError, parse_space, lift_hom
@@ -86,6 +88,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--symplectic-max", type=int, default=8)
     p.add_argument("--hermitian-max", type=int, default=8)
     p.add_argument("--spin-max", type=int, default=9)
+
+    p = sub.add_parser("sweep", parents=[common],
+                       help="classify and recover the catalog multisets")
+    p.add_argument("--max-factors", type=int, default=3)
 
     return parser
 
@@ -267,12 +273,37 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    start = time.perf_counter()
+    found = sweep(args.max_factors)
+    elapsed = time.perf_counter() - start
+    failures = [str(c) for c in found.recovery_failures]
+    ok = not found.mismatches and not failures
+    lines = found.mismatches + [f"RECOVERY FAILURE: {c}" for c in failures] + [
+        f"{found.multisets} multisets of <= {args.max_factors} factors, "
+        f"{len(found.classes)} isomorphism classes ({elapsed:.1f}s)",
+        f"classification mismatches: {len(found.mismatches)}",
+        f"recovery failures: {len(failures)}",
+        # worded before block matching replaced the witness search; kept as output
+        f"near-collisions separated by the witness search: "
+        f"{len(found.near_collisions)}",
+    ] + [f"  {a}  |  {b}" for a, b in found.near_collisions]
+    payload = {"max_factors": args.max_factors, "multisets": found.multisets,
+               "classes": len(found.classes), "mismatches": found.mismatches,
+               "recovery_failures": failures, "ok": ok,
+               "near_collisions": [[str(a), str(b)]
+                                   for a, b in found.near_collisions]}
+    _emit(args, payload, "\n".join(lines))
+    return EXIT_OK if ok else EXIT_NEGATIVE
+
+
 _COMMANDS = {
     "invariant": _cmd_invariant,
     "classify": _cmd_classify,
     "verify": _cmd_verify,
     "lift": _cmd_lift,
     "table": _cmd_table,
+    "sweep": _cmd_sweep,
 }
 
 

@@ -118,13 +118,6 @@ def standard_spin_system(d: CartanDescriptor) -> SpinSystem:
     return SpinSystem(ident, syms)
 
 
-@lru_cache(maxsize=None)
-def spin_basis_elements(d: CartanDescriptor) -> tuple:
-    """(identity, s_1, ..., s_{dim-1}): the embedded spin coordinate basis."""
-    system = standard_spin_system(d)
-    return (system.identity,) + system.symmetries
-
-
 @dataclass(frozen=True, slots=True)
 class Grid:
     kind: str

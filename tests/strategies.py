@@ -1,12 +1,17 @@
 """Shared hypothesis strategies: small exact scalars, matrices, TRO spaces and
 elements.  Everything stays tiny so the exact arithmetic keeps tests fast."""
 
+from fractions import Fraction
+
 from hypothesis import strategies as st
 
 from kgrid.exact import Matrix, Scalar
 from kgrid.tro import TroElement, TroSpace
 
-small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+# the 25 values n/d, d <= 3, |n/d| <= 3, smallest first so shrinking goes to 0
+small_fractions = st.sampled_from(sorted(
+    {Fraction(n, d) for d in (1, 2, 3) for n in range(-3 * d, 3 * d + 1)},
+    key=lambda f: (abs(f), f)))
 
 scalars = st.builds(Scalar, small_fractions, small_fractions)
 

@@ -17,16 +17,14 @@ from kgrid.cartan import (
     canonicalize_spec,
     enveloping_tro,
 )
-from kgrid.catalog import catalog_multisets
+from kgrid.catalog import sweep
 from kgrid.exact import Matrix, Scalar, dagger, kron, rank
 from kgrid.grids import spin_grid, verify_grid
 from kgrid.invariant import (
-    _quick_key,
     classify,
     gamma,
     gamma_report,
     k_grid_invariant,
-    recover_factors,
 )
 from kgrid.ktheory import (
     apply_k0_matrix,
@@ -295,11 +293,8 @@ def test_criterion_5_k0_functoriality():
 
 def test_criterion_6_classification_oracle_equivalence():
     start = time.perf_counter()
-    specs = list(catalog_multisets(3))
-    assert len(specs) == 6544
-    groups: dict = {}
-    for s in specs:
-        groups.setdefault(canonicalize_spec(s), []).append(s)
+    found = sweep(3)
+    assert found.multisets == 6544 and len(found.classes) == 3275
 
     # the dimension-4 coincidence is part of the oracle
     from kgrid.cartan import TripleSpec, parse_triple_spec
@@ -309,31 +304,15 @@ def test_criterion_6_classification_oracle_equivalence():
     assert classify(parse_triple_spec("IV(4)+IV(4)"),
                     parse_triple_spec("I(2,2)+I(2,2)")).status == "ISOMORPHIC"
 
-    # positive direction: every multiset is ISOMORPHIC to its canonical form,
-    # exercising the full witness search
-    for canon, members in groups.items():
+    # the sweep classified every multiset against its canonical form, which
+    # shares its cached invariant, and every same-key pair of distinct classes
+    # (pairs with differing keys are rejected by the key alone)
+    for canon, members in found.classes.items():
         for s in members:
             assert k_grid_invariant(s) is k_grid_invariant(canon)
-            assert classify(s, canon).status == "ISOMORPHIC"
-
-    # negative direction over distinct canonical classes: classify rejects a
-    # pair with differing permutation-invariant keys on its first comparison,
-    # so pairs are partitioned by that key; every same-key cross pair is then
-    # checked end to end (these are the only pairs where the full search runs)
-    reps = list(groups)
-    by_key: dict = {}
-    for canon in reps:
-        by_key.setdefault(_quick_key(k_grid_invariant(canon)), []).append(canon)
-    same_key_pairs = 0
-    for bucket in by_key.values():
-        for i in range(len(bucket)):
-            for j in range(i + 1, len(bucket)):
-                verdict = classify(bucket[i], bucket[j])
-                assert verdict.status == "NOT_ISOMORPHIC", (
-                    f"{bucket[i]} vs {bucket[j]}"
-                )
-                same_key_pairs += 1
+    assert found.mismatches == [] and len(found.near_collisions) == 29
     # a deterministic sample of cross-class pairs end to end as well
+    reps = list(found.classes)
     rng = random.Random(61)
     for _ in range(2000):
         a, b = rng.sample(reps, 2)
@@ -341,17 +320,16 @@ def test_criterion_6_classification_oracle_equivalence():
 
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"classification sweep took {elapsed:.1f}s"
-    _report(6, f"{len(specs)} multisets in {len(groups)} classes; "
-               f"{same_key_pairs} same-key cross pairs all separated; "
-               f"zero oracle mismatches ({elapsed:.1f}s)")
+    _report(6, f"{found.multisets} multisets in {len(found.classes)} classes; "
+               f"{len(found.near_collisions)} same-key cross pairs all "
+               f"separated; zero oracle mismatches ({elapsed:.1f}s)")
 
 
 def test_criterion_7_recover_round_trip():
-    classes = {canonicalize_spec(s) for s in catalog_multisets(3)}
-    for canon in classes:
-        assert recover_factors(k_grid_invariant(canon)) == canon
+    found = sweep(3)
+    assert len(found.classes) == 3275 and found.recovery_failures == []
     _report(7, f"recover_factors inverted k_grid_invariant on all "
-               f"{len(classes)} canonical classes")
+               f"{len(found.classes)} canonical classes")
 
 
 def test_criterion_8_property_suites():

@@ -1,6 +1,11 @@
 import json
 
+import pytest
+
+from kgrid import catalog
+from kgrid.cartan import parse_triple_spec
 from kgrid.cli import run
+from kgrid.invariant import Verdict
 
 
 def invoke(capsys, *argv):
@@ -165,3 +170,41 @@ class TestTableCommand:
         assert rows["IV(4)"]["matches_published"] is False
         assert rows["IV(5)"]["gamma_computed"] == [[2], [4]]
         assert rows["IV(5)"]["gamma_published"] == [[2]]
+
+
+class TestSweepCommand:
+    def test_two_factors(self, capsys):
+        code, out, _ = invoke(capsys, "sweep", "--max-factors", "2")
+        assert code == 0
+        assert out.startswith("560 multisets of <= 2 factors, 350 isomorphism")
+        assert "classification mismatches: 0\nrecovery failures: 0\n" in out
+        code, out, _ = invoke(capsys, "sweep", "--max-factors", "2", "--json")
+        assert code == 0
+        assert json.loads(out) == {
+            "max_factors": 2, "multisets": 560, "classes": 350,
+            "mismatches": [], "recovery_failures": [], "ok": True,
+            "near_collisions": [["II(5)+III(6)", "II(6)+III(5)"]],
+        }
+
+    @pytest.mark.parametrize("name, wrong, line", [
+        ("classify", Verdict("NOT_ISOMORPHIC", None, None, ""),
+         "MISMATCH (should be isomorphic): I(1,1) vs I(1,1)"),
+        ("recover_factors", parse_triple_spec("I(1,2)"),
+         "RECOVERY FAILURE: I(1,1)"),
+    ])
+    def test_wrong_first_result_exits_one(self, capsys, monkeypatch, name,
+                                          wrong, line):
+        real, calls = getattr(catalog, name), []
+
+        def first_wrong(*args):
+            calls.append(args)
+            return wrong if len(calls) == 1 else real(*args)
+
+        monkeypatch.setattr(catalog, name, first_wrong)
+        code, out, _ = invoke(capsys, "sweep", "--max-factors", "1")
+        assert code == 1 and out.startswith(line + "\n")
+        calls.clear()
+        code, out, _ = invoke(capsys, "sweep", "--max-factors", "1", "--json")
+        payload = json.loads(out)
+        assert code == 1 and payload["ok"] is False
+        assert len(payload["mismatches"] + payload["recovery_failures"]) == 1
