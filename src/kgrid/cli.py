@@ -3,13 +3,16 @@
 Exit codes: 0 success (and ISOMORPHIC for classify), 1 negative result
 (NOT_ISOMORPHIC, failed verification, rejected lift, a sweep mismatch or
 recovery failure), 2 indeterminate classification (exceptional-only
-difference), 64 parse error, 65 unsupported parameter range.
+difference), 64 parse error, 65 unsupported parameter range, 141 the reader
+of standard output closed it before all output was written (128 + SIGPIPE,
+as a shell reports a process that SIGPIPE ended; nothing is printed).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Optional, Sequence
@@ -36,6 +39,7 @@ EXIT_NEGATIVE = 1
 EXIT_INDETERMINATE = 2
 EXIT_PARSE = 64
 EXIT_RANGE = 65
+EXIT_BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -315,6 +319,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
+    except BrokenPipeError:  # an OSError, but no negative result
+        return EXIT_BROKEN_PIPE
     except ParseError as exc:
         print(f"kgrid: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -327,7 +333,15 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = EXIT_BROKEN_PIPE
+    if code == EXIT_BROKEN_PIPE:
+        # what is still buffered goes nowhere, so the exit flush stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

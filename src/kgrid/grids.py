@@ -28,13 +28,23 @@ from .cartan import (
     intrinsic_dim,
     is_exceptional,
 )
-from .exact import HALF, I, SIGMA1, SIGMA2, SIGMA3, identity, kron_all, mat_mul, matrix_unit
+from .exact import (
+    HALF,
+    I,
+    SIGMA1,
+    SIGMA2,
+    SIGMA3,
+    _gmul,
+    identity,
+    kron_all,
+    mat_mul,
+    matrix_unit,
+)
 from .tro import (
     TroElement,
     TroSpace,
     element_span_dim,
     is_tripotent,
-    jordan_triple,
     ternary_product,
 )
 
@@ -48,7 +58,8 @@ def _block_mul(x: TroElement, y: TroElement) -> TroElement:
 
 @dataclass(frozen=True, slots=True)
 class SpinSystem:
-    """Self-adjoint elements s_i with (s_i s_j + s_j s_i)/2 = delta_ij * id."""
+    """Self-adjoint elements s_i with (s_i s_j + s_j s_i)/2 = delta_ij * id,
+    checked as s_i^2 = id and s_i s_j = -s_j s_i for i < j."""
 
     identity: TroElement
     symmetries: tuple
@@ -64,8 +75,8 @@ class SpinSystem:
         for i, si in enumerate(self.symmetries):
             for j in range(i, len(self.symmetries)):
                 sj = self.symmetries[j]
-                anti = (_block_mul(si, sj) + _block_mul(sj, si)).scale(HALF)
-                ok = anti == id_el if i == j else anti.is_zero()
+                prod = _block_mul(si, sj)
+                ok = prod == id_el if i == j else prod == -_block_mul(sj, si)
                 if not ok:
                     raise ValueError(f"anticommutator relation fails for ({i},{j})")
 
@@ -307,13 +318,34 @@ class GridReport:
         }
 
 
-def _in_complex_line(e: TroElement, w: TroElement) -> bool:
-    """True iff w is a complex multiple of e."""
-    for b, blk in enumerate(e.blocks):
-        for i, row in blk.num.items():
-            j = next(iter(row))
-            return w == e.scale(w.blocks[b][i, j] / blk[i, j])
-    return w.is_zero()
+def _in_complex_line(e: tuple, w: tuple) -> bool:
+    """True iff the blocks w are a complex multiple of the blocks e.
+
+    Decided on Gaussian-integer numerators, with no division: let p and q be
+    the numerators of e and w at e's first nonzero entry, in block b.  Then
+    w = (q/p) e iff every block of w has the nonzero positions of e's and, at
+    each, p W dw_b de = q E de_b dw, where W and E are the entries' numerators,
+    dw and de their blocks' denominators and dw_b, de_b those of block b.
+    """
+    b = next((b for b, x in enumerate(e) if x.num), None)
+    if b is None:
+        return all(y.is_zero() for y in w)
+    i, row = next(iter(e[b].num.items()))
+    j, p = next(iter(row.items()))
+    q = w[b].num.get(i, {}).get(j)
+    if q is None:
+        return all(y.is_zero() for y in w)
+    for x, y in zip(e, w):
+        if x.num.keys() != y.num.keys():
+            return False
+        a = _gmul(p, (w[b].den * x.den, 0))
+        c = _gmul(q, (e[b].den * y.den, 0))
+        for r, xrow in x.num.items():
+            yrow = y.num[r]
+            if xrow.keys() != yrow.keys() or any(
+                    _gmul(a, yrow[k]) != _gmul(c, v) for k, v in xrow.items()):
+                return False
+    return True
 
 
 def _expect_minimal(kind: str, label: str) -> bool:
@@ -339,7 +371,13 @@ def _minimality_basis(g: Grid) -> Sequence[TroElement]:
 
 
 def _spin_identity_checks(g: Grid) -> tuple:
+    # {a,b,c} = -u/2 is checked as a b* c + c b* a = -u, with no halving
     u = {label: el for label, el in zip(g.labels, g.elements)}
+
+    def holds(a: str, b: str, c: str, k: str) -> bool:
+        x, y, z = u[a], u[b], u[c]
+        return ternary_product(x, y, z) + ternary_product(z, y, x) == -u[k]
+
     pair_top = max((int(l[1:]) for l in g.labels if l.startswith("u") and
                     not l.startswith("ut") and l != "u0"), default=1)
     checks = []
@@ -347,16 +385,13 @@ def _spin_identity_checks(g: Grid) -> tuple:
         for k in range(2, pair_top + 1):
             if j == k:
                 continue
-            got = jordan_triple(u[f"u{j}"], u[f"ut{k}"], u[f"ut{j}"])
             checks.append((f"{{u{j},ut{k},ut{j}}} = -u{k}/2",
-                           got == u[f"u{k}"].scale(-HALF)))
+                           holds(f"u{j}", f"ut{k}", f"ut{j}", f"u{k}")))
     for j in range(2, pair_top + 1):
-        got = jordan_triple(u[f"u{j}"], u["ut1"], u[f"ut{j}"])
         checks.append((f"{{u{j},ut1,ut{j}}} = -u1/2",
-                       got == u["u1"].scale(-HALF)))
-        got = jordan_triple(u["u1"], u[f"ut{j}"], u["ut1"])
+                       holds(f"u{j}", "ut1", f"ut{j}", "u1")))
         checks.append((f"{{u1,ut{j},ut1}} = -u{j}/2",
-                       got == u[f"u{j}"].scale(-HALF)))
+                       holds("u1", f"ut{j}", "ut1", f"u{j}")))
     return tuple(checks)
 
 
@@ -365,11 +400,15 @@ def verify_grid(g: Grid) -> GridReport:
     identities; failures are reported, never raised.  A spin grid's system
     relations were checked when its SpinSystem was constructed."""
     basis = _minimality_basis(g)
+    # {e,b,e} = e b* e blockwise, no halving; each b is daggered once per grid
+    basis_daggers = [tuple(m.dagger() for m in b.blocks) for b in basis]
     checks = []
     for label, e in zip(g.labels, g.elements):
         tripotent = is_tripotent(e)
-        # {e,b,e} = e b* e: one ternary product, no halving
-        minimal = all(_in_complex_line(e, ternary_product(e, b, e)) for b in basis)
+        minimal = all(
+            _in_complex_line(e.blocks, tuple(mat_mul(mat_mul(x, bd), x)
+                                             for x, bd in zip(e.blocks, daggers)))
+            for daggers in basis_daggers)
         checks.append(ElementCheck(label, tripotent, minimal,
                                    expect_minimal=_expect_minimal(g.kind, label)))
     expected = intrinsic_dim(g.factor) if g.factor is not None else len(basis)

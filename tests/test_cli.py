@@ -1,6 +1,13 @@
+import contextlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import kgrid
 
 from kgrid import catalog
 from kgrid.cartan import parse_triple_spec
@@ -106,6 +113,42 @@ class TestErrorExits:
         path.write_text("[[1]]")
         code, _, err = invoke(capsys, "lift", str(path), "M(2,x)", "M(2,2)")
         assert code == 64
+
+
+class _ClosedPipe:
+    """A standard output whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+class TestClosedOutputPipe:
+    def test_run_exits_141_silently(self, capsys):
+        with contextlib.redirect_stdout(_ClosedPipe()):
+            code = run(["verify", "I(2,2)"])
+        assert code == 141
+        assert capsys.readouterr().err == ""
+
+    # buffered, the output fits the buffer and the exit flush meets the closed
+    # pipe; unbuffered, the first print does
+    @pytest.mark.parametrize("flags", [[], ["-u"]])
+    def test_process_exits_141_silently(self, flags):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        src = str(Path(kgrid.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "kgrid.cli", "verify", "I(2,2)"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == b""
 
 
 class TestLiftCommand:

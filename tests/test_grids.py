@@ -1,21 +1,30 @@
 import dataclasses
+import time
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from kgrid.cartan import CartanDescriptor, ExceptionalFactorError, intrinsic_dim
 from kgrid.exact import (
     HALF,
+    I,
     SIGMA1,
     SIGMA2,
     SIGMA3,
+    ZERO,
+    Matrix,
+    Scalar,
     identity,
     kron,
     matrix_unit,
     rank,
+    zeros,
 )
 from kgrid.grids import (
     Grid,
     SpinSystem,
+    _in_complex_line,
     grid_for,
     hermitian_grid,
     rectangular_grid,
@@ -33,6 +42,8 @@ from kgrid.tro import (
     parse_space,
     range_projection,
 )
+
+from .strategies import elements_of, scalars, small_fractions, spaces
 
 
 def CD(kind, *params):
@@ -228,6 +239,42 @@ class TestVerifyGrid:
         assert not report.ok
         assert any("not tripotent" in f for f in report.failures())
 
+    def test_rank_two_element_not_minimal(self):
+        # (E11+E22, E11+E22) is a tripotent, but {e,Z,e} = Z* is not in C e
+        g = rectangular_grid(CD("I", 2, 2))
+        blk = matrix_unit(2, 2, 0, 0) + matrix_unit(2, 2, 1, 1)
+        elements = list(g.elements)
+        elements[g.labels.index("g[1,1]")] = TroElement(g.ambient, (blk, blk))
+        report = verify_grid(dataclasses.replace(g, elements=tuple(elements)))
+        by_label = {c.label: c for c in report.element_checks}
+        assert by_label["g[1,1]"].tripotent is True
+        assert by_label["g[1,1]"].minimal is False
+        assert report.ok is False
+        assert report.failures() == ["g[1,1]: not minimal"]
+
+    def test_rotated_spin_element_fails_identity(self):
+        # i u2 is still a minimal tripotent, but {i u2, ut3, ut2} = -i u3/2
+        g = spin_grid(CD("IV", 7))
+        elements = list(g.elements)
+        k = g.labels.index("u2")
+        elements[k] = elements[k].scale(I)
+        report = verify_grid(dataclasses.replace(g, elements=tuple(elements)))
+        by_label = {c.label: c for c in report.element_checks}
+        assert by_label["u2"].tripotent is True
+        assert dict(report.identity_checks)["{u2,ut3,ut2} = -u3/2"] is False
+        assert "{u2,ut3,ut2} = -u3/2" in report.failures()
+        assert report.ok is False
+
+    def test_factors_beyond_the_catalog(self):
+        # I(1,9) alone took 192 s before the sparse kernel
+        start = time.perf_counter()
+        for d in (CD("I", 1, 8), CD("I", 1, 9), CD("IV", 10), CD("IV", 11),
+                  CD("II", 8), CD("III", 10), CD("I", 6, 6)):
+            report = verify_grid(grid_for(d))
+            assert report.ok, (d, report.failures())
+            assert report.span_found == intrinsic_dim(d)
+        assert time.perf_counter() - start < 5.0
+
     def test_spin_identity_checks_present(self):
         report = verify_grid(spin_grid(CD("IV", 6)))
         assert report.identity_checks
@@ -242,6 +289,87 @@ class TestVerifyGrid:
             data["elements"][0]
         )
         assert data["span"] == {"found": 3, "expected": 3, "ok": True}
+
+
+def reference_in_complex_line(e: TroElement, w: TroElement) -> bool:
+    """The line test by Scalar division: w is compared with e scaled by the
+    quotient of their entries at e's first nonzero entry."""
+    for b, blk in enumerate(e.blocks):
+        for i, row in blk.num.items():
+            j = next(iter(row))
+            return w == e.scale(w.blocks[b][i, j] / blk[i, j])
+    return w.is_zero()
+
+
+def _entries(m: Matrix) -> list:
+    return [m[divmod(k, m.cols)] for k in range(m.rows * m.cols)]
+
+
+def _with_entry(x: TroElement, b: int, k: int, value: Scalar) -> TroElement:
+    """x with the row-major entry k of block b set to value."""
+    blocks = list(x.blocks)
+    entries = _entries(blocks[b])
+    entries[k] = value
+    blocks[b] = Matrix(blocks[b].rows, blocks[b].cols, tuple(entries))
+    return TroElement(x.space, tuple(blocks))
+
+
+def _zero_first_block(x: TroElement, zero: bool) -> TroElement:
+    if not zero:
+        return x
+    return TroElement(x.space, (zeros(*x.space.summands[0]),) + x.blocks[1:])
+
+
+# 1-3 blocks, entries with denominators up to 3 and zero half the time, and
+# the first block zero in half the draws
+_line_elements = st.tuples(
+    spaces.flatmap(lambda sp: elements_of(sp, st.one_of(st.just(ZERO), scalars))),
+    st.booleans()).map(lambda t: _zero_first_block(*t))
+
+_MULTIPLIERS = {
+    "real": small_fractions.map(Scalar),
+    "imaginary": small_fractions.map(lambda f: Scalar(0, f)),
+    "complex": scalars,
+    "zero": st.just(ZERO),
+}
+
+
+class TestLineTest:
+    """The numerator line test of the minimality check against the reference."""
+
+    @pytest.mark.parametrize("kind", sorted(_MULTIPLIERS))
+    @given(data=st.data())
+    def test_multiples(self, kind, data):
+        e = data.draw(_line_elements)
+        w = e.scale(data.draw(_MULTIPLIERS[kind]))
+        assert _in_complex_line(e.blocks, w.blocks) is True
+        assert reference_in_complex_line(e, w) is True
+
+    @pytest.mark.parametrize("change", ["perturbed", "added", "dropped"])
+    @given(data=st.data())
+    def test_changed_multiples(self, change, data):
+        e = data.draw(_line_elements)
+        w = e.scale(data.draw(scalars))
+        # perturb any entry; add one where w is zero; drop one where it is not
+        where = [(b, k) for b, blk in enumerate(w.blocks)
+                 for k, v in enumerate(_entries(blk))
+                 if change == "perturbed" or v.is_zero() == (change == "added")]
+        assume(where)
+        b, k = data.draw(st.sampled_from(where))
+        if change == "dropped":
+            value = ZERO
+        else:
+            delta = data.draw(scalars.filter(lambda s: not s.is_zero()))
+            value = _entries(w.blocks[b])[k] + delta
+        w = _with_entry(w, b, k, value)
+        assert _in_complex_line(e.blocks, w.blocks) == reference_in_complex_line(e, w)
+
+    @given(_line_elements)
+    def test_zero(self, e):
+        w = e.scale(ZERO)
+        assert _in_complex_line(e.blocks, w.blocks) is True
+        assert _in_complex_line(w.blocks, e.blocks) is e.is_zero()
+        assert reference_in_complex_line(w, e) is e.is_zero()
 
 
 def test_grid_for_dispatch():
