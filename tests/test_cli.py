@@ -7,8 +7,6 @@ from pathlib import Path
 
 import pytest
 
-import kgrid
-
 from kgrid import catalog
 from kgrid.cartan import parse_triple_spec
 from kgrid.cli import run
@@ -137,7 +135,7 @@ class TestClosedOutputPipe:
     @pytest.mark.parametrize("flags", [[], ["-u"]])
     def test_process_exits_141_silently(self, flags):
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        src = str(Path(kgrid.__file__).resolve().parent.parent)
+        src = str(Path(catalog.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         read_end, write_end = os.pipe()
         os.close(read_end)
