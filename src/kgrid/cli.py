@@ -29,7 +29,7 @@ from .cartan import (
     parse_triple_spec,
 )
 from .catalog import sweep
-from .grids import grid_for, verify_grid
+from .grids import grid_for, grid_gamma, verify_grid
 from .invariant import classify, gamma_report, k_grid_invariant
 from .tro import LiftError, parse_space, lift_hom
 from .exact import parse_scalar
@@ -47,6 +47,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
         self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
+def _factor_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -95,7 +105,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", parents=[common],
                        help="classify and recover the catalog multisets")
-    p.add_argument("--max-factors", type=int, default=3)
+    p.add_argument("--max-factors", type=_factor_count, default=3)
 
     return parser
 
@@ -160,10 +170,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             entries.append({"factor": factor.to_text(), "exceptional": True,
                             "note": "trivial invariant; no grid model", "ok": True})
             continue
-        report = verify_grid(grid_for(factor))
+        g = grid_for(factor)
+        report = verify_grid(g)
         entry = report.to_dict()
         entry["factor"] = factor.to_text()
-        entry["gamma"] = gamma_report(factor)
+        entry["gamma"] = gamma_report(factor, grid_gamma(g))
         entries.append(entry)
         all_ok = all_ok and report.ok
     lines = []
@@ -191,7 +202,8 @@ def _read_int_matrix(path: str) -> list:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(exc.pos, f"{path}: {exc.msg}") from exc
-    if not isinstance(data, list) or not data:
+    if not isinstance(data, list) or not data or not all(
+            isinstance(row, list) for row in data):
         raise ParseError(0, f"{path}: expected a JSON array of rows")
     rows = []
     for row in data:

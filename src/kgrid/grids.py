@@ -40,11 +40,13 @@ from .exact import (
     mat_mul,
     matrix_unit,
 )
+from .ktheory import k0_class_of_projection
 from .tro import (
     TroElement,
     TroSpace,
     element_span_dim,
     is_tripotent,
+    range_projection,
     ternary_product,
 )
 
@@ -245,6 +247,11 @@ def grid_for(d: CartanDescriptor) -> Grid:
     if d.kind == "III":
         return hermitian_grid(d)
     return spin_grid(d)
+
+
+def grid_gamma(g: Grid) -> frozenset:
+    """Classes of the grid's range projections, as rank vectors: gamma's oracle."""
+    return frozenset(k0_class_of_projection(range_projection(e)) for e in g.elements)
 
 
 # --- verification -------------------------------------------------------------

@@ -3,13 +3,11 @@ set of classes of grid range projections, its direct-sum assembly, the
 isomorphism decision, classification of factor multisets, and recovery of the
 factors from an invariant.
 
-Grid classes are always computed from the constructed grids.  For the spin
-factors the values usually quoted in tables differ from the computed ones in
-both parities (the quoted tables attach the extra grid element u0 to the
-wrong parity); ``published_gamma`` keeps the quoted values so callers can
-print both with a discrepancy flag.  The computed convention is the one under
-which the dimension-4 coincidence IV(4) = I(2,2) has equal invariants on both
-sides, and factor recovery is re-verified against the computed values.
+Grid classes come from one per-family formula, checked in the tests against
+``kgrid.grids.grid_gamma`` on the constructed grids.  The usual tables attach
+the spin grid's element u0 to the wrong parity; ``published_gamma`` keeps
+their values for a discrepancy flag.  The grids' convention is the one under
+which the coincidence IV(4) = I(2,2) has equal invariants on both sides.
 """
 
 from __future__ import annotations
@@ -28,33 +26,17 @@ from .cartan import (
     enveloping_tro,
     is_exceptional,
 )
-from .grids import grid_for
-from .ktheory import DoubleScaledGroup, k0_class_of_projection
-from .tro import range_projection
+from .ktheory import DoubleScaledGroup
 
 
 class UnknownFactorError(ValueError):
     """The invariant does not match any supported factor combination."""
 
 
-@lru_cache(maxsize=None)
-def gamma(d: CartanDescriptor) -> frozenset:
-    """Classes of the grid range projections of one factor, as rank vectors."""
-    if is_exceptional(d):
-        raise ExceptionalFactorError(
-            f"{d}: trivial invariant only (gamma is empty, no group data)"
-        )
-    g = grid_for(d)
-    return frozenset(k0_class_of_projection(range_projection(e))
-                     for e in g.elements)
-
-
-def published_gamma(d: CartanDescriptor) -> frozenset:
-    """Gamma as classically tabulated per factor family.
-
-    For the spin factors these values disagree with the constructed grids
-    (see the module docstring); everywhere else they coincide.
-    """
+def _family_gamma(d: CartanDescriptor, tabulated: bool = False) -> frozenset:
+    """Grid classes by family: IV(d) has the halved identity class, plus the
+    identity class of u0 when d is odd.  The tables attach u0 to the even
+    dimensions instead, and give III(1) its family's (2,)."""
     if d.kind == "I":
         n, m = d.params
         if min(n, m) == 1:
@@ -64,26 +46,36 @@ def published_gamma(d: CartanDescriptor) -> frozenset:
     if d.kind == "II":
         return frozenset({(2,)})
     if d.kind == "III":
-        return frozenset({(1,), (2,)})
-    if d.kind == "IV":
-        dim = d.params[0]
-        if dim % 2 == 0:
-            n = dim // 2
-            return frozenset({(2 ** (n - 2), 2 ** (n - 2)),
-                              (2 ** (n - 1), 2 ** (n - 1))})
-        n = (dim - 1) // 2
-        return frozenset({(2 ** (n - 1),)})
-    return frozenset()
+        return frozenset({(1,), (2,)} if d.params[0] > 1 or tabulated else {(1,)})
+    ident = tuple(n for n, _ in enveloping_tro(d).summands)
+    half = tuple(n // 2 for n in ident)
+    return frozenset({half, ident} if (d.params[0] % 2 == 1) != tabulated else {half})
 
 
-def gamma_report(d: CartanDescriptor) -> dict:
-    """Computed vs tabulated gamma for one factor, with an agreement flag."""
-    computed = sorted(gamma(d)) if not is_exceptional(d) else []
-    published = sorted(published_gamma(d))
+@lru_cache(maxsize=None)
+def gamma(d: CartanDescriptor) -> frozenset:
+    """Classes of the grid range projections of one factor, as rank vectors."""
+    if is_exceptional(d):
+        raise ExceptionalFactorError(
+            f"{d}: trivial invariant only (gamma is empty, no group data)"
+        )
+    return _family_gamma(d)
+
+
+def published_gamma(d: CartanDescriptor) -> frozenset:
+    """Gamma as classically tabulated per factor family (see the module docstring)."""
+    return frozenset() if is_exceptional(d) else _family_gamma(d, tabulated=True)
+
+
+def gamma_report(d: CartanDescriptor, computed: Optional[frozenset] = None) -> dict:
+    """Computed (by default ``gamma``) vs tabulated gamma, with an agreement flag."""
+    if computed is None:
+        computed = gamma(d) if not is_exceptional(d) else frozenset()
+    published = published_gamma(d)
     return {
         "factor": d.to_text(),
-        "computed": [list(c) for c in computed],
-        "published": [list(c) for c in published],
+        "computed": [list(c) for c in sorted(computed)],
+        "published": [list(c) for c in sorted(published)],
         "matches_published": computed == published,
     }
 

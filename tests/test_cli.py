@@ -3,14 +3,16 @@ import json
 import os
 import subprocess
 import sys
+import time
+from math import comb
 from pathlib import Path
 
 import pytest
 
 from kgrid import catalog
-from kgrid.cartan import parse_triple_spec
+from kgrid.cartan import canonicalize_spec, parse_triple_spec
 from kgrid.cli import run
-from kgrid.invariant import Verdict
+from kgrid.invariant import Verdict, k_grid_invariant, recover_factors
 
 
 def invoke(capsys, *argv):
@@ -111,6 +113,19 @@ class TestErrorExits:
         path.write_text("[[1]]")
         code, _, err = invoke(capsys, "lift", str(path), "M(2,x)", "M(2,2)")
         assert code == 64
+
+    def test_lift_rows_not_arrays_exit_64(self, capsys, tmp_path):
+        path = tmp_path / "alpha.json"
+        path.write_text("[1, 2]")
+        code, _, err = invoke(capsys, "lift", str(path), "M(1,1)", "M(1,1)")
+        assert code == 64
+        assert "expected a JSON array of rows" in err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "x"])
+    def test_sweep_max_factors_below_one_exit_64(self, capsys, value):
+        code, out, err = invoke(capsys, "sweep", "--max-factors", value)
+        assert code == 64 and out == ""
+        assert "--max-factors: expected an integer >= 1" in err
 
 
 class _ClosedPipe:
@@ -249,3 +264,29 @@ class TestSweepCommand:
         payload = json.loads(out)
         assert code == 1 and payload["ok"] is False
         assert len(payload["mismatches"] + payload["recovery_failures"]) == 1
+
+
+class TestLargeParameters:
+    # grid classes come from the family formula, so parameters far past any
+    # buildable grid cost milliseconds
+    def test_rank_one_and_spin(self, capsys):
+        text = "I(1,40)+IV(60)"
+        start = time.perf_counter()
+        code, out, _ = invoke(capsys, "invariant", text, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        left = [comb(40, k) for k in range(1, 41)] + [2 ** 29] * 2
+        assert payload["group"]["left"] == left
+        assert payload["gamma"] == [[0] * 40 + [2 ** 28] * 2,
+                                    [comb(39, t) for t in range(40)] + [0, 0]]
+        code, out, _ = invoke(capsys, "classify", text, "IV(60)+I(40,1)")
+        assert code == 0 and out.startswith("ISOMORPHIC")
+        spec = parse_triple_spec(text)
+        assert recover_factors(k_grid_invariant(spec)) == canonicalize_spec(spec)
+        code, out, _ = invoke(capsys, "table", "--hilbert-max", "40",
+                              "--spin-max", "60")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 2 + 10 + 40 + 4 + 7 + 57
+        assert lines[-1].startswith("IV(60)")
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, f"large-parameter commands took {elapsed:.2f}s"

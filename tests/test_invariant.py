@@ -1,12 +1,15 @@
+import ast
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from kgrid.cartan import CartanDescriptor, TripleSpec, canonicalize_spec, parse_triple_spec
 from kgrid.catalog import catalog_descriptors
-from kgrid.grids import grid_for
+from kgrid import invariant
+from kgrid.grids import grid_for, grid_gamma
 from kgrid.invariant import (
     KGridInvariant,
     UnknownFactorError,
@@ -94,29 +97,64 @@ class TestGamma:
 
     def test_spin_odd_by_oracle(self):
         d = CD("IV", 5)
+        g = grid_for(d)
         oracle = set()
-        for e in grid_for(d).elements:
+        for e in g.elements:
             p = range_projection(e)
             oracle.add(tuple(projection_trace_rank(b) for b in p.blocks))
-        assert gamma(d) == frozenset(oracle) == frozenset({(2,), (4,)})
+        assert grid_gamma(g) == frozenset(oracle) == frozenset({(2,), (4,)})
 
     def test_spin_even_by_oracle(self):
         d = CD("IV", 6)
+        g = grid_for(d)
         oracle = set()
-        for e in grid_for(d).elements:
+        for e in g.elements:
             p = range_projection(e)
             oracle.add(tuple(projection_trace_rank(b) for b in p.blocks))
-        assert gamma(d) == frozenset(oracle) == frozenset({(2, 2)})
+        assert grid_gamma(g) == frozenset(oracle) == frozenset({(2, 2)})
 
     def test_coincidence_consistency(self):
-        # IV(4) and I(2,2) are the same triple; their data must agree
-        assert gamma(CD("IV", 4)) == gamma(CD("I", 2, 2))
+        # IV(4) and I(2,2) are the same triple; their grids' data must agree
+        assert grid_gamma(grid_for(CD("IV", 4))) == grid_gamma(grid_for(CD("I", 2, 2)))
 
     def test_exceptional_raises(self):
         from kgrid.cartan import ExceptionalFactorError
 
         with pytest.raises(ExceptionalFactorError):
             gamma(CD("V"))
+
+
+def _oracle_factors() -> list:
+    """Every canonical factor up to I(6,6), I(1,12), II(10), III(10) and
+    IV(18), and the non-canonical III(1), I(n,1) and IV(4)."""
+    out = [CD("I", n, m) for n in range(2, 7) for m in range(n, 7)]
+    out += [CD("I", 1, h) for h in range(1, 13)]
+    out += [CD("II", n) for n in range(5, 11)]
+    out += [CD("III", n) for n in range(2, 11)]
+    out += [CD("IV", d) for d in range(5, 19)]
+    out += [CD("III", 1), CD("IV", 4)] + [CD("I", n, 1) for n in range(2, 7)]
+    return out
+
+
+class TestGridOracle:
+    # gamma reads a per-family formula; the constructed grids must agree
+    @pytest.mark.parametrize("d", _oracle_factors(), ids=str)
+    def test_formula_matches_grid(self, d):
+        assert grid_gamma(grid_for(d)) == gamma(d)
+
+    def test_invariant_imports_no_grid_or_tro(self):
+        # keeps the grid construction off the invariant path
+        tree = ast.parse(Path(invariant.__file__).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, ["kgrid" if node.level else "",
+                                              node.module]))
+                imported.add(base)
+                imported.update(f"{base}.{a.name}" for a in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(a.name for a in node.names)
+        assert not imported & {"kgrid.grids", "kgrid.tro"}
 
 
 class TestPublishedGamma:
@@ -135,6 +173,7 @@ class TestPublishedGamma:
     def test_published_values(self):
         assert published_gamma(CD("IV", 5)) == frozenset({(2,)})
         assert published_gamma(CD("IV", 6)) == frozenset({(2, 2), (4, 4)})
+        assert published_gamma(CD("III", 1)) == frozenset({(1,), (2,)})
 
 
 class TestAssembly:
