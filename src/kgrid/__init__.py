@@ -70,26 +70,17 @@ from .cartan import (
     canonicalize_spec,
     embed,
     enveloping_tro,
-    hermitian,
     intrinsic_dim,
     is_exceptional,
     parse_triple_spec,
-    rectangular,
-    spin,
-    symplectic,
-    triple_spec,
 )
 from .grids import (
     Grid,
     GridReport,
     SpinSystem,
     grid_for,
-    hermitian_grid,
-    rectangular_grid,
-    spin_grid,
     spin_grid_from_system,
     standard_spin_system,
-    symplectic_grid,
     verify_grid,
 )
 from .invariant import (

@@ -25,7 +25,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .exact import HALF, Matrix, ParseError, matrix_unit, sparse_matrix, zeros
-from .tro import TroElement, TroSpace, zero_element
+from .tro import TroElement, TroSpace, element_span_coords, jordan_triple, zero_element
 
 
 class UnsupportedFactorError(ValueError):
@@ -111,22 +111,6 @@ _IV_COINCIDENCE = {
 }
 
 
-def rectangular(n: int, m: int) -> CartanDescriptor:
-    return CartanDescriptor("I", (n, m))
-
-
-def symplectic(n: int) -> CartanDescriptor:
-    return CartanDescriptor("II", (n,))
-
-
-def hermitian(n: int) -> CartanDescriptor:
-    return CartanDescriptor("III", (n,))
-
-
-def spin(d: int) -> CartanDescriptor:
-    return CartanDescriptor("IV", (d,))
-
-
 EXCEPTIONAL_16 = CartanDescriptor("V")
 EXCEPTIONAL_27 = CartanDescriptor("VI")
 
@@ -152,10 +136,6 @@ class TripleSpec:
         return self.to_text()
 
 
-def triple_spec(*factors: CartanDescriptor) -> TripleSpec:
-    return TripleSpec(tuple(factors))
-
-
 # --- factor-spec grammar ----------------------------------------------------
 
 _ROMANS = ("III", "IV", "VI", "II", "I", "V")  # longest match first
@@ -169,7 +149,7 @@ def _skip_ws(text: str, i: int) -> int:
 
 def _parse_int(text: str, i: int) -> tuple:
     j = i
-    while j < len(text) and text[j].isdigit():
+    while j < len(text) and text[j].isdecimal():
         j += 1
     if j == i:
         raise ParseError(i, "expected a number")
@@ -437,8 +417,6 @@ def embedded_basis(d: CartanDescriptor) -> tuple:
 
 def coords_of(d: CartanDescriptor, el: TroElement) -> Matrix:
     """Inverse of ``embed`` on its image; raises CoordinateError off the image."""
-    from .tro import element_span_coords
-
     coeffs = element_span_coords(list(embedded_basis(d)), el)
     if coeffs is None:
         raise CoordinateError(f"element is not in the embedded copy of {d}")
@@ -459,7 +437,5 @@ def intrinsic_jordan(d: CartanDescriptor, x: Matrix, y: Matrix, z: Matrix) -> Ma
     if d.kind in ("I", "II", "III"):
         return ((x @ y.dagger() @ z) + (z @ y.dagger() @ x)).scale(HALF)
     if d.kind == "IV":
-        from .tro import jordan_triple
-
         return coords_of(d, jordan_triple(embed(d, x), embed(d, y), embed(d, z)))
     raise ExceptionalFactorError(f"{d}: no coordinate model is implemented")

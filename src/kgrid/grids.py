@@ -1,6 +1,10 @@
 """Grids for the classical factors, constructed as explicit elements of the
 enveloping TROs, and the machine verification of their defining properties.
 
+The I, II and III grids are the embedded coordinate bases of
+``cartan.embedded_basis``: the matrix-unit frames E_ij, E_ij - E_ji and
+E_ii, E_ij + E_ji, and the signed-incidence frame of a rank-one factor.
+
 The spin grid convention: given a spin system with N symmetries, the grid is
 
     u1 = (id - s1)/2,   ut1 = -(id + s1)/2,
@@ -24,7 +28,6 @@ from .cartan import (
     ExceptionalFactorError,
     embedded_basis,
     enveloping_tro,
-    hilbert_frame,
     intrinsic_dim,
     is_exceptional,
 )
@@ -38,7 +41,6 @@ from .exact import (
     identity,
     kron_all,
     mat_mul,
-    matrix_unit,
 )
 from .ktheory import k0_class_of_projection
 from .tro import (
@@ -144,65 +146,6 @@ class Grid:
         return self.elements[self.labels.index(label)]
 
 
-def rectangular_grid(d: CartanDescriptor) -> Grid:
-    """The grid (E_ij, E_ji) of I(n,m); for one-row/one-column factors the
-    signed-incidence frame spanning the rank-one factor."""
-    if d.kind != "I":
-        raise ValueError(f"rectangular grid requested for {d}")
-    n, m = d.params
-    if min(n, m) == 1:
-        h = n * m
-        frame = hilbert_frame(h)
-        return Grid("rectangular", d, frame[0].space, tuple(frame),
-                    tuple(f"g[{i}]" for i in range(1, h + 1)))
-    target = enveloping_tro(d)
-    elements = []
-    labels = []
-    for i in range(n):
-        for j in range(m):
-            elements.append(TroElement(
-                target,
-                (matrix_unit(n, m, i, j), matrix_unit(m, n, j, i)),
-            ))
-            labels.append(f"g[{i + 1},{j + 1}]")
-    return Grid("rectangular", d, target, tuple(elements), tuple(labels))
-
-
-def hermitian_grid(d: CartanDescriptor) -> Grid:
-    """{E_ii} and {E_ij + E_ji, i<j} spanning the symmetric matrices in M(n)."""
-    if d.kind != "III":
-        raise ValueError(f"hermitian grid requested for {d}")
-    n = d.params[0]
-    target = enveloping_tro(d)
-    elements = []
-    labels = []
-    for i in range(n):
-        for j in range(i, n):
-            if i == j:
-                blk = matrix_unit(n, n, i, i)
-            else:
-                blk = matrix_unit(n, n, i, j) + matrix_unit(n, n, j, i)
-            elements.append(TroElement(target, (blk,)))
-            labels.append(f"g[{i + 1},{j + 1}]")
-    return Grid("hermitian", d, target, tuple(elements), tuple(labels))
-
-
-def symplectic_grid(d: CartanDescriptor) -> Grid:
-    """{E_ij - E_ji, i<j} spanning the skew-symmetric matrices in M(n)."""
-    if d.kind != "II":
-        raise ValueError(f"symplectic grid requested for {d}")
-    n = d.params[0]
-    target = enveloping_tro(d)
-    elements = []
-    labels = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            blk = matrix_unit(n, n, i, j) - matrix_unit(n, n, j, i)
-            elements.append(TroElement(target, (blk,)))
-            labels.append(f"g[{i + 1},{j + 1}]")
-    return Grid("symplectic", d, target, tuple(elements), tuple(labels))
-
-
 def spin_grid_from_system(system: SpinSystem,
                           factor: Optional[CartanDescriptor] = None) -> Grid:
     """Build the spin grid of a spin system (see the module docstring)."""
@@ -230,23 +173,37 @@ def spin_grid_from_system(system: SpinSystem,
                 system=system)
 
 
-def spin_grid(d: CartanDescriptor) -> Grid:
-    if d.kind != "IV":
-        raise ValueError(f"spin grid requested for {d}")
-    return spin_grid_from_system(standard_spin_system(d), factor=d)
+_GRID_KIND = {"I": "rectangular", "II": "symplectic", "III": "hermitian"}
+
+
+def _matrix_labels(d: CartanDescriptor) -> tuple:
+    # in the order of intrinsic_basis: g[k] along a single row or column, else
+    # g[i,j] over the whole matrix (I), or its upper triangle, diagonal kept
+    # for III and left out for II
+    if d.kind == "I":
+        n, m = d.params
+        if min(n, m) == 1:
+            return tuple(f"g[{k}]" for k in range(1, n * m + 1))
+        return tuple(f"g[{i + 1},{j + 1}]" for i in range(n) for j in range(m))
+    n = d.params[0]
+    first = 0 if d.kind == "III" else 1
+    return tuple(f"g[{i + 1},{j + 1}]" for i in range(n) for j in range(i + first, n))
 
 
 def grid_for(d: CartanDescriptor) -> Grid:
-    """The standard grid construction for each non-exceptional factor kind."""
+    """The standard grid of a non-exceptional factor.
+
+    The I, II and III grids are the embedded coordinate bases: the images of
+    the matrix-unit frames E_ij (I), E_ij - E_ji (II) and E_ii, E_ij + E_ji
+    (III), or the signed-incidence frame for a one-row or one-column factor.
+    IV gets the spin grid of its standard spin system.
+    """
     if is_exceptional(d):
         raise ExceptionalFactorError(f"{d}: exceptional factor has no grid model")
-    if d.kind == "I":
-        return rectangular_grid(d)
-    if d.kind == "II":
-        return symplectic_grid(d)
-    if d.kind == "III":
-        return hermitian_grid(d)
-    return spin_grid(d)
+    if d.kind == "IV":
+        return spin_grid_from_system(standard_spin_system(d), factor=d)
+    return Grid(_GRID_KIND[d.kind], d, enveloping_tro(d), embedded_basis(d),
+                _matrix_labels(d))
 
 
 def grid_gamma(g: Grid) -> frozenset:

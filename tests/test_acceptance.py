@@ -19,7 +19,7 @@ from kgrid.cartan import (
 )
 from kgrid.catalog import sweep
 from kgrid.exact import Matrix, Scalar, dagger, kron, rank
-from kgrid.grids import spin_grid, verify_grid
+from kgrid.grids import grid_for, verify_grid
 from kgrid.invariant import (
     classify,
     gamma,
@@ -98,7 +98,7 @@ def test_criterion_2_spin_factors():
     start = time.perf_counter()
     for dim in range(4, 10):
         d = CD("IV", dim)
-        grid = spin_grid(d)
+        grid = grid_for(d)
         report = verify_grid(grid)
         assert report.ok, report.failures()
         assert all(c.tripotent for c in report.element_checks)
@@ -361,7 +361,7 @@ def test_criterion_8_property_suites():
                 checked += 1
 
     for dim in (5, 7, 9):
-        report = verify_grid(spin_grid(CD("IV", dim)))
+        report = verify_grid(grid_for(CD("IV", dim)))
         u0 = [c for c in report.element_checks if c.label == "u0"]
         assert len(u0) == 1
         assert u0[0].minimal is False and u0[0].expect_minimal is False

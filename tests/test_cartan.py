@@ -101,6 +101,7 @@ class TestGrammar:
             ("I(2,3)+", 7),
             ("I(2,3)Q", 6),
             ("", 0),
+            ("I(\u00b2,3)", 2),
         ],
     )
     def test_error_positions(self, text, pos):

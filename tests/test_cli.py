@@ -99,6 +99,12 @@ class TestErrorExits:
         assert code == 64
         assert "position 5" in err
 
+    def test_superscript_digit_exit_64(self, capsys):
+        # str.isdigit accepts the superscript two, which int() rejects
+        code, out, err = invoke(capsys, "invariant", "I(\u00b2,3)")
+        assert code == 64 and out == ""
+        assert "position 2" in err
+
     def test_range_error_exit_65(self, capsys):
         code, _, err = invoke(capsys, "classify", "II(4)", "I(1,1)")
         assert code == 65
@@ -126,6 +132,16 @@ class TestErrorExits:
         code, out, err = invoke(capsys, "sweep", "--max-factors", value)
         assert code == 64 and out == ""
         assert "--max-factors: expected an integer >= 1" in err
+
+
+def test_runs_share_no_parsed_state(capsys):
+    # the parser is built once per process; each run parses afresh
+    code, out, _ = invoke(capsys, "invariant", "I(2,3)", "--json")
+    assert code == 0 and json.loads(out)["group"]["k"] == 2
+    code, out, _ = invoke(capsys, "invariant", "I(2,3)")
+    assert code == 0 and out.startswith("factors (canonical): I(2,3)\n")
+    code, out, err = invoke(capsys, "invariant")
+    assert code == 64 and out == "" and "usage:" in err
 
 
 class _ClosedPipe:

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from kgrid.cartan import CartanDescriptor, ExceptionalFactorError, intrinsic_dim
+from kgrid.cartan import (
+    CartanDescriptor,
+    ExceptionalFactorError,
+    b_matrix,
+    intrinsic_dim,
+)
 from kgrid.exact import (
     HALF,
     I,
@@ -26,12 +31,8 @@ from kgrid.grids import (
     SpinSystem,
     _in_complex_line,
     grid_for,
-    hermitian_grid,
-    rectangular_grid,
-    spin_grid,
     spin_grid_from_system,
     standard_spin_system,
-    symplectic_grid,
     verify_grid,
 )
 from kgrid.tro import (
@@ -52,34 +53,30 @@ def CD(kind, *params):
 
 class TestRectangularGrids:
     def test_two_by_two(self):
-        g = rectangular_grid(CD("I", 2, 2))
+        g = grid_for(CD("I", 2, 2))
         assert len(g.elements) == 4
         assert g.elements[0].blocks == (matrix_unit(2, 2, 0, 0),
                                         matrix_unit(2, 2, 0, 0))
 
     def test_rank_one_pair(self):
-        g = rectangular_grid(CD("I", 1, 2))
+        g = grid_for(CD("I", 1, 2))
         assert len(g.elements) == 2
         assert element_span_dim(list(g.elements)) == 2
 
     def test_all_tripotent(self):
-        g = rectangular_grid(CD("I", 3, 2))
+        g = grid_for(CD("I", 3, 2))
         assert all(is_tripotent(e) for e in g.elements)
-
-    def test_wrong_kind(self):
-        with pytest.raises(ValueError):
-            rectangular_grid(CD("III", 2))
 
 
 class TestHermitianGrids:
     def test_three_elements_for_n2(self):
-        g = hermitian_grid(CD("III", 2))
+        g = grid_for(CD("III", 2))
         e12 = matrix_unit(2, 2, 0, 1) + matrix_unit(2, 2, 1, 0)
         blocks = [el.blocks[0] for el in g.elements]
         assert blocks == [matrix_unit(2, 2, 0, 0), e12, matrix_unit(2, 2, 1, 1)]
 
     def test_offdiagonal_class_rank_two(self):
-        g = hermitian_grid(CD("III", 3))
+        g = grid_for(CD("III", 3))
         for label, el in zip(g.labels, g.elements):
             p = range_projection(el).blocks[0]
             i, j = label[2:-1].split(",")
@@ -87,22 +84,22 @@ class TestHermitianGrids:
             assert rank(p) == expected
 
     def test_diagonal_projections(self):
-        g = hermitian_grid(CD("III", 3))
+        g = grid_for(CD("III", 3))
         e11 = g.by_label("g[1,1]")
         assert range_projection(e11).blocks[0] == matrix_unit(3, 3, 0, 0)
 
 
 class TestSymplecticGrids:
     def test_count(self):
-        assert len(symplectic_grid(CD("II", 5)).elements) == 10
+        assert len(grid_for(CD("II", 5)).elements) == 10
 
     def test_all_rank_two(self):
-        g = symplectic_grid(CD("II", 5))
+        g = grid_for(CD("II", 5))
         for el in g.elements:
             assert rank(range_projection(el).blocks[0]) == 2
 
     def test_span(self):
-        g = symplectic_grid(CD("II", 5))
+        g = grid_for(CD("II", 5))
         assert element_span_dim(list(g.elements)) == 10
 
 
@@ -166,23 +163,23 @@ class TestSpinSystems:
 
 class TestSpinGrids:
     def test_dim5_layout(self):
-        g = spin_grid(CD("IV", 5))
+        g = grid_for(CD("IV", 5))
         assert g.labels == ("u1", "ut1", "u2", "ut2", "u0")
         assert element_span_dim(list(g.elements)) == 5
 
     def test_dim6_has_no_u0(self):
-        g = spin_grid(CD("IV", 6))
+        g = grid_for(CD("IV", 6))
         assert g.labels == ("u1", "ut1", "u2", "ut2", "u3", "ut3")
         assert element_span_dim(list(g.elements)) == 6
 
     def test_grid_identities_dim5(self):
-        g = spin_grid(CD("IV", 5))
+        g = grid_for(CD("IV", 5))
         u = dict(zip(g.labels, g.elements))
         assert jordan_triple(u["u2"], u["ut1"], u["ut2"]) == u["u1"].scale(-HALF)
         assert jordan_triple(u["u1"], u["ut2"], u["ut1"]) == u["u2"].scale(-HALF)
 
     def test_pair_identity_dim7(self):
-        g = spin_grid(CD("IV", 7))
+        g = grid_for(CD("IV", 7))
         u = dict(zip(g.labels, g.elements))
         assert jordan_triple(u["u2"], u["ut3"], u["ut2"]) == u["u3"].scale(-HALF)
         assert jordan_triple(u["u3"], u["ut2"], u["ut3"]) == u["u2"].scale(-HALF)
@@ -215,7 +212,7 @@ class TestVerifyGrid:
 
     def test_hermitian_minimality_split(self):
         # diagonal elements are minimal; off-diagonals are rank-2 tripotents
-        report = verify_grid(hermitian_grid(CD("III", 3)))
+        report = verify_grid(grid_for(CD("III", 3)))
         for c in report.element_checks:
             i, j = c.label[2:-1].split(",")
             assert c.minimal is (i == j)
@@ -223,7 +220,7 @@ class TestVerifyGrid:
         assert report.ok
 
     def test_spin_u0_not_minimal(self):
-        report = verify_grid(spin_grid(CD("IV", 5)))
+        report = verify_grid(grid_for(CD("IV", 5)))
         by_label = {c.label: c for c in report.element_checks}
         assert by_label["u0"].minimal is False
         assert by_label["u0"].expect_minimal is False
@@ -231,7 +228,7 @@ class TestVerifyGrid:
         assert all(c.minimal for c in report.element_checks if c.label != "u0")
 
     def test_scaled_element_reported(self):
-        g = hermitian_grid(CD("III", 2))
+        g = grid_for(CD("III", 2))
         doctored = dataclasses.replace(
             g, elements=(g.elements[0].scale(2),) + g.elements[1:]
         )
@@ -241,7 +238,7 @@ class TestVerifyGrid:
 
     def test_rank_two_element_not_minimal(self):
         # (E11+E22, E11+E22) is a tripotent, but {e,Z,e} = Z* is not in C e
-        g = rectangular_grid(CD("I", 2, 2))
+        g = grid_for(CD("I", 2, 2))
         blk = matrix_unit(2, 2, 0, 0) + matrix_unit(2, 2, 1, 1)
         elements = list(g.elements)
         elements[g.labels.index("g[1,1]")] = TroElement(g.ambient, (blk, blk))
@@ -254,7 +251,7 @@ class TestVerifyGrid:
 
     def test_rotated_spin_element_fails_identity(self):
         # i u2 is still a minimal tripotent, but {i u2, ut3, ut2} = -i u3/2
-        g = spin_grid(CD("IV", 7))
+        g = grid_for(CD("IV", 7))
         elements = list(g.elements)
         k = g.labels.index("u2")
         elements[k] = elements[k].scale(I)
@@ -276,13 +273,13 @@ class TestVerifyGrid:
         assert time.perf_counter() - start < 5.0
 
     def test_spin_identity_checks_present(self):
-        report = verify_grid(spin_grid(CD("IV", 6)))
+        report = verify_grid(grid_for(CD("IV", 6)))
         assert report.identity_checks
         assert all(ok for _, ok in report.identity_checks)
         assert report.system_ok is True
 
     def test_report_dict_shape(self):
-        report = verify_grid(hermitian_grid(CD("III", 2)))
+        report = verify_grid(grid_for(CD("III", 2)))
         data = report.to_dict()
         assert data["ok"] is True
         assert {"label", "tripotent", "minimal", "expect_minimal"} <= set(
@@ -379,3 +376,54 @@ def test_grid_for_dispatch():
     assert grid_for(CD("IV", 5)).kind == "spin"
     with pytest.raises(ExceptionalFactorError):
         grid_for(CD("V"))
+
+
+def _unit(n, m, i, j):
+    # 1-based matrix unit
+    return matrix_unit(n, m, i - 1, j - 1)
+
+
+def _incidence(h, i):
+    return tuple(b_matrix(h, k, i) for k in range(1, h + 1))
+
+
+_S1_2 = kron(SIGMA1, identity(2))
+_S2_2 = kron(SIGMA2, identity(2))
+_S3_2 = kron(SIGMA3, SIGMA2)
+_S3_3 = kron(SIGMA3, SIGMA3)
+_ID4 = identity(4)
+
+# (factor, labels, first element's blocks, last element's blocks), written
+# out by hand from the matrix-unit, incidence and spin frames
+_GRID_LAYOUTS = [
+    (CD("I", 1, 3), ("g[1]", "g[2]", "g[3]"), _incidence(3, 1), _incidence(3, 3)),
+    (CD("I", 3, 1), ("g[1]", "g[2]", "g[3]"), _incidence(3, 1), _incidence(3, 3)),
+    (CD("I", 2, 3),
+     ("g[1,1]", "g[1,2]", "g[1,3]", "g[2,1]", "g[2,2]", "g[2,3]"),
+     (_unit(2, 3, 1, 1), _unit(3, 2, 1, 1)), (_unit(2, 3, 2, 3), _unit(3, 2, 3, 2))),
+    (CD("I", 3, 2),
+     ("g[1,1]", "g[1,2]", "g[2,1]", "g[2,2]", "g[3,1]", "g[3,2]"),
+     (_unit(3, 2, 1, 1), _unit(2, 3, 1, 1)), (_unit(3, 2, 3, 2), _unit(2, 3, 2, 3))),
+    (CD("II", 5),
+     ("g[1,2]", "g[1,3]", "g[1,4]", "g[1,5]", "g[2,3]", "g[2,4]", "g[2,5]",
+      "g[3,4]", "g[3,5]", "g[4,5]"),
+     (_unit(5, 5, 1, 2) - _unit(5, 5, 2, 1),), (_unit(5, 5, 4, 5) - _unit(5, 5, 5, 4),)),
+    (CD("III", 3),
+     ("g[1,1]", "g[1,2]", "g[1,3]", "g[2,2]", "g[2,3]", "g[3,3]"),
+     (_unit(3, 3, 1, 1),), (_unit(3, 3, 3, 3),)),
+    (CD("IV", 5), ("u1", "ut1", "u2", "ut2", "u0"),
+     ((_ID4 - _S1_2).scale(HALF),), (kron(SIGMA3, SIGMA2),)),
+    (CD("IV", 6), ("u1", "ut1", "u2", "ut2", "u3", "ut3"),
+     ((_ID4 - _S1_2).scale(HALF),) * 2,
+     ((_S3_2 - _S3_3.scale(I)).scale(HALF), (_S3_2 + _S3_3.scale(I)).scale(HALF))),
+]
+
+
+@pytest.mark.parametrize("d,labels,first,last", _GRID_LAYOUTS,
+                         ids=[str(row[0]) for row in _GRID_LAYOUTS])
+def test_grid_for_layout(d, labels, first, last):
+    g = grid_for(d)
+    assert g.labels == labels
+    assert len(g.elements) == len(labels) == intrinsic_dim(d)
+    assert g.elements[0].blocks == first
+    assert g.elements[-1].blocks == last
