@@ -63,6 +63,7 @@ from .cartan import (
     EXCEPTIONAL_27,
     ExceptionalFactorError,
     ParseError,
+    SpinSystem,
     TripleSpec,
     UnsupportedFactorError,
     b_matrix,
@@ -73,14 +74,12 @@ from .cartan import (
     intrinsic_dim,
     is_exceptional,
     parse_triple_spec,
+    standard_spin_system,
 )
 from .grids import (
     Grid,
     GridReport,
-    SpinSystem,
     grid_for,
-    spin_grid_from_system,
-    standard_spin_system,
     verify_grid,
 )
 from .invariant import (

@@ -1,5 +1,5 @@
-"""Classical Cartan factor descriptors, their enveloping TROs, and the
-concrete embedding of factor elements into those TROs.
+"""Classical Cartan factor descriptors, their enveloping TROs, the standard
+spin systems, and the concrete embedding of factor elements into those TROs.
 
 Factor kinds and parameters:
 
@@ -24,7 +24,8 @@ from math import comb
 from itertools import combinations
 from typing import Sequence
 
-from .exact import HALF, Matrix, ParseError, matrix_unit, sparse_matrix, zeros
+from .exact import (HALF, SIGMA1, SIGMA2, SIGMA3, Matrix, ParseError, identity,
+                    kron_all, mat_mul, matrix_unit, sparse_matrix, zeros)
 from .tro import TroElement, TroSpace, element_span_coords, jordan_triple, zero_element
 
 
@@ -327,6 +328,89 @@ def hilbert_frame(h: int) -> tuple:
     )
 
 
+# --- spin systems -------------------------------------------------------------
+
+_ID2 = identity(2)
+
+
+def _block_mul(x: TroElement, y: TroElement) -> TroElement:
+    # algebra product for square-block elements
+    return TroElement(x.space, tuple(mat_mul(a, b) for a, b in zip(x.blocks, y.blocks)))
+
+
+@dataclass(frozen=True, slots=True)
+class SpinSystem:
+    """Self-adjoint elements s_i with (s_i s_j + s_j s_i)/2 = delta_ij * id,
+    checked as s_i^2 = id and s_i s_j = -s_j s_i for i < j."""
+
+    identity: TroElement
+    symmetries: tuple
+
+    def __post_init__(self) -> None:
+        id_el = self.identity
+        for idx, s in enumerate(self.symmetries):
+            if s.space != id_el.space:
+                raise ValueError(f"symmetry {idx} lives in a different space")
+            for b, blk in enumerate(s.blocks):
+                if blk.dagger() != blk:
+                    raise ValueError(f"symmetry {idx}, block {b} is not self-adjoint")
+        for i, si in enumerate(self.symmetries):
+            for j in range(i, len(self.symmetries)):
+                sj = self.symmetries[j]
+                prod = _block_mul(si, sj)
+                ok = prod == id_el if i == j else prod == -_block_mul(sj, si)
+                if not ok:
+                    raise ValueError(f"anticommutator relation fails for ({i},{j})")
+
+    @property
+    def space(self) -> TroSpace:
+        return self.identity.space
+
+    def __len__(self) -> int:
+        return len(self.symmetries)
+
+
+def _odd_symmetry_matrices(n: int) -> list:
+    """2n anticommuting self-adjoint involutions in M(2^n), as tensor words."""
+    mats = [kron_all([SIGMA1] + [_ID2] * (n - 1)),
+            kron_all([SIGMA2] + [_ID2] * (n - 1))]
+    for l in range(1, n):
+        prefix = [SIGMA3] * l
+        tail = [_ID2] * (n - l - 1)
+        mats.append(kron_all(prefix + [SIGMA1] + tail))
+        mats.append(kron_all(prefix + [SIGMA2] + tail))
+    return mats
+
+
+@lru_cache(maxsize=None)
+def standard_spin_system(d: CartanDescriptor) -> SpinSystem:
+    """The standard spin system spanning the spin factor inside its TRO.
+
+    Odd dimension 2n+1: 2n symmetries in M(2^n).  Even dimension 2n: 2n-1
+    symmetries in M(2^(n-1)) + M(2^(n-1)), the last one carrying opposite
+    signs in the two blocks.
+    """
+    if d.kind != "IV":
+        raise ValueError(f"spin system requested for {d}")
+    dim = d.params[0]
+    target = enveloping_tro(d)
+    if dim % 2 == 1:
+        n = (dim - 1) // 2
+        mats = _odd_symmetry_matrices(n)
+        ident = TroElement(target, (identity(2 ** n),))
+        syms = tuple(TroElement(target, (m,)) for m in mats)
+    else:
+        n = dim // 2
+        base = _odd_symmetry_matrices(n - 1)
+        ident_blk = identity(2 ** (n - 1))
+        ident = TroElement(target, (ident_blk, ident_blk))
+        syms = [TroElement(target, (m, m)) for m in base]
+        last = kron_all([SIGMA3] * (n - 1))
+        syms.append(TroElement(target, (last, -last)))
+        syms = tuple(syms)
+    return SpinSystem(ident, syms)
+
+
 # --- intrinsic coordinates and the embedding ----------------------------------
 
 def intrinsic_basis(d: CartanDescriptor) -> tuple:
@@ -354,6 +438,17 @@ def intrinsic_basis(d: CartanDescriptor) -> tuple:
     raise ExceptionalFactorError(f"{d}: no coordinate model is implemented")
 
 
+def _combine(d: CartanDescriptor, row: Matrix) -> TroElement:
+    # the coefficient row over the embedded frame of a rank-one or spin factor
+    frame = embedded_basis(d)
+    acc = zero_element(frame[0].space)
+    for idx, el in enumerate(frame):
+        coeff = row[0, idx]
+        if not coeff.is_zero():
+            acc = acc + el.scale(coeff)
+    return acc
+
+
 def embed(d: CartanDescriptor, x: Matrix) -> TroElement:
     """The triple embedding of intrinsic coordinates into the enveloping TRO.
 
@@ -368,15 +463,7 @@ def embed(d: CartanDescriptor, x: Matrix) -> TroElement:
         if x.shape != (n, m):
             raise CoordinateError(f"I({n},{m}) expects an {n}x{m} matrix, got {x.shape}")
         if min(n, m) == 1:
-            v = x if n == 1 else x.transpose()
-            h = n * m
-            frame = hilbert_frame(h)
-            acc = zero_element(frame[0].space)
-            for idx in range(h):
-                coeff = v[0, idx]
-                if not coeff.is_zero():
-                    acc = acc + frame[idx].scale(coeff)
-            return acc
+            return _combine(d, x if n == 1 else x.transpose())
         target = enveloping_tro(d)
         return TroElement(target, (x, x.transpose()))
     if d.kind == "II":
@@ -394,24 +481,24 @@ def embed(d: CartanDescriptor, x: Matrix) -> TroElement:
             raise CoordinateError(f"III({n}) coordinates must be symmetric")
         return TroElement(enveloping_tro(d), (x,))
     # spin factor: coefficients over the spin basis, identity first
-    from .grids import standard_spin_system
-
     dim = d.params[0]
     if x.shape != (1, dim):
         raise CoordinateError(f"IV({dim}) expects a 1x{dim} coefficient row, got {x.shape}")
-    system = standard_spin_system(d)
-    basis = (system.identity,) + system.symmetries
-    acc = zero_element(basis[0].space)
-    for idx in range(dim):
-        coeff = x[0, idx]
-        if not coeff.is_zero():
-            acc = acc + basis[idx].scale(coeff)
-    return acc
+    return _combine(d, x)
 
 
 @lru_cache(maxsize=None)
 def embedded_basis(d: CartanDescriptor) -> tuple:
-    """Images of the intrinsic basis under ``embed``; spans the embedded factor."""
+    """Images of the intrinsic basis under ``embed``; spans the embedded factor.
+
+    A rank-one factor's basis is its ``hilbert_frame`` and a spin factor's is
+    its standard spin system, identity first: the frames themselves.
+    """
+    if d.kind == "I" and min(d.params) == 1:
+        return hilbert_frame(d.params[0] * d.params[1])
+    if d.kind == "IV":
+        system = standard_spin_system(d)
+        return (system.identity,) + system.symmetries
     return tuple(embed(d, x) for x in intrinsic_basis(d))
 
 

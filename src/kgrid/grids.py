@@ -5,7 +5,9 @@ The I, II and III grids are the embedded coordinate bases of
 ``cartan.embedded_basis``: the matrix-unit frames E_ij, E_ij - E_ji and
 E_ii, E_ij + E_ji, and the signed-incidence frame of a rank-one factor.
 
-The spin grid convention: given a spin system with N symmetries, the grid is
+The IV(d) grid is built from the standard spin system of IV(d),
+``cartan.standard_spin_system(d)``, whose N = d - 1 symmetries span the
+embedded factor with the identity.  The spin grid convention: the grid is
 
     u1 = (id - s1)/2,   ut1 = -(id + s1)/2,
     u_{k+1} = (s_{2k} + i s_{2k+1})/2,   ut_{k+1} = (s_{2k} - i s_{2k+1})/2,
@@ -20,8 +22,7 @@ convention is verified rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 from .cartan import (
     CartanDescriptor,
@@ -30,18 +31,9 @@ from .cartan import (
     enveloping_tro,
     intrinsic_dim,
     is_exceptional,
+    standard_spin_system,
 )
-from .exact import (
-    HALF,
-    I,
-    SIGMA1,
-    SIGMA2,
-    SIGMA3,
-    _gmul,
-    identity,
-    kron_all,
-    mat_mul,
-)
+from .exact import HALF, I, _gmul, mat_mul
 from .ktheory import k0_class_of_projection
 from .tro import (
     TroElement,
@@ -52,106 +44,32 @@ from .tro import (
     ternary_product,
 )
 
-_ID2 = identity(2)
-
-
-def _block_mul(x: TroElement, y: TroElement) -> TroElement:
-    # algebra product for square-block elements
-    return TroElement(x.space, tuple(mat_mul(a, b) for a, b in zip(x.blocks, y.blocks)))
-
-
-@dataclass(frozen=True, slots=True)
-class SpinSystem:
-    """Self-adjoint elements s_i with (s_i s_j + s_j s_i)/2 = delta_ij * id,
-    checked as s_i^2 = id and s_i s_j = -s_j s_i for i < j."""
-
-    identity: TroElement
-    symmetries: tuple
-
-    def __post_init__(self) -> None:
-        id_el = self.identity
-        for idx, s in enumerate(self.symmetries):
-            if s.space != id_el.space:
-                raise ValueError(f"symmetry {idx} lives in a different space")
-            for b, blk in enumerate(s.blocks):
-                if blk.dagger() != blk:
-                    raise ValueError(f"symmetry {idx}, block {b} is not self-adjoint")
-        for i, si in enumerate(self.symmetries):
-            for j in range(i, len(self.symmetries)):
-                sj = self.symmetries[j]
-                prod = _block_mul(si, sj)
-                ok = prod == id_el if i == j else prod == -_block_mul(sj, si)
-                if not ok:
-                    raise ValueError(f"anticommutator relation fails for ({i},{j})")
-
-    @property
-    def space(self) -> TroSpace:
-        return self.identity.space
-
-    def __len__(self) -> int:
-        return len(self.symmetries)
-
-
-def _odd_symmetry_matrices(n: int) -> list:
-    """2n anticommuting self-adjoint involutions in M(2^n), as tensor words."""
-    mats = [kron_all([SIGMA1] + [_ID2] * (n - 1)),
-            kron_all([SIGMA2] + [_ID2] * (n - 1))]
-    for l in range(1, n):
-        prefix = [SIGMA3] * l
-        tail = [_ID2] * (n - l - 1)
-        mats.append(kron_all(prefix + [SIGMA1] + tail))
-        mats.append(kron_all(prefix + [SIGMA2] + tail))
-    return mats
-
-
-@lru_cache(maxsize=None)
-def standard_spin_system(d: CartanDescriptor) -> SpinSystem:
-    """The standard spin system spanning the spin factor inside its TRO.
-
-    Odd dimension 2n+1: 2n symmetries in M(2^n).  Even dimension 2n: 2n-1
-    symmetries in M(2^(n-1)) + M(2^(n-1)), the last one carrying opposite
-    signs in the two blocks.
-    """
-    if d.kind != "IV":
-        raise ValueError(f"spin system requested for {d}")
-    dim = d.params[0]
-    target = enveloping_tro(d)
-    if dim % 2 == 1:
-        n = (dim - 1) // 2
-        mats = _odd_symmetry_matrices(n)
-        ident = TroElement(target, (identity(2 ** n),))
-        syms = tuple(TroElement(target, (m,)) for m in mats)
-    else:
-        n = dim // 2
-        base = _odd_symmetry_matrices(n - 1)
-        ident_blk = identity(2 ** (n - 1))
-        ident = TroElement(target, (ident_blk, ident_blk))
-        syms = [TroElement(target, (m, m)) for m in base]
-        last = kron_all([SIGMA3] * (n - 1))
-        syms.append(TroElement(target, (last, -last)))
-        syms = tuple(syms)
-    return SpinSystem(ident, syms)
+_GRID_KIND = {"I": "rectangular", "II": "symplectic", "III": "hermitian",
+              "IV": "spin"}
 
 
 @dataclass(frozen=True, slots=True)
 class Grid:
-    kind: str
-    factor: Optional[CartanDescriptor]
-    ambient: TroSpace
+    factor: CartanDescriptor
     elements: tuple
     labels: tuple
-    system: Optional[SpinSystem] = None
+
+    @property
+    def kind(self) -> str:
+        return _GRID_KIND[self.factor.kind]
+
+    @property
+    def ambient(self) -> TroSpace:
+        return enveloping_tro(self.factor)
 
     def by_label(self, label: str) -> TroElement:
         return self.elements[self.labels.index(label)]
 
 
-def spin_grid_from_system(system: SpinSystem,
-                          factor: Optional[CartanDescriptor] = None) -> Grid:
-    """Build the spin grid of a spin system (see the module docstring)."""
+def _spin_grid(d: CartanDescriptor) -> Grid:
+    """The spin grid of the standard spin system (see the module docstring)."""
+    system = standard_spin_system(d)
     n_sym = len(system.symmetries)
-    if n_sym < 3:
-        raise ValueError(f"a spin grid needs at least 3 symmetries, got {n_sym}")
     elements = []
     labels = []
     s1 = system.symmetries[0]
@@ -169,11 +87,7 @@ def spin_grid_from_system(system: SpinSystem,
     if n_sym % 2 == 0:
         elements.append(system.symmetries[-1])
         labels.append("u0")
-    return Grid("spin", factor, system.space, tuple(elements), tuple(labels),
-                system=system)
-
-
-_GRID_KIND = {"I": "rectangular", "II": "symplectic", "III": "hermitian"}
+    return Grid(d, tuple(elements), tuple(labels))
 
 
 def _matrix_labels(d: CartanDescriptor) -> tuple:
@@ -201,9 +115,8 @@ def grid_for(d: CartanDescriptor) -> Grid:
     if is_exceptional(d):
         raise ExceptionalFactorError(f"{d}: exceptional factor has no grid model")
     if d.kind == "IV":
-        return spin_grid_from_system(standard_spin_system(d), factor=d)
-    return Grid(_GRID_KIND[d.kind], d, enveloping_tro(d), embedded_basis(d),
-                _matrix_labels(d))
+        return _spin_grid(d)
+    return Grid(d, embedded_basis(d), _matrix_labels(d))
 
 
 def grid_gamma(g: Grid) -> frozenset:
@@ -229,12 +142,11 @@ class ElementCheck:
 @dataclass(frozen=True, slots=True)
 class GridReport:
     kind: str
-    factor: Optional[str]
+    factor: str
     ambient: str
     element_checks: tuple
     span_found: int
     span_expected: int
-    system_ok: Optional[bool]
     identity_checks: tuple  # (name, bool) pairs, spin only
 
     @property
@@ -242,10 +154,14 @@ class GridReport:
         return self.span_found == self.span_expected
 
     @property
+    def system_ok(self) -> Optional[bool]:
+        # a SpinSystem enforces its relations when it is constructed
+        return True if self.kind == "spin" else None
+
+    @property
     def ok(self) -> bool:
         return (all(c.ok for c in self.element_checks)
                 and self.span_ok
-                and self.system_ok is not False
                 and all(ok for _, ok in self.identity_checks))
 
     def failures(self) -> list:
@@ -257,8 +173,6 @@ class GridReport:
                 out.append(f"{c.label}: not minimal")
         if not self.span_ok:
             out.append(f"span is {self.span_found}, expected {self.span_expected}")
-        if self.system_ok is False:
-            out.append("spin system relations fail")
         out.extend(name for name, ok in self.identity_checks if not ok)
         return out
 
@@ -325,15 +239,6 @@ def _expect_minimal(kind: str, label: str) -> bool:
     return True
 
 
-def _minimality_basis(g: Grid) -> Sequence[TroElement]:
-    # {e, Z, e} ranges over the embedded factor, not the ambient TRO
-    if g.system is not None:
-        return (g.system.identity,) + g.system.symmetries
-    if g.factor is not None:
-        return embedded_basis(g.factor)
-    return g.elements
-
-
 def _spin_identity_checks(g: Grid) -> tuple:
     # {a,b,c} = -u/2 is checked as a b* c + c b* a = -u, with no halving
     u = {label: el for label, el in zip(g.labels, g.elements)}
@@ -342,8 +247,7 @@ def _spin_identity_checks(g: Grid) -> tuple:
         x, y, z = u[a], u[b], u[c]
         return ternary_product(x, y, z) + ternary_product(z, y, x) == -u[k]
 
-    pair_top = max((int(l[1:]) for l in g.labels if l.startswith("u") and
-                    not l.startswith("ut") and l != "u0"), default=1)
+    pair_top = len(g.elements) // 2
     checks = []
     for j in range(2, pair_top + 1):
         for k in range(2, pair_top + 1):
@@ -363,7 +267,8 @@ def verify_grid(g: Grid) -> GridReport:
     """Check tripotency, span, minimality and (for spin) the triple-product
     identities; failures are reported, never raised.  A spin grid's system
     relations were checked when its SpinSystem was constructed."""
-    basis = _minimality_basis(g)
+    # {e, Z, e} ranges over the embedded factor, not the ambient TRO
+    basis = embedded_basis(g.factor)
     # {e,b,e} = e b* e blockwise, no halving; each b is daggered once per grid
     basis_daggers = [tuple(m.dagger() for m in b.blocks) for b in basis]
     checks = []
@@ -375,18 +280,13 @@ def verify_grid(g: Grid) -> GridReport:
             for daggers in basis_daggers)
         checks.append(ElementCheck(label, tripotent, minimal,
                                    expect_minimal=_expect_minimal(g.kind, label)))
-    expected = intrinsic_dim(g.factor) if g.factor is not None else len(basis)
-    found = element_span_dim(list(g.elements))
-    # a SpinSystem enforces its relations when it is constructed
-    system_ok = True if g.system is not None else None
     identity_checks = _spin_identity_checks(g) if g.kind == "spin" else ()
     return GridReport(
         kind=g.kind,
-        factor=g.factor.to_text() if g.factor is not None else None,
+        factor=g.factor.to_text(),
         ambient=g.ambient.to_text(),
         element_checks=tuple(checks),
-        span_found=found,
-        span_expected=expected,
-        system_ok=system_ok,
+        span_found=element_span_dim(list(g.elements)),
+        span_expected=intrinsic_dim(g.factor),
         identity_checks=identity_checks,
     )

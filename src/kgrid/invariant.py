@@ -309,8 +309,10 @@ def _candidates(caps: list) -> list:
 
 @lru_cache(maxsize=None)
 def _factor_block(f: CartanDescriptor) -> tuple:
-    """The single block of a canonical factor's own invariant."""
-    return _blocks(_invariant_of_canonical(TripleSpec((f,))))[0]
+    """The single block of a canonical factor's own invariant: all its
+    summands, their caps and its grid classes."""
+    caps = enveloping_tro(f).summands
+    return (tuple(range(len(caps))), caps, gamma(f))
 
 
 def recover_factors(inv: KGridInvariant) -> TripleSpec:

@@ -268,12 +268,7 @@ def lift_hom(alpha: Sequence[Sequence[int]], source: TroSpace,
     Succeeds exactly when the scale bounds hold at the maximal scale element;
     otherwise raises LiftError naming the overflowing target summand and side.
     """
-    mult = tuple(tuple(int(a) for a in row) for row in alpha)
-    for row in mult:
-        for a in row:
-            if a < 0:
-                raise ValueError(f"multiplicity {a} is negative")
-    return TroHom(source, target, mult)
+    return TroHom(source, target, tuple(tuple(row) for row in alpha))
 
 
 def identity_hom(t: TroSpace) -> TroHom:

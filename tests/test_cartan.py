@@ -25,6 +25,7 @@ from kgrid.cartan import (
     intrinsic_dim,
     intrinsic_jordan,
     parse_triple_spec,
+    standard_spin_system,
 )
 from kgrid.exact import HALF, I, dagger, identity, mat, matrix_unit, rank, zeros
 from kgrid.tro import (
@@ -235,10 +236,23 @@ class TestEmbed:
         assert embed(d, x.scale(I)) == embed(d, x).scale(I)
 
     def test_basis_spans_embedded_factor(self):
-        for d in (CD("I", 2, 3), CD("I", 1, 4), CD("II", 5), CD("III", 3),
-                  CD("IV", 5), CD("IV", 6)):
+        for d in (CD("I", 2, 3), CD("I", 1, 4), CD("I", 4, 1), CD("II", 5),
+                  CD("III", 3), CD("IV", 5), CD("IV", 6)):
             assert element_span_dim(list(embedded_basis(d))) == intrinsic_dim(d)
             assert len(intrinsic_basis(d)) == intrinsic_dim(d)
+            assert embedded_basis(d) == tuple(embed(d, x) for x in intrinsic_basis(d))
+
+    @pytest.mark.parametrize("h", range(1, 7))
+    def test_rank_one_basis_is_the_frame(self, h):
+        assert embedded_basis(CD("I", 1, h)) is hilbert_frame(h)
+        assert embedded_basis(CD("I", h, 1)) is hilbert_frame(h)
+
+    @pytest.mark.parametrize("dim", range(4, 10))
+    def test_spin_basis_is_the_system(self, dim):
+        s = standard_spin_system(CD("IV", dim))
+        basis = embedded_basis(CD("IV", dim))
+        assert len(basis) == dim
+        assert all(b is e for b, e in zip(basis, (s.identity, *s.symmetries)))
 
 
 def _skewify(m):

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from kgrid.cartan import (
     CartanDescriptor,
     ExceptionalFactorError,
+    SpinSystem,
     b_matrix,
     intrinsic_dim,
+    standard_spin_system,
 )
 from kgrid.exact import (
     HALF,
@@ -28,11 +30,8 @@ from kgrid.exact import (
 )
 from kgrid.grids import (
     Grid,
-    SpinSystem,
     _in_complex_line,
     grid_for,
-    spin_grid_from_system,
-    standard_spin_system,
     verify_grid,
 )
 from kgrid.tro import (
@@ -184,16 +183,10 @@ class TestSpinGrids:
         assert jordan_triple(u["u2"], u["ut3"], u["ut2"]) == u["u3"].scale(-HALF)
         assert jordan_triple(u["u3"], u["ut2"], u["ut3"]) == u["u2"].scale(-HALF)
 
-    def test_minimum_symmetries(self):
-        system = standard_spin_system(CD("IV", 5))
-        truncated = SpinSystem(system.identity, system.symmetries[:2])
-        with pytest.raises(ValueError):
-            spin_grid_from_system(truncated)
-
     def test_span_matches_system(self):
         for dim in (4, 5, 6, 7):
             system = standard_spin_system(CD("IV", dim))
-            g = spin_grid_from_system(system)
+            g = grid_for(CD("IV", dim))
             span_system = element_span_dim([system.identity, *system.symmetries])
             assert element_span_dim(list(g.elements)) == span_system == dim
 

@@ -1,4 +1,5 @@
 import ast
+import json
 import random
 import time
 from fractions import Fraction
@@ -8,7 +9,8 @@ import pytest
 
 from kgrid.cartan import CartanDescriptor, TripleSpec, canonicalize_spec, parse_triple_spec
 from kgrid.catalog import catalog_descriptors
-from kgrid import invariant
+from kgrid import cartan, invariant
+from kgrid.cli import run
 from kgrid.grids import grid_for, grid_gamma
 from kgrid.invariant import (
     KGridInvariant,
@@ -143,18 +145,22 @@ class TestGridOracle:
         assert grid_gamma(grid_for(d)) == gamma(d)
 
     def test_invariant_imports_no_grid_or_tro(self):
-        # keeps the grid construction off the invariant path
-        tree = ast.parse(Path(invariant.__file__).read_text(encoding="utf-8"))
-        imported = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                base = ".".join(filter(None, ["kgrid" if node.level else "",
-                                              node.module]))
-                imported.add(base)
-                imported.update(f"{base}.{a.name}" for a in node.names)
-            elif isinstance(node, ast.Import):
-                imported.update(a.name for a in node.names)
-        assert not imported & {"kgrid.grids", "kgrid.tro"}
+        # keeps the grid construction off the invariant path, and the grids
+        # out of the embedding they are built from; ast.walk also sees
+        # imports inside functions
+        for module, forbidden in ((invariant, {"kgrid.grids", "kgrid.tro"}),
+                                  (cartan, {"kgrid.grids"})):
+            tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+            imported = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    base = ".".join(filter(None, ["kgrid" if node.level else "",
+                                                  node.module]))
+                    imported.add(base)
+                    imported.update(f"{base}.{a.name}" for a in node.names)
+                elif isinstance(node, ast.Import):
+                    imported.update(a.name for a in node.names)
+            assert not imported & forbidden, module.__name__
 
 
 class TestPublishedGamma:
@@ -371,6 +377,16 @@ class TestRecovery:
         inv = k_grid_invariant(spec("I(2,2)+V"))
         with pytest.raises(UnknownFactorError):
             recover_factors(inv)
+
+    def test_factor_block_is_the_factors_own_block(self, capsys):
+        # the block recovery matches against, built without an invariant
+        assert run(["table", "--hilbert-max", "12", "--spin-max", "16",
+                    "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        for row in rows:
+            f = parse_triple_spec(row["factor"]).factors[0]
+            assert invariant._factor_block(f) == \
+                invariant._blocks(k_grid_invariant(TripleSpec((f,))))[0], f
 
 
 class TestShuffledSummands:

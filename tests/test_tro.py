@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -172,6 +174,12 @@ class TestLifting:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             lift_hom([[-1]], parse_space("M(1,1)"), parse_space("M(2,2)"))
+
+    @pytest.mark.parametrize("entry", [1.5, Fraction(3, 2), "2"],
+                             ids=["float", "Fraction", "str"])
+    def test_non_integer_rejected(self, entry):
+        with pytest.raises(ValueError, match="is not a nonnegative integer"):
+            lift_hom([[entry]], parse_space("M(1,1)"), parse_space("M(2,2)"))
 
     def test_zero_hom_admitted(self):
         h = lift_hom([[0]], parse_space("M(2,2)"), parse_space("M(1,1)"))
