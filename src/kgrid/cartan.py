@@ -41,7 +41,8 @@ class CoordinateError(ValueError):
     """Intrinsic coordinates do not match the factor's convention."""
 
 
-_KIND_ORDER = {"I": 0, "II": 1, "III": 2, "IV": 3, "V": 4, "VI": 5}
+_ARITY = {"I": 2, "II": 1, "III": 1, "IV": 1, "V": 0, "VI": 0}  # in sort order
+_KIND_ORDER = {kind: n for n, kind in enumerate(_ARITY)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,17 +52,16 @@ class CartanDescriptor:
 
     def __post_init__(self) -> None:
         kind, params = self.kind, self.params
-        if kind not in _KIND_ORDER:
+        if kind not in _ARITY:
             raise ValueError(f"unknown factor kind {kind!r}")
+        if len(params) != _ARITY[kind]:
+            raise ValueError(
+                f"{kind} takes {_ARITY[kind]} parameter(s), got {len(params)}")
         if kind == "I":
-            if len(params) != 2:
-                raise ValueError("I takes two parameters")
             n, m = params
             if n < 1 or m < 1:
                 raise UnsupportedFactorError(f"I({n},{m}): dimensions must be >= 1")
         elif kind == "II":
-            if len(params) != 1:
-                raise ValueError("II takes one parameter")
             n = params[0]
             if n < 5:
                 raise UnsupportedFactorError(
@@ -69,22 +69,15 @@ class CartanDescriptor:
                     + _II_COINCIDENCE.get(n, "degenerate")
                 )
         elif kind == "III":
-            if len(params) != 1:
-                raise ValueError("III takes one parameter")
             if params[0] < 1:
                 raise UnsupportedFactorError("III(n) needs n >= 1")
         elif kind == "IV":
-            if len(params) != 1:
-                raise ValueError("IV takes one parameter")
             d = params[0]
             if d < 4:
                 raise UnsupportedFactorError(
                     f"IV({d}) is below the supported range (d >= 4): "
                     + _IV_COINCIDENCE.get(d, "degenerate")
                 )
-        else:
-            if params:
-                raise ValueError(f"{kind} takes no parameters")
 
     def to_text(self) -> str:
         if self.params:
@@ -139,7 +132,7 @@ class TripleSpec:
 
 # --- factor-spec grammar ----------------------------------------------------
 
-_ROMANS = ("III", "IV", "VI", "II", "I", "V")  # longest match first
+_ROMANS = sorted(_ARITY, key=len, reverse=True)  # longest match first
 
 
 def _skip_ws(text: str, i: int) -> int:
@@ -166,7 +159,7 @@ def _parse_factor(text: str, i: int) -> tuple:
             i += len(roman)
             break
     if kind is None:
-        raise ParseError(start, "expected a factor kind (I, II, III, IV, V, VI)")
+        raise ParseError(start, f"expected a factor kind ({', '.join(_ARITY)})")
     i = _skip_ws(text, i)
     params: list = []
     if i < len(text) and text[i] == "(":
@@ -182,10 +175,6 @@ def _parse_factor(text: str, i: int) -> tuple:
         if i >= len(text) or text[i] != ")":
             raise ParseError(i, "expected ')'")
         i += 1
-    expected = 2 if kind == "I" else (0 if kind in ("V", "VI") else 1)
-    if len(params) != expected:
-        raise ParseError(start,
-                         f"{kind} takes {expected} parameter(s), got {len(params)}")
     try:
         return CartanDescriptor(kind, tuple(params)), i
     except ValueError as exc:

@@ -175,7 +175,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         g = grid_for(factor)
         report = verify_grid(g)
         entry = report.to_dict()
-        entry["factor"] = factor.to_text()
         entry["gamma"] = gamma_report(factor, grid_gamma(g))
         entries.append(entry)
         all_ok = all_ok and report.ok

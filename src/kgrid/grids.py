@@ -134,10 +134,6 @@ class ElementCheck:
     minimal: bool
     expect_minimal: bool
 
-    @property
-    def ok(self) -> bool:
-        return self.tripotent and (self.minimal or not self.expect_minimal)
-
 
 @dataclass(frozen=True, slots=True)
 class GridReport:
@@ -160,9 +156,7 @@ class GridReport:
 
     @property
     def ok(self) -> bool:
-        return (all(c.ok for c in self.element_checks)
-                and self.span_ok
-                and all(ok for _, ok in self.identity_checks))
+        return not self.failures()
 
     def failures(self) -> list:
         out = []

@@ -89,6 +89,11 @@ class KGridInvariant:
     gamma: frozenset
     exceptional_count: int = 0
 
+    def __post_init__(self) -> None:
+        if any(len(c) != self.group.k for c in self.gamma):
+            raise ValueError(f"every grid class needs {self.group.k} entries, "
+                             "one per summand")
+
     def to_dict(self) -> dict:
         return {
             "group": self.group.to_dict(),
@@ -99,27 +104,17 @@ class KGridInvariant:
 
 @lru_cache(maxsize=None)
 def _invariant_of_canonical(spec: TripleSpec) -> KGridInvariant:
-    left: list = []
-    right: list = []
-    layout = []  # (factor, offset, width) for the non-exceptional factors
-    exceptional = 0
-    for f in spec.factors:
-        if is_exceptional(f):
-            exceptional += 1
-            continue
-        t = enveloping_tro(f)
-        layout.append((f, len(left), len(t.summands)))
-        left.extend(n for n, _ in t.summands)
-        right.extend(m for _, m in t.summands)
-    total = len(left)
-    classes = set()
-    for f, off, width in layout:
-        for cls in gamma(f):
-            vec = [0] * total
-            vec[off:off + width] = cls
-            classes.add(tuple(vec))
-    group = DoubleScaledGroup(tuple(left), tuple(right))
-    return KGridInvariant(group, frozenset(classes), exceptional)
+    blocks = [_factor_block(f) for f in spec.factors if not is_exceptional(f)]
+    caps = [cap for _, block_caps, _ in blocks for cap in block_caps]
+    classes: set = set()
+    offset = 0
+    for _, block_caps, block_classes in blocks:
+        end = offset + len(block_caps)
+        classes.update((0,) * offset + cls + (0,) * (len(caps) - end)
+                       for cls in block_classes)
+        offset = end
+    group = DoubleScaledGroup(tuple(n for n, _ in caps), tuple(m for _, m in caps))
+    return KGridInvariant(group, frozenset(classes), len(spec.factors) - len(blocks))
 
 
 def k_grid_invariant(s: TripleSpec) -> KGridInvariant:

@@ -250,7 +250,7 @@ class TroHom:
             raise ShapeError(f"multiplicity matrix must be {q}x{p}")
         for row in self.mult:
             for a in row:
-                if not isinstance(a, int) or a < 0:
+                if not isinstance(a, int) or isinstance(a, bool) or a < 0:
                     raise ValueError(f"multiplicity {a!r} is not a nonnegative integer")
         for k, (cap_n, cap_m) in enumerate(self.target.summands):
             need_n = sum(a * n for a, (n, _) in zip(self.mult[k], self.source.summands))

@@ -72,6 +72,11 @@ class TestDescriptors:
         with pytest.raises(ValueError):
             CD("I", 2)
 
+    def test_arity_message(self):
+        with pytest.raises(ValueError) as exc:
+            CD("I", 2)
+        assert str(exc.value) == "I takes 2 parameter(s), got 1"
+
 
 class TestGrammar:
     def test_simple(self):
@@ -109,6 +114,24 @@ class TestGrammar:
         with pytest.raises(ParseError) as exc:
             parse_triple_spec(text)
         assert exc.value.position == pos
+
+    @pytest.mark.parametrize(
+        "text,pos,message",
+        [
+            ("I", 0, "I takes 2 parameter(s), got 0"),
+            ("I(1)", 0, "I takes 2 parameter(s), got 1"),
+            ("I(1,2,3)", 0, "I takes 2 parameter(s), got 3"),
+            ("V(1)", 0, "V takes 0 parameter(s), got 1"),
+            ("VI(2,3)", 0, "VI takes 0 parameter(s), got 2"),
+            ("IV(4,5)", 0, "IV takes 1 parameter(s), got 2"),
+            ("I(2,3)+V(1)", 7, "V takes 0 parameter(s), got 1"),
+        ],
+    )
+    def test_arity_errors(self, text, pos, message):
+        with pytest.raises(ParseError) as exc:
+            parse_triple_spec(text)
+        assert exc.value.position == pos
+        assert str(exc.value) == f"parse error at position {pos}: {message}"
 
     def test_range_error_passes_through(self):
         with pytest.raises(UnsupportedFactorError):

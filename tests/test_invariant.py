@@ -230,6 +230,15 @@ class TestAssembly:
         assert inv.group.k == 2
         assert inv.exceptional_count == 2
 
+    @pytest.mark.parametrize("left,right,cls", [
+        ((1,), (1,), (1, 1)),
+        ((3, 4), (4, 3), (1,)),
+    ], ids=["too-long", "too-short"])
+    def test_class_length_is_the_group_rank(self, left, right, cls):
+        group = DoubleScaledGroup(left, right)
+        with pytest.raises(ValueError, match=f"every grid class needs {len(left)} entries"):
+            KGridInvariant(group, frozenset({cls}))
+
 
 class TestIsomorphismSearch:
     def test_identity(self):

@@ -175,8 +175,8 @@ class TestLifting:
         with pytest.raises(ValueError):
             lift_hom([[-1]], parse_space("M(1,1)"), parse_space("M(2,2)"))
 
-    @pytest.mark.parametrize("entry", [1.5, Fraction(3, 2), "2"],
-                             ids=["float", "Fraction", "str"])
+    @pytest.mark.parametrize("entry", [1.5, Fraction(3, 2), "2", True],
+                             ids=["float", "Fraction", "str", "bool"])
     def test_non_integer_rejected(self, entry):
         with pytest.raises(ValueError, match="is not a nonnegative integer"):
             lift_hom([[entry]], parse_space("M(1,1)"), parse_space("M(2,2)"))
