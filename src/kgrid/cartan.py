@@ -25,8 +25,8 @@ from itertools import combinations
 from typing import Sequence
 
 from .exact import (HALF, SIGMA1, SIGMA2, SIGMA3, Matrix, ParseError, identity,
-                    kron_all, mat_mul, matrix_unit, sparse_matrix, zeros)
-from .tro import TroElement, TroSpace, element_span_coords, jordan_triple, zero_element
+                    kron_all, mat_mul, matrix_unit, span_coords, sparse_matrix)
+from .tro import TroElement, TroSpace, element_span_coords, jordan_triple
 
 
 class UnsupportedFactorError(ValueError):
@@ -403,7 +403,12 @@ def standard_spin_system(d: CartanDescriptor) -> SpinSystem:
 # --- intrinsic coordinates and the embedding ----------------------------------
 
 def intrinsic_basis(d: CartanDescriptor) -> tuple:
-    """Basis of the intrinsic coordinate space (see ``embed`` for conventions)."""
+    """Basis of the intrinsic coordinate space.
+
+    Coordinate conventions: I(n,m) takes an n x m matrix; II(n) a skew and
+    III(n) a symmetric n x n matrix; IV(d) a row vector of length d of
+    coefficients over the spin basis (identity direction first).
+    """
     if d.kind == "I":
         n, m = d.params
         return tuple(matrix_unit(n, m, i, j) for i in range(n) for j in range(m))
@@ -427,68 +432,48 @@ def intrinsic_basis(d: CartanDescriptor) -> tuple:
     raise ExceptionalFactorError(f"{d}: no coordinate model is implemented")
 
 
-def _combine(d: CartanDescriptor, row: Matrix) -> TroElement:
-    # the coefficient row over the embedded frame of a rank-one or spin factor
-    frame = embedded_basis(d)
-    acc = zero_element(frame[0].space)
-    for idx, el in enumerate(frame):
-        coeff = row[0, idx]
-        if not coeff.is_zero():
-            acc = acc + el.scale(coeff)
-    return acc
-
-
-def embed(d: CartanDescriptor, x: Matrix) -> TroElement:
-    """The triple embedding of intrinsic coordinates into the enveloping TRO.
-
-    Coordinate conventions: I(n,m) takes an n x m matrix; II(n) a skew and
-    III(n) a symmetric n x n matrix; IV(d) a row vector of length d of
-    coefficients over the spin basis (identity direction first).
-    """
-    if is_exceptional(d):
-        raise ExceptionalFactorError(f"{d}: no coordinate model is implemented")
-    if d.kind == "I":
-        n, m = d.params
-        if x.shape != (n, m):
-            raise CoordinateError(f"I({n},{m}) expects an {n}x{m} matrix, got {x.shape}")
-        if min(n, m) == 1:
-            return _combine(d, x if n == 1 else x.transpose())
-        target = enveloping_tro(d)
-        return TroElement(target, (x, x.transpose()))
-    if d.kind == "II":
-        n = d.params[0]
-        if x.shape != (n, n):
-            raise CoordinateError(f"II({n}) expects an {n}x{n} matrix, got {x.shape}")
-        if x.transpose() != -x:
-            raise CoordinateError(f"II({n}) coordinates must be skew-symmetric")
-        return TroElement(enveloping_tro(d), (x,))
-    if d.kind == "III":
-        n = d.params[0]
-        if x.shape != (n, n):
-            raise CoordinateError(f"III({n}) expects an {n}x{n} matrix, got {x.shape}")
-        if x.transpose() != x:
-            raise CoordinateError(f"III({n}) coordinates must be symmetric")
-        return TroElement(enveloping_tro(d), (x,))
-    # spin factor: coefficients over the spin basis, identity first
-    dim = d.params[0]
-    if x.shape != (1, dim):
-        raise CoordinateError(f"IV({dim}) expects a 1x{dim} coefficient row, got {x.shape}")
-    return _combine(d, x)
-
-
 @lru_cache(maxsize=None)
 def embedded_basis(d: CartanDescriptor) -> tuple:
-    """Images of the intrinsic basis under ``embed``; spans the embedded factor.
+    """Images of ``intrinsic_basis(d)``, in its order; spans the embedded factor.
 
-    A rank-one factor's basis is its ``hilbert_frame`` and a spin factor's is
-    its standard spin system, identity first: the frames themselves.
+    A matrix unit u of I(n,m) goes to (u, u^T) and a basis matrix u of II(n)
+    or III(n) to (u,).  A rank-one factor's basis is its ``hilbert_frame`` and
+    a spin factor's is its standard spin system, identity first: the frames
+    themselves.
     """
     if d.kind == "I" and min(d.params) == 1:
         return hilbert_frame(d.params[0] * d.params[1])
     if d.kind == "IV":
         system = standard_spin_system(d)
         return (system.identity,) + system.symmetries
-    return tuple(embed(d, x) for x in intrinsic_basis(d))
+    basis = intrinsic_basis(d)
+    target = enveloping_tro(d)
+    if d.kind == "I":
+        return tuple(TroElement(target, (u, u.transpose())) for u in basis)
+    return tuple(TroElement(target, (u,)) for u in basis)
+
+
+def _combine(basis: Sequence, coeffs: Sequence) -> Matrix | TroElement:
+    # sum of coeffs[k] * basis[k], for matrices and TRO elements alike
+    acc = basis[0].scale(0)
+    for c, b in zip(coeffs, basis):
+        if not c.is_zero():
+            acc = acc + b.scale(c)
+    return acc
+
+
+def embed(d: CartanDescriptor, x: Matrix) -> TroElement:
+    """The triple embedding: the linear map sending ``intrinsic_basis(d)``
+    onto ``embedded_basis(d)``; raises CoordinateError off the coordinate
+    space (see ``intrinsic_basis`` for the conventions)."""
+    basis = intrinsic_basis(d)
+    if x.shape != basis[0].shape:
+        raise CoordinateError(f"{d} expects a {basis[0].rows}x{basis[0].cols} "
+                              f"coordinate matrix, got {x.shape}")
+    coeffs = span_coords(basis, x)
+    if coeffs is None:
+        raise CoordinateError(f"coordinates are not in the coordinate space of {d}")
+    return _combine(embedded_basis(d), coeffs)
 
 
 def coords_of(d: CartanDescriptor, el: TroElement) -> Matrix:
@@ -496,12 +481,7 @@ def coords_of(d: CartanDescriptor, el: TroElement) -> Matrix:
     coeffs = element_span_coords(list(embedded_basis(d)), el)
     if coeffs is None:
         raise CoordinateError(f"element is not in the embedded copy of {d}")
-    basis = intrinsic_basis(d)
-    acc = zeros(*basis[0].shape)
-    for c, bmat in zip(coeffs, basis):
-        if not c.is_zero():
-            acc = acc + bmat.scale(c)
-    return acc
+    return _combine(intrinsic_basis(d), coeffs)
 
 
 def intrinsic_jordan(d: CartanDescriptor, x: Matrix, y: Matrix, z: Matrix) -> Matrix:

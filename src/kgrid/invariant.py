@@ -93,6 +93,9 @@ class KGridInvariant:
         if any(len(c) != self.group.k for c in self.gamma):
             raise ValueError(f"every grid class needs {self.group.k} entries, "
                              "one per summand")
+        count = self.exceptional_count
+        if type(count) is not int or count < 0:
+            raise ValueError(f"exceptional_count must be a non-negative int, got {count!r}")
 
     def to_dict(self) -> dict:
         return {

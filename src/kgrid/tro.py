@@ -72,21 +72,21 @@ class TroSpace:
         return self.to_text()
 
 
-_SUMMAND = re.compile(r"M\((\d+),(\d+)\)")
+_SUMMAND = re.compile(r"\s*M\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)\s*")
 
 
 def parse_space(text: str) -> TroSpace:
-    """Parse the ``"M(n,m)+M(n,m)+..."`` space format (whitespace ignored)."""
-    stripped = "".join(text.split())
-    if not stripped:
+    """Parse the ``"M(n,m)+M(n,m)+..."`` space format; whitespace is allowed
+    between tokens, and error positions index ``text`` as given."""
+    if not text.strip():
         raise ParseError(0, "empty TRO space literal")
-    parts = stripped.split("+")
     summands = []
     pos = 0
-    for part in parts:
+    for part in text.split("+"):
         m = _SUMMAND.fullmatch(part)
         if m is None:
-            raise ParseError(pos, f"bad summand {part!r}")
+            lead = len(part) - len(part.lstrip())
+            raise ParseError(pos + lead, f"bad summand {part.strip()!r}")
         summands.append((int(m.group(1)), int(m.group(2))))
         pos += len(part) + 1
     return TroSpace(tuple(summands))

@@ -226,6 +226,12 @@ class TestBMatrix:
             b_matrix(3, 1, 0)
 
 
+def _coordinates(d):
+    # intrinsic coordinates of d: a skew or symmetric matrix for II and III
+    fix = {"II": _skewify, "III": _symmetrize}.get(d.kind, lambda m: m)
+    return matrices(*intrinsic_basis(d)[0].shape).map(fix)
+
+
 class TestEmbed:
     def test_rectangular_diagonal_pair(self):
         el = embed(CD("I", 2, 2), matrix_unit(2, 2, 0, 0))
@@ -276,6 +282,35 @@ class TestEmbed:
         basis = embedded_basis(CD("IV", dim))
         assert len(basis) == dim
         assert all(b is e for b, e in zip(basis, (s.identity, *s.symmetries)))
+
+    @pytest.mark.parametrize("d", [CD("I", 2, 3), CD("II", 5), CD("III", 3)], ids=str)
+    def test_matrix_factor_basis_elements(self, d):
+        for u, el in zip(intrinsic_basis(d), embedded_basis(d), strict=True):
+            assert el.space == enveloping_tro(d)
+            assert el.blocks == ((u, u.transpose()) if d.kind == "I" else (u,))
+
+    @pytest.mark.parametrize("d", [CD("I", 2, 3), CD("I", 1, 4), CD("I", 4, 1), CD("II", 5),
+                                   CD("III", 3), CD("IV", 5), CD("IV", 6)], ids=str)
+    @given(data=st.data())
+    def test_round_trip(self, d, data):
+        x = data.draw(_coordinates(d))
+        assert coords_of(d, embed(d, x)) == x
+
+    @pytest.mark.parametrize("d,x", [
+        (CD("I", 1, 4), zeros(4, 1)),
+        (CD("I", 4, 1), zeros(1, 4)),
+        (CD("IV", 5), zeros(5, 1)),
+    ], ids=["I(1,4)", "I(4,1)", "IV(5)"])
+    def test_wrong_shape(self, d, x):
+        with pytest.raises(CoordinateError):
+            embed(d, x)
+
+    @pytest.mark.parametrize("d", [EXCEPTIONAL_16, EXCEPTIONAL_27], ids=str)
+    def test_exceptional_has_no_embedding(self, d):
+        with pytest.raises(ExceptionalFactorError):
+            embed(d, zeros(1, 1))
+        with pytest.raises(ExceptionalFactorError):
+            embedded_basis(d)
 
 
 def _skewify(m):

@@ -120,6 +120,13 @@ class TestErrorExits:
         code, _, err = invoke(capsys, "lift", str(path), "M(2,x)", "M(2,2)")
         assert code == 64
 
+    def test_space_literal_digits_split_by_whitespace_exit_64(self, capsys, tmp_path):
+        path = tmp_path / "alpha.json"
+        path.write_text("[[1]]")
+        code, _, err = invoke(capsys, "lift", str(path), "M(1 2,1)", "M(20,20)")
+        assert code == 64
+        assert "parse error at position 0: bad summand 'M(1 2,1)'" in err
+
     def test_lift_rows_not_arrays_exit_64(self, capsys, tmp_path):
         path = tmp_path / "alpha.json"
         path.write_text("[1, 2]")

@@ -239,6 +239,12 @@ class TestAssembly:
         with pytest.raises(ValueError, match=f"every grid class needs {len(left)} entries"):
             KGridInvariant(group, frozenset({cls}))
 
+    @pytest.mark.parametrize("count", [-1, True, 1.5])
+    def test_exceptional_count_is_a_non_negative_int(self, count):
+        group = DoubleScaledGroup((3,), (3,))
+        with pytest.raises(ValueError, match="exceptional_count must be a non-negative int"):
+            KGridInvariant(group, frozenset({(1,), (2,)}), count)
+
 
 class TestIsomorphismSearch:
     def test_identity(self):

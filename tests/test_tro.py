@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from kgrid.exact import (
     HALF,
     I,
+    ParseError,
     SIGMA1,
     SIGMA2,
     SIGMA3,
@@ -58,10 +59,20 @@ class TestSpaces:
         assert t == TroSpace(((1, 2), (2, 1)))
         assert t.to_text() == "M(1,2)+M(2,1)"
 
-    @pytest.mark.parametrize("bad", ["", "M(0,1)", "M(1)", "M(1,2)+", "N(1,2)"])
+    @pytest.mark.parametrize("bad", ["", "M(0,1)", "M(1)", "M(1,2)+", "N(1,2)", "M(1 2,1)"])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_space(bad)
+
+    @pytest.mark.parametrize("text,position", [
+        ("M(1,1)+M(2,x)", 7),
+        ("M(1,1)  +  M(2,x)", 11),
+        (" M(1 2,1)", 1),
+    ])
+    def test_error_position_indexes_the_text_as_given(self, text, position):
+        with pytest.raises(ParseError) as exc:
+            parse_space(text)
+        assert exc.value.position == position
 
     def test_algebra_dims(self):
         t = parse_space("M(1,2)+M(2,1)")
