@@ -57,6 +57,9 @@ class CartanDescriptor:
         if len(params) != _ARITY[kind]:
             raise ValueError(
                 f"{kind} takes {_ARITY[kind]} parameter(s), got {len(params)}")
+        for p in params:  # a loop, not any(): descriptors are built on hot paths
+            if type(p) is not int:
+                raise ValueError(f"{kind} parameters must be ints, got {params!r}")
         if kind == "I":
             n, m = params
             if n < 1 or m < 1:
@@ -212,9 +215,7 @@ def canonicalize_factor(d: CartanDescriptor) -> CartanDescriptor:
     """
     if d.kind == "I":
         n, m = d.params
-        if n == 1 or m == 1:
-            return CartanDescriptor("I", (1, max(n, m)))
-        return CartanDescriptor("I", (min(n, m), max(n, m)))
+        return d if n <= m else CartanDescriptor("I", (m, n))
     if d.kind == "III" and d.params[0] == 1:
         return CartanDescriptor("I", (1, 1))
     if d.kind == "IV" and d.params[0] == 4:

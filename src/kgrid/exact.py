@@ -1,6 +1,7 @@
 """Exact arithmetic over the Gaussian rationals Q(i): scalars, sparse matrices
 of Gaussian-integer numerators over one common denominator, rank and span by
-one fraction-free elimination, Kronecker products and direct sums.
+one fraction-free elimination, Kronecker products and block-diagonal sums.
+No other module reads the sparse format; span and line test take block tuples.
 
 Everything here is exact; no floating point is ever involved.  Matrices are
 immutable value types, so they can be shared freely and used as dict keys.
@@ -331,12 +332,24 @@ def kron_all(ms: Sequence[Matrix]) -> Matrix:
     return functools.reduce(kron, ms)
 
 
+def block_diagonal(ms: Sequence[Matrix], rows: int, cols: int) -> Matrix:
+    """ms down the diagonal of a rows x cols zero matrix, each after the last."""
+    den = math.lcm(*(m.den for m in ms))
+    num: dict = {}
+    ro = co = 0
+    for m in ms:
+        f = den // m.den
+        for i, row in m.num.items():
+            num[ro + i] = ({co + j: v for j, v in row.items()} if f == 1 else
+                           {co + j: (v[0] * f, v[1] * f) for j, v in row.items()})
+        ro, co = ro + m.rows, co + m.cols
+    if ro > rows or co > cols:
+        raise ShapeError(f"blocks {[m.shape for m in ms]} overflow {rows}x{cols}")
+    return sparse_matrix(rows, cols, num, den)
+
+
 def direct_sum(a: Matrix, b: Matrix) -> Matrix:
-    den = math.lcm(a.den, b.den)
-    num = _scaled(a.num, den // a.den)
-    num.update((a.rows + i, {a.cols + j: v for j, v in row.items()})
-               for i, row in _scaled(b.num, den // b.den).items())
-    return sparse_matrix(a.rows + b.rows, a.cols + b.cols, num, den)
+    return block_diagonal((a, b), a.rows + b.rows, a.cols + b.cols)
 
 
 def _gdiv(x: tuple, d: tuple) -> tuple:  # x / d, known to be a Gaussian integer
@@ -386,34 +399,53 @@ def rank(a: Matrix) -> int:
     return len(_bareiss(list(a.num.values()), a.cols)[0])
 
 
-def _flat(m: Matrix, shape: tuple) -> dict:  # {row-major position: numerator}
-    if m.shape != shape:
-        raise ShapeError(f"span over mixed shapes: {shape} vs {m.shape}")
-    return {i * m.cols + j: v for i, row in m.num.items() for j, v in row.items()}
+def _shape(v: Union[Matrix, tuple]) -> tuple:  # the block shapes
+    return (v.shape,) if isinstance(v, Matrix) else tuple(b.shape for b in v)
 
 
-def span_dim(ms: Sequence[Matrix]) -> int:
-    """Dimension of the complex linear span of same-shaped matrices."""
-    if not ms:
+def _flat(v: Union[Matrix, tuple], like: Union[Matrix, tuple]) -> tuple:
+    """(v's numerators at row-major positions, its blocks laid end to end,
+    over the lcm of the blocks' denominators; that lcm).  v has like's shape."""
+    if _shape(v) != _shape(like):
+        raise ShapeError(f"span over mixed shapes: {_shape(like)} vs {_shape(v)}")
+    blocks = (v,) if isinstance(v, Matrix) else v
+    den = math.lcm(*(b.den for b in blocks))
+    flat: dict = {}
+    offset = 0
+    for b in blocks:
+        f = den // b.den
+        for i, row in b.num.items():
+            for j, x in row.items():
+                flat[offset + i * b.cols + j] = x if f == 1 else (x[0] * f, x[1] * f)
+        offset += b.rows * b.cols
+    return flat, den
+
+
+def span_dim(vs: Sequence[Union[Matrix, tuple]]) -> int:
+    """Dimension of the complex linear span of same-shaped vectors, each a
+    matrix or a tuple of matrix blocks."""
+    if not vs:
         return 0
-    # row r is ms[r] flattened and times its denominator, which keeps the rank
-    stacked = {r: flat for r, flat in enumerate(_flat(m, ms[0].shape) for m in ms) if flat}
-    return rank(_new(len(ms), ms[0].rows * ms[0].cols, stacked, 1))
+    # row r is vs[r] flattened and times its denominator, which keeps the rank
+    stacked = {r: flat for r, (flat, _) in enumerate(_flat(v, vs[0]) for v in vs) if flat}
+    return rank(_new(len(vs), sum(n * m for n, m in _shape(vs[0])), stacked, 1))
 
 
-def span_coords(ms: Sequence[Matrix], target: Matrix) -> Optional[list]:
-    """Coefficients c with sum(c_j * ms[j]) == target, or None if unsolvable.
+def span_coords(vs: Sequence[Union[Matrix, tuple]],
+                target: Union[Matrix, tuple]) -> Optional[list]:
+    """Coefficients c with sum(c_j * vs[j]) == target, or None if unsolvable.
 
-    Free coordinates are returned as 0; any one solution is acceptable to the
-    callers (span membership tests and basis pullbacks).
+    The vectors are as in span_dim.  Free coordinates are returned as 0; any
+    one solution will do for the callers (span tests and basis pullbacks).
     """
-    k = len(ms)
-    # one equation per entry position over the numerators N_j of ms[j] and,
+    k = len(vs)
+    # one equation per entry position over the numerators N_j of vs[j] and,
     # in column k, N of the target: sum_j x_j N_j = N, so c_j = x_j d_j / d
+    flats = [_flat(v, target) for v in [*vs, target]]
     eqs: dict = {}
-    for j, m in enumerate([*ms, target]):
-        for pos, v in _flat(m, target.shape).items():
-            eqs.setdefault(pos, {})[j] = v
+    for j, (flat, _) in enumerate(flats):
+        for pos, x in flat.items():
+            eqs.setdefault(pos, {})[j] = x
     pivots, rest = _bareiss(list(eqs.values()), k)
     if rest:
         return None
@@ -421,7 +453,37 @@ def span_coords(ms: Sequence[Matrix], target: Matrix) -> Optional[list]:
     for c, row in reversed(pivots):
         known = sum((Scalar(*v) * x[j] for j, v in row.items() if j != c and j < k), ZERO)
         x[c] = (Scalar(*row.get(k, (0, 0))) - known) / Scalar(*row[c])
-    return [xj * Scalar(Fraction(m.den, target.den)) for xj, m in zip(x, ms)]
+    return [xj * Scalar(Fraction(d, flats[k][1])) for xj, (_, d) in zip(x, flats)]
+
+
+def in_complex_line(e: tuple, w: tuple) -> bool:
+    """True iff the blocks w are a complex multiple of the blocks e.
+
+    Decided on Gaussian-integer numerators, with no division: let p and q be
+    the numerators of e and w at e's first nonzero entry, in block b.  Then
+    w = (q/p) e iff every block of w has the nonzero positions of e's and, at
+    each, p W dw_b de = q E de_b dw, where W and E are the entries' numerators,
+    dw and de their blocks' denominators and dw_b, de_b those of block b.
+    """
+    b = next((b for b, x in enumerate(e) if x.num), None)
+    if b is None:
+        return all(y.is_zero() for y in w)
+    i, row = next(iter(e[b].num.items()))
+    j, p = next(iter(row.items()))
+    q = w[b].num.get(i, {}).get(j)
+    if q is None:
+        return all(y.is_zero() for y in w)
+    for x, y in zip(e, w):
+        if x.num.keys() != y.num.keys():
+            return False
+        a = _gmul(p, (w[b].den * x.den, 0))
+        c = _gmul(q, (e[b].den * y.den, 0))
+        for r, xrow in x.num.items():
+            yrow = y.num[r]
+            if xrow.keys() != yrow.keys() or any(
+                    _gmul(a, yrow[k]) != _gmul(c, v) for k, v in xrow.items()):
+                return False
+    return True
 
 
 def matrix_to_strings(m: Matrix) -> list:

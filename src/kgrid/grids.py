@@ -33,7 +33,7 @@ from .cartan import (
     is_exceptional,
     standard_spin_system,
 )
-from .exact import HALF, I, _gmul, mat_mul
+from .exact import HALF, I, in_complex_line, mat_mul
 from .ktheory import k0_class_of_projection
 from .tro import (
     TroElement,
@@ -190,36 +190,6 @@ class GridReport:
         }
 
 
-def _in_complex_line(e: tuple, w: tuple) -> bool:
-    """True iff the blocks w are a complex multiple of the blocks e.
-
-    Decided on Gaussian-integer numerators, with no division: let p and q be
-    the numerators of e and w at e's first nonzero entry, in block b.  Then
-    w = (q/p) e iff every block of w has the nonzero positions of e's and, at
-    each, p W dw_b de = q E de_b dw, where W and E are the entries' numerators,
-    dw and de their blocks' denominators and dw_b, de_b those of block b.
-    """
-    b = next((b for b, x in enumerate(e) if x.num), None)
-    if b is None:
-        return all(y.is_zero() for y in w)
-    i, row = next(iter(e[b].num.items()))
-    j, p = next(iter(row.items()))
-    q = w[b].num.get(i, {}).get(j)
-    if q is None:
-        return all(y.is_zero() for y in w)
-    for x, y in zip(e, w):
-        if x.num.keys() != y.num.keys():
-            return False
-        a = _gmul(p, (w[b].den * x.den, 0))
-        c = _gmul(q, (e[b].den * y.den, 0))
-        for r, xrow in x.num.items():
-            yrow = y.num[r]
-            if xrow.keys() != yrow.keys() or any(
-                    _gmul(a, yrow[k]) != _gmul(c, v) for k, v in xrow.items()):
-                return False
-    return True
-
-
 def _expect_minimal(kind: str, label: str) -> bool:
     # Two grid families contain rank-2 tripotents by construction: the spin
     # u0 (its range projection is the full identity) and the off-diagonal
@@ -269,8 +239,8 @@ def verify_grid(g: Grid) -> GridReport:
     for label, e in zip(g.labels, g.elements):
         tripotent = is_tripotent(e)
         minimal = all(
-            _in_complex_line(e.blocks, tuple(mat_mul(mat_mul(x, bd), x)
-                                             for x, bd in zip(e.blocks, daggers)))
+            in_complex_line(e.blocks, tuple(mat_mul(mat_mul(x, bd), x)
+                                            for x, bd in zip(e.blocks, daggers)))
             for daggers in basis_daggers)
         checks.append(ElementCheck(label, tripotent, minimal,
                                    expect_minimal=_expect_minimal(g.kind, label)))

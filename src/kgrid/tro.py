@@ -9,7 +9,6 @@ copies block-diagonally and pads with zeros.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -17,16 +16,14 @@ from typing import Optional, Sequence
 from .exact import (
     EntryLike,
     HALF,
-    Matrix,
     ParseError,
     ShapeError,
-    _scalar,
+    block_diagonal,
     mat_mul,
     matrix_from_strings,
     matrix_to_strings,
     span_coords,
     span_dim,
-    sparse_matrix,
     zeros,
 )
 
@@ -59,6 +56,8 @@ class TroSpace:
         if not self.summands:
             raise ValueError("a TRO space needs at least one summand")
         for n, m in self.summands:
+            if type(n) is not int or type(m) is not int:
+                raise ValueError(f"summand dimensions must be ints, got {(n, m)!r}")
             if n < 1 or m < 1:
                 raise ValueError(f"summand M({n},{m}) has a dimension < 1")
 
@@ -144,7 +143,6 @@ class TroElement:
         return TroElement(self.space, tuple(-b for b in self.blocks))
 
     def scale(self, s: EntryLike) -> "TroElement":
-        s = _scalar(s)
         return TroElement(self.space, tuple(b.scale(s) for b in self.blocks))
 
     def is_zero(self) -> bool:
@@ -167,10 +165,9 @@ def zero_element(t: TroSpace) -> TroElement:
 
 
 def _require_same_space(*els: TroElement) -> None:
-    sp = els[0].space
     for e in els[1:]:
-        if e.space != sp:
-            raise SpaceMismatch(f"spaces differ: {sp} vs {e.space}")
+        if e.space != els[0].space:
+            raise SpaceMismatch(f"spaces differ: {els[0].space} vs {e.space}")
 
 
 def ternary_product(x: TroElement, y: TroElement, z: TroElement) -> TroElement:
@@ -201,33 +198,15 @@ def range_projection(x: TroElement) -> TroElement:
     )
 
 
-def flatten_element(x: TroElement) -> Matrix:
-    """All block entries as a single row vector, for span computations."""
-    den = math.lcm(*(b.den for b in x.blocks))
-    row = {}
-    offset = 0
-    for b in x.blocks:
-        f = den // b.den
-        for i, brow in b.num.items():
-            base = offset + i * b.cols
-            for j, v in brow.items():
-                row[base + j] = v if f == 1 else (v[0] * f, v[1] * f)
-        offset += b.rows * b.cols
-    return sparse_matrix(1, offset, {0: row} if row else {}, den)
-
-
 def element_span_dim(els: Sequence[TroElement]) -> int:
-    if not els:
-        return 0
     _require_same_space(*els)
-    return span_dim([flatten_element(e) for e in els])
+    return span_dim([e.blocks for e in els])
 
 
 def element_span_coords(els: Sequence[TroElement], x: TroElement) -> Optional[list]:
     """Coefficients expressing x in the linear span of els, or None."""
-    if els:
-        _require_same_space(*els, x)
-    return span_coords([flatten_element(e) for e in els], flatten_element(x))
+    _require_same_space(*els, x)
+    return span_coords([e.blocks for e in els], x.blocks)
 
 
 @dataclass(frozen=True, slots=True)
@@ -281,22 +260,9 @@ def apply_hom(h: TroHom, x: TroElement) -> TroElement:
     """Concrete block-diagonal realization: copies first, zero padding last."""
     if x.space != h.source:
         raise SpaceMismatch(f"element lives in {x.space}, hom expects {h.source}")
-    den = math.lcm(*(b.den for b in x.blocks))
-    blocks = []
-    for k, (nk, mk) in enumerate(h.target.summands):
-        out = {}
-        ro = co = 0
-        for i, (ni, mi) in enumerate(h.source.summands):
-            xi = x.blocks[i]
-            f = den // xi.den
-            for _ in range(h.mult[k][i]):
-                for a, row in xi.num.items():
-                    out[ro + a] = ({co + b: v for b, v in row.items()} if f == 1 else
-                                   {co + b: (v[0] * f, v[1] * f) for b, v in row.items()})
-                ro += ni
-                co += mi
-        blocks.append(sparse_matrix(nk, mk, out, den))
-    return TroElement(h.target, tuple(blocks))
+    return TroElement(h.target, tuple(
+        block_diagonal([b for b, a in zip(x.blocks, row) for _ in range(a)], nk, mk)
+        for row, (nk, mk) in zip(h.mult, h.target.summands)))
 
 
 def compose_homs(g: TroHom, h: TroHom) -> TroHom:

@@ -72,6 +72,12 @@ class TestDescriptors:
         with pytest.raises(ValueError):
             CD("I", 2)
 
+    @pytest.mark.parametrize("kind,params", [("IV", (6.5,)), ("II", (5.0,)), ("I", (True, 3))],
+                             ids=["float", "integral-float", "bool"])
+    def test_non_int_parameters_rejected(self, kind, params):
+        with pytest.raises(ValueError, match="must be ints"):
+            CartanDescriptor(kind, params)
+
     def test_arity_message(self):
         with pytest.raises(ValueError) as exc:
             CD("I", 2)

@@ -1,9 +1,12 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import kgrid
 from kgrid.exact import (
     HALF,
     I,
@@ -15,6 +18,7 @@ from kgrid.exact import (
     Scalar,
     ShapeError,
     ZERO,
+    block_diagonal,
     dagger,
     direct_sum,
     identity,
@@ -221,6 +225,20 @@ class TestSpan:
         assert recombined == target
 
 
+class TestBlockDiagonal:
+    def test_no_blocks_is_zero(self):
+        assert block_diagonal([], 2, 3) == zeros(2, 3)
+
+    def test_padding_in_one_dimension(self):
+        a, b = mat([[1, 2]]), mat([[HALF]])
+        assert block_diagonal([a, b], 2, 4) == mat([[1, 2, 0, 0], [0, 0, HALF, 0]])
+        assert block_diagonal([a, b], 3, 3) == mat([[1, 2, 0], [0, 0, HALF], [0, 0, 0]])
+
+    def test_overflow_rejected(self):
+        with pytest.raises(ShapeError):
+            block_diagonal([identity(2), identity(1)], 3, 2)
+
+
 class TestSerialization:
     @given(any_matrices())
     def test_lossless_roundtrip(self, a):
@@ -310,10 +328,14 @@ def r_kron(a, b):
             for i in range(len(a)) for k in range(len(b))]
 
 
-def r_direct_sum(a, b):
-    zero = (Fraction(0), Fraction(0))
-    return ([row + [zero] * len(b[0]) for row in a]
-            + [[zero] * len(a[0]) + row for row in b])
+def r_block_diagonal(blocks, rows, cols):
+    out = [[(Fraction(0), Fraction(0))] * cols for _ in range(rows)]
+    r = c = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[r + i][c:c + len(row)] = row
+        r, c = r + len(b), c + len(b[0])
+    return out
 
 
 def r_rank(rows) -> int:
@@ -379,7 +401,17 @@ class TestKernelAgainstReference:
     def test_kron_direct_sum(self, pa, pb):
         (a, ra), (b, rb) = pa, pb
         assert ref_of(kron(a, b)) == r_kron(ra, rb)
-        assert ref_of(direct_sum(a, b)) == r_direct_sum(ra, rb)
+        assert ref_of(direct_sum(a, b)) == r_block_diagonal(
+            [ra, rb], a.rows + b.rows, a.cols + b.cols)
+
+    @given(st.lists(shapes.flatmap(lambda s: dense_pairs(*s)), max_size=3),
+           st.integers(0, 2), st.integers(0, 2))
+    def test_block_diagonal(self, pairs, pad_rows, pad_cols):
+        rows = sum(m.rows for m, _ in pairs) + pad_rows
+        cols = sum(m.cols for m, _ in pairs) + pad_cols
+        assume(rows and cols)
+        assert ref_of(block_diagonal([m for m, _ in pairs], rows, cols)) == r_block_diagonal(
+            [r for _, r in pairs], rows, cols)
 
     @given(st.tuples(st.integers(2, 5), st.integers(2, 5)).flatmap(
         lambda s: dense_pairs(*s, entries=sparse_ints)))
@@ -469,3 +501,19 @@ class TestNormalization:
         assert repr(m[1, 2]) == "Scalar(-2+1/6*i)"
         with pytest.raises(IndexError):
             m[2, 0]
+
+
+def test_sparse_format_is_read_only_in_exact():
+    """No kgrid module but kgrid.exact reads Matrix.num or .den or imports a
+    private name from kgrid.exact, so the sparse format can change in one place."""
+    offenders = []
+    for path in sorted(Path(kgrid.__file__).parent.glob("*.py")):
+        if path.name == "exact.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("num", "den"):
+                offenders.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module in ("exact", "kgrid.exact"):
+                offenders += [f"{path.name}:{node.lineno} imports {a.name}"
+                              for a in node.names if a.name.startswith("_")]
+    assert offenders == []

@@ -23,6 +23,7 @@ from kgrid.exact import (
     Matrix,
     Scalar,
     identity,
+    in_complex_line,
     kron,
     matrix_unit,
     rank,
@@ -30,7 +31,6 @@ from kgrid.exact import (
 )
 from kgrid.grids import (
     Grid,
-    _in_complex_line,
     grid_for,
     verify_grid,
 )
@@ -281,18 +281,18 @@ class TestVerifyGrid:
         assert data["span"] == {"found": 3, "expected": 3, "ok": True}
 
 
-def reference_in_complex_line(e: TroElement, w: TroElement) -> bool:
-    """The line test by Scalar division: w is compared with e scaled by the
-    quotient of their entries at e's first nonzero entry."""
-    for b, blk in enumerate(e.blocks):
-        for i, row in blk.num.items():
-            j = next(iter(row))
-            return w == e.scale(w.blocks[b][i, j] / blk[i, j])
-    return w.is_zero()
-
-
 def _entries(m: Matrix) -> list:
     return [m[divmod(k, m.cols)] for k in range(m.rows * m.cols)]
+
+
+def reference_in_complex_line(e: TroElement, w: TroElement) -> bool:
+    """The line test by Scalar division: w is compared with e scaled by the
+    quotient of their entries at e's first nonzero entry, row-major."""
+    for b, blk in enumerate(e.blocks):
+        for k, v in enumerate(_entries(blk)):
+            if not v.is_zero():
+                return w == e.scale(_entries(w.blocks[b])[k] / v)
+    return w.is_zero()
 
 
 def _with_entry(x: TroElement, b: int, k: int, value: Scalar) -> TroElement:
@@ -325,14 +325,15 @@ _MULTIPLIERS = {
 
 
 class TestLineTest:
-    """The numerator line test of the minimality check against the reference."""
+    """exact.in_complex_line, the numerator line test of the minimality
+    check, against the reference."""
 
     @pytest.mark.parametrize("kind", sorted(_MULTIPLIERS))
     @given(data=st.data())
     def test_multiples(self, kind, data):
         e = data.draw(_line_elements)
         w = e.scale(data.draw(_MULTIPLIERS[kind]))
-        assert _in_complex_line(e.blocks, w.blocks) is True
+        assert in_complex_line(e.blocks, w.blocks) is True
         assert reference_in_complex_line(e, w) is True
 
     @pytest.mark.parametrize("change", ["perturbed", "added", "dropped"])
@@ -352,13 +353,13 @@ class TestLineTest:
             delta = data.draw(scalars.filter(lambda s: not s.is_zero()))
             value = _entries(w.blocks[b])[k] + delta
         w = _with_entry(w, b, k, value)
-        assert _in_complex_line(e.blocks, w.blocks) == reference_in_complex_line(e, w)
+        assert in_complex_line(e.blocks, w.blocks) == reference_in_complex_line(e, w)
 
     @given(_line_elements)
     def test_zero(self, e):
         w = e.scale(ZERO)
-        assert _in_complex_line(e.blocks, w.blocks) is True
-        assert _in_complex_line(w.blocks, e.blocks) is e.is_zero()
+        assert in_complex_line(e.blocks, w.blocks) is True
+        assert in_complex_line(w.blocks, e.blocks) is e.is_zero()
         assert reference_in_complex_line(w, e) is e.is_zero()
 
 

@@ -27,6 +27,8 @@ from kgrid.tro import (
     apply_hom,
     compose_homs,
     element_from_json_dict,
+    element_span_coords,
+    element_span_dim,
     identity_hom,
     is_tripotent,
     jordan_triple,
@@ -40,7 +42,8 @@ from kgrid.tro import (
     zero_element,
 )
 
-from .strategies import space_with_elements, spaces
+from .strategies import matrices, space_with_elements, spaces
+from .test_exact import entry_mix, r_combine, r_flat, r_rank, r_scale, ref_of
 
 M2 = parse_space("M(2,2)")
 
@@ -88,6 +91,11 @@ class TestSpaces:
         t = parse_space("M(3,1)+M(3,3)+M(1,3)")
         assert left_dims(t) == (3, 3, 1)
         assert right_dims(t) == (1, 3, 3)
+
+    @pytest.mark.parametrize("summand", [(2.0, 3), (True, 3)], ids=["float", "bool"])
+    def test_non_int_dimension_rejected(self, summand):
+        with pytest.raises(ValueError, match="must be ints"):
+            TroSpace((summand,))
 
     def test_block_shape_validated(self):
         with pytest.raises(ShapeError):
@@ -243,6 +251,13 @@ class TestApplyHom:
         rhs = ternary_product(apply_hom(h, x), apply_hom(h, y), apply_hom(h, z))
         assert lhs == rhs
 
+    def test_zero_multiplicities_and_one_sided_padding(self):
+        source = parse_space("M(1,1)+M(1,2)")
+        target = parse_space("M(2,4)+M(2,2)")
+        h = lift_hom([[1, 1], [0, 0]], source, target)
+        x = TroElement(source, (mat([[HALF]]), mat([[1, I]])))
+        assert apply_hom(h, x).blocks == (mat([[HALF, 0, 0, 0], [0, 1, I, 0]]), zeros(2, 2))
+
     def test_wrong_space(self):
         h = identity_hom(parse_space("M(2,2)"))
         with pytest.raises(SpaceMismatch):
@@ -277,6 +292,54 @@ class TestCompose:
         g = identity_hom(parse_space("M(2,2)"))
         with pytest.raises(SpaceMismatch):
             compose_homs(g, h)
+
+
+def _element(sp: TroSpace):
+    # every block over a denominator of its own
+    return st.tuples(*[st.builds(lambda b, d: b.scale(Fraction(1, d)),
+                                 matrices(n, m, entry_mix), st.sampled_from((1, 2, 3, 5, 7)))
+                       for n, m in sp.summands]).map(lambda blocks: TroElement(sp, blocks))
+
+
+def r_element(x: TroElement) -> list:
+    """x's blocks in the dense reference, laid end to end as one row."""
+    return [[v for b in x.blocks for v in r_flat(ref_of(b))]]
+
+
+class TestElementSpan:
+    """element_span_dim and element_span_coords against the dense reference."""
+
+    @given(spaces.flatmap(lambda sp: st.lists(_element(sp), min_size=1, max_size=4)),
+           st.lists(entry_mix, min_size=4, max_size=4))
+    def test_span_dim(self, els, coeffs):
+        # with a combination of the others appended, the span keeps its dimension
+        combo = zero_element(els[0].space)
+        for c, e in zip(coeffs, els):
+            combo = combo + e.scale(c)
+        els = els + [combo]
+        assert element_span_dim(els) == r_rank([r_element(e)[0] for e in els])
+
+    @given(spaces.flatmap(lambda sp: st.tuples(
+        st.lists(_element(sp), min_size=1, max_size=4), _element(sp),
+        st.lists(entry_mix, min_size=4, max_size=4), st.booleans())))
+    def test_span_coords(self, drawn):
+        els, free, coeffs, in_span = drawn
+        refs = [r_element(e) for e in els]
+        if in_span:  # a combination with real denominators
+            x, rx = zero_element(els[0].space), r_element(zero_element(els[0].space))
+            for c, e, r in zip(coeffs, els, refs):
+                x = x + e.scale(c)
+                rx = r_combine(rx, r_scale((c.re, c.im), r), 1)
+        else:  # an arbitrary target, unsolvable whenever it raises the rank
+            x, rx = free, r_element(free)
+        solvable = r_rank([r[0] for r in refs + [rx]]) == r_rank([r[0] for r in refs])
+        got = element_span_coords(els, x)
+        assert (got is not None) == solvable
+        if got is not None:
+            rebuilt = r_element(zero_element(x.space))
+            for c, r in zip(got, refs):
+                rebuilt = r_combine(rebuilt, r_scale((c.re, c.im), r), 1)
+            assert rebuilt == rx
 
 
 class TestTripotentStructure:
