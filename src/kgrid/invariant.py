@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import compress, permutations, product
 from math import comb
 from typing import Optional
 
@@ -80,22 +80,45 @@ def gamma_report(d: CartanDescriptor, computed: Optional[frozenset] = None) -> d
     }
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class KGridInvariant:
     """Double-scaled group, grid classes in global coordinates, and a count of
-    exceptional factors (whose K-data vanishes)."""
+    exceptional factors (whose K-data vanishes).
+
+    The grid classes are stored as factor blocks (see ``_blocks``), plus a
+    flag for the zero class, which lies in no block.  The invariant of a
+    factor multiset keeps the blocks its assembly placed side by side; one
+    built from a dense ``gamma`` splits it into blocks once, here.  Equal
+    gammas give equal blocks either way, so equality and hashing mean what
+    they meant on the dense set.  ``gamma`` rebuilds the dense set on every
+    read and is not kept.
+    """
 
     group: DoubleScaledGroup
-    gamma: frozenset
-    exceptional_count: int = 0
+    blocks: tuple
+    zero_class: bool
+    exceptional_count: int
 
-    def __post_init__(self) -> None:
-        if any(len(c) != self.group.k for c in self.gamma):
-            raise ValueError(f"every grid class needs {self.group.k} entries, "
+    def __init__(self, group: DoubleScaledGroup, gamma: frozenset,
+                 exceptional_count: int = 0) -> None:
+        if any(len(c) != group.k for c in gamma):
+            raise ValueError(f"every grid class needs {group.k} entries, "
                              "one per summand")
-        count = self.exceptional_count
-        if type(count) is not int or count < 0:
-            raise ValueError(f"exceptional_count must be a non-negative int, got {count!r}")
+        _store(self, group, _blocks(group, gamma), (0,) * group.k in gamma,
+               exceptional_count)
+
+    @property
+    def gamma(self) -> frozenset:
+        """The grid classes as dense k-long tuples."""
+        k = self.group.k
+        classes = {(0,) * k} if self.zero_class else set()
+        for columns, _, block_classes in self.blocks:
+            for cls in block_classes:
+                vec = [0] * k
+                for i, v in zip(columns, cls):
+                    vec[i] = v
+                classes.add(tuple(vec))
+        return frozenset(classes)
 
     def to_dict(self) -> dict:
         return {
@@ -105,28 +128,93 @@ class KGridInvariant:
         }
 
 
+def _store(inv: KGridInvariant, group: DoubleScaledGroup, blocks: tuple,
+           zero_class: bool, exceptional_count: int) -> KGridInvariant:
+    """Set the fields of a frozen invariant."""
+    if type(exceptional_count) is not int or exceptional_count < 0:
+        raise ValueError("exceptional_count must be a non-negative int, "
+                         f"got {exceptional_count!r}")
+    for name, value in (("group", group), ("blocks", blocks),
+                        ("zero_class", zero_class),
+                        ("exceptional_count", exceptional_count)):
+        object.__setattr__(inv, name, value)
+    return inv
+
+
+def _blocks(group: DoubleScaledGroup, gamma) -> tuple:
+    """The factor blocks of dense grid classes, ordered by their first summand.
+
+    A block is a connected component of the gamma-support graph, in which two
+    summands are linked when some class is nonzero on both; each factor's
+    classes connect exactly its own summands.  A block is (columns, caps,
+    classes): its summand indices ascending, their (left, right) caps, and the
+    classes supported on it restricted to those columns.  A zero class lies
+    in no block.  Only a ``KGridInvariant`` built from a dense ``gamma`` runs
+    this union-find, once; assembly places each factor's own block instead.
+    """
+    k = group.k
+    root = list(range(k))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    supports = [list(compress(range(k), c)) for c in gamma]
+    for support in supports:
+        if len(support) > 1:
+            r = find(support[0])
+            for i in support[1:]:
+                root[find(i)] = r
+    columns: dict = {}
+    for i in range(k):
+        columns.setdefault(find(i), []).append(i)
+    classes: dict = {r: set() for r in columns}
+    for cls, support in zip(gamma, supports):
+        if support:
+            r = find(support[0])
+            classes[r].add(tuple(map(cls.__getitem__, columns[r])))
+    pairs = list(zip(group.left_caps, group.right_caps))
+    shared: dict = {}  # copies of a factor share one caps tuple and class set
+    out = []
+    for r, cols in columns.items():
+        caps = tuple(map(pairs.__getitem__, cols))
+        block_classes = frozenset(classes[r])
+        out.append((tuple(cols), shared.setdefault(caps, caps),
+                    shared.setdefault(block_classes, block_classes)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _factor_block(f: CartanDescriptor) -> tuple:
+    """The single block of a canonical factor's own invariant: all its
+    summands, their caps and its grid classes."""
+    caps = enveloping_tro(f).summands
+    return (tuple(range(len(caps))), caps, gamma(f))
+
+
 @lru_cache(maxsize=None)
 def _invariant_of_canonical(spec: TripleSpec) -> KGridInvariant:
-    blocks = [_factor_block(f) for f in spec.factors if not is_exceptional(f)]
-    caps = [cap for _, block_caps, _ in blocks for cap in block_caps]
-    classes: set = set()
-    offset = 0
-    for _, block_caps, block_classes in blocks:
-        end = offset + len(block_caps)
-        classes.update((0,) * offset + cls + (0,) * (len(caps) - end)
-                       for cls in block_classes)
-        offset = end
+    blocks, caps = [], []
+    for f in spec.factors:
+        if not is_exceptional(f):
+            _, block_caps, classes = _factor_block(f)
+            blocks.append((tuple(range(len(caps), len(caps) + len(block_caps))),
+                           block_caps, classes))
+            caps += block_caps
     group = DoubleScaledGroup(tuple(n for n, _ in caps), tuple(m for _, m in caps))
-    return KGridInvariant(group, frozenset(classes), len(spec.factors) - len(blocks))
+    return _store(object.__new__(KGridInvariant), group, tuple(blocks), False,
+                  len(spec.factors) - len(blocks))
 
 
 def k_grid_invariant(s: TripleSpec) -> KGridInvariant:
     """Assemble the invariant of a factor multiset (canonicalized first):
-    summands concatenate, each factor's classes are zero-padded into place."""
+    summands concatenate, and each factor's block is placed at its offset."""
     return _invariant_of_canonical(canonicalize_spec(s))
 
 
-# --- factor blocks and isomorphism of invariants ----------------------------------
+# --- isomorphism of invariants -----------------------------------------------------
 
 def _sorted_key(pairs, classes) -> tuple:
     """Permutation-invariant data: the sorted cap pairs and sorted classes."""
@@ -135,43 +223,15 @@ def _sorted_key(pairs, classes) -> tuple:
 
 @lru_cache(maxsize=None)
 def _quick_key(inv: KGridInvariant) -> tuple:
-    """Unequal keys mean non-isomorphic; unequal first entries, unequal groups."""
-    return _sorted_key(zip(inv.group.left_caps, inv.group.right_caps), inv.gamma)
-
-
-def _blocks(inv: KGridInvariant) -> list:
-    """The factor blocks of an invariant, ordered by their first summand.
-
-    A block is a connected component of the gamma-support graph, in which two
-    summands are linked when some class is nonzero on both; each factor's
-    classes connect exactly its own summands.  A block is (columns, caps,
-    classes): its summand indices ascending, their (left, right) caps, and the
-    classes supported on it restricted to those columns.  A zero class lies
-    in no block.
-    """
-    root = list(range(inv.group.k))
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    supports = [[i for i, v in enumerate(c) if v] for c in inv.gamma]
-    for support in supports:
-        for i in support[1:]:
-            root[find(i)] = find(support[0])
-    columns: dict = {}
-    for i in range(inv.group.k):
-        columns.setdefault(find(i), []).append(i)
-    classes: dict = {r: set() for r in columns}
-    for cls, support in zip(inv.gamma, supports):
-        if support:
-            r = find(support[0])
-            classes[r].add(tuple(cls[i] for i in columns[r]))
-    pairs = list(zip(inv.group.left_caps, inv.group.right_caps))
-    return [(tuple(cols), tuple(pairs[i] for i in cols), frozenset(classes[r]))
-            for r, cols in columns.items()]
+    """Unequal keys mean non-isomorphic; unequal first entries, unequal groups.
+    This is the key of the dense gamma: each block class is padded with zeros
+    to length k, and sorting forgets where the zeros were."""
+    k = inv.group.k
+    classes = [(0,) * (k - len(columns)) + cls
+               for columns, _, block_classes in inv.blocks for cls in block_classes]
+    if inv.zero_class:
+        classes.append((0,) * k)
+    return _sorted_key(zip(inv.group.left_caps, inv.group.right_caps), classes)
 
 
 def _match_block(a: tuple, b: tuple) -> Optional[tuple]:
@@ -204,20 +264,21 @@ def invariants_isomorphic(a: KGridInvariant,
     """A summand permutation carrying caps to caps and gamma onto gamma.
 
     Returns pi with summand i of `a` matched to summand pi[i] of `b`, or None.
-    Equal invariants get the identity.  Otherwise the factor blocks of `a`
-    are matched to those of `b` as a multiset, each pair by a cap-preserving
-    map of its columns.  The summands may come in any order; on invariants
-    assembled from factors the cost is polynomial in the number of summands.
+    Equal invariants get the identity.  Otherwise the stored factor blocks
+    of `a` are matched to those of `b` as a multiset, each pair by a
+    cap-preserving map of its columns.  The summands may come in any order;
+    on invariants assembled from factors the cost is polynomial in the number
+    of summands.
     """
     if _quick_key(a) != _quick_key(b):
         return None
     if a == b:
         return tuple(range(a.group.k))
     unmatched: dict = {}
-    for block in _blocks(b):
+    for block in b.blocks:
         unmatched.setdefault(_sorted_key(*block[1:]), []).append(block)
     perm = [0] * a.group.k
-    for block in _blocks(a):
+    for block in a.blocks:
         bucket = unmatched.get(_sorted_key(*block[1:]), [])
         for n, other in enumerate(bucket):
             p = _match_block(block, other)
@@ -305,21 +366,14 @@ def _candidates(caps: list) -> list:
     return out
 
 
-@lru_cache(maxsize=None)
-def _factor_block(f: CartanDescriptor) -> tuple:
-    """The single block of a canonical factor's own invariant: all its
-    summands, their caps and its grid classes."""
-    caps = enveloping_tro(f).summands
-    return (tuple(range(len(caps))), caps, gamma(f))
-
-
 def recover_factors(inv: KGridInvariant) -> TripleSpec:
     """Recover the unique canonical factor multiset producing the invariant.
 
-    Each factor block is identified on its own, so the summands may come in
-    any order: the block is matched, by the block matcher of
+    Each stored factor block is identified on its own, so the summands may
+    come in any order: the block is matched, by the block matcher of
     ``invariants_isomorphic``, against the single block of every factor with
-    the same cap multiset, and exactly one factor must match.
+    the same cap multiset, and exactly one factor must match.  A zero class
+    lies in no block, so an invariant holding one is refused.
     """
     if inv.exceptional_count > 0:
         raise UnknownFactorError(
@@ -328,10 +382,10 @@ def recover_factors(inv: KGridInvariant) -> TripleSpec:
         )
     if inv.group.k == 0:
         raise UnknownFactorError("trivial invariant carries no factors")
-    if any(not any(c) for c in inv.gamma):
+    if inv.zero_class:
         raise UnknownFactorError("a zero grid class belongs to no factor block")
     factors = []
-    for block in _blocks(inv):
+    for block in inv.blocks:
         columns, caps, _ = block
         matches = [f for f in _candidates(sorted(caps))
                    if _match_block(block, _factor_block(f)) is not None]

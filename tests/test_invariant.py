@@ -3,12 +3,22 @@ import json
 import random
 import time
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from kgrid.cartan import CartanDescriptor, TripleSpec, canonicalize_spec, parse_triple_spec
-from kgrid.catalog import catalog_descriptors
+from kgrid.cartan import (
+    CartanDescriptor,
+    TripleSpec,
+    canonicalize_factor,
+    canonicalize_spec,
+    enveloping_tro,
+    parse_triple_spec,
+)
+from kgrid.catalog import catalog_descriptors, catalog_multisets
 from kgrid import cartan, invariant
 from kgrid.cli import run
 from kgrid.grids import grid_for, grid_gamma
@@ -23,6 +33,7 @@ from kgrid.invariant import (
     published_gamma,
     recover_factors,
 )
+from kgrid.invariant import _candidates, _factor_block, _match_block, _quick_key
 from kgrid.ktheory import DoubleScaledGroup
 from kgrid.tro import range_projection
 
@@ -394,14 +405,16 @@ class TestRecovery:
             recover_factors(inv)
 
     def test_factor_block_is_the_factors_own_block(self, capsys):
-        # the block recovery matches against, built without an invariant
+        # the block recovery matches against, built without an invariant, is
+        # the one block that the union-find finds in the factor's dense gamma
         assert run(["table", "--hilbert-max", "12", "--spin-max", "16",
                     "--json"]) == 0
         rows = json.loads(capsys.readouterr().out)["rows"]
         for row in rows:
             f = parse_triple_spec(row["factor"]).factors[0]
-            assert invariant._factor_block(f) == \
-                invariant._blocks(k_grid_invariant(TripleSpec((f,))))[0], f
+            inv = k_grid_invariant(TripleSpec((f,)))
+            dense = KGridInvariant(inv.group, inv.gamma, inv.exceptional_count)
+            assert dense.blocks == (invariant._factor_block(f),), f
 
 
 class TestShuffledSummands:
@@ -471,3 +484,178 @@ class TestShuffledSummands:
                              frozenset({(0,), (1,), (2,)}))
         with pytest.raises(UnknownFactorError):
             recover_factors(inv)
+
+
+# --- stored factor blocks against the dense union-find ---------------------------
+
+def reference_blocks(group, gamma) -> list:
+    """The factor blocks of a dense gamma by the union-find that recovery and
+    isomorphism ran on every call before blocks were stored: connected
+    components of the gamma-support graph, ordered by their first summand,
+    each (columns, caps, classes restricted to the columns)."""
+    root = list(range(group.k))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    supports = [[i for i, v in enumerate(c) if v] for c in gamma]
+    for support in supports:
+        for i in support[1:]:
+            root[find(i)] = find(support[0])
+    columns: dict = {}
+    for i in range(group.k):
+        columns.setdefault(find(i), []).append(i)
+    classes: dict = {r: set() for r in columns}
+    for cls, support in zip(gamma, supports):
+        if support:
+            r = find(support[0])
+            classes[r].add(tuple(cls[i] for i in columns[r]))
+    pairs = list(zip(group.left_caps, group.right_caps))
+    return [(tuple(cols), tuple(pairs[i] for i in cols), frozenset(classes[r]))
+            for r, cols in columns.items()]
+
+
+def reference_quick_key(group, gamma) -> tuple:
+    """The quick key of the dense gamma: sorted cap pairs, sorted sorted classes."""
+    return (tuple(sorted(zip(group.left_caps, group.right_caps))),
+            tuple(sorted(tuple(sorted(c)) for c in gamma)))
+
+
+def reference_recover(group, gamma, exceptional_count):
+    """recover_factors on the dense gamma, block by reference block; returns
+    the canonical multiset or the exception type."""
+    if exceptional_count or group.k == 0 or (0,) * group.k in gamma:
+        return UnknownFactorError
+    factors = []
+    for block in reference_blocks(group, gamma):
+        matches = [f for f in _candidates(sorted(block[1]))
+                   if _match_block(block, _factor_block(f)) is not None]
+        if len(matches) != 1:
+            return UnknownFactorError
+        factors.append(matches[0])
+    return canonicalize_spec(TripleSpec(tuple(factors)))
+
+
+def recovered(inv):
+    try:
+        return recover_factors(inv)
+    except UnknownFactorError:
+        return UnknownFactorError
+
+
+def assert_matches_dense(inv):
+    """inv's stored blocks, key, equality and hash are those of its dense gamma."""
+    dense = KGridInvariant(inv.group, inv.gamma, inv.exceptional_count)
+    assert inv.blocks == tuple(reference_blocks(inv.group, inv.gamma)) == dense.blocks
+    assert inv == dense and hash(inv) == hash(dense)
+    # past the cache: equal invariants share its entry
+    assert _quick_key.__wrapped__(inv) == _quick_key.__wrapped__(dense) == \
+        reference_quick_key(inv.group, inv.gamma)
+
+
+class TestStoredBlocks:
+    def test_catalog_multisets_up_to_three(self):
+        for s in catalog_multisets(3):
+            assert_matches_dense(k_grid_invariant(s))
+
+    def test_four_factor_sample(self):
+        four = list(combinations_with_replacement(catalog_descriptors(), 4))
+        for combo in random.Random(4).sample(four, 600):
+            assert_matches_dense(k_grid_invariant(TripleSpec(combo)))
+
+    @pytest.mark.parametrize("text", ["V", "V+VI+V", "I(2,2)+V", "IV(6)+I(1,3)+VI"])
+    def test_exceptional_content(self, text):
+        assert_matches_dense(k_grid_invariant(spec(text)))
+
+    def test_assembled_blocks_share_the_factor_block(self):
+        inv = k_grid_invariant(spec("I(1,3)+IV(6)+I(1,3)"))
+        for block, f in zip(inv.blocks, canonicalize_spec(spec("I(1,3)+IV(6)+I(1,3)")).factors):
+            assert block[1] is _factor_block(f)[1] and block[2] is _factor_block(f)[2]
+
+    def test_gamma_is_not_kept(self):
+        inv = k_grid_invariant(spec("I(2,3)+III(4)"))
+        assert inv.gamma == inv.gamma and inv.gamma is not inv.gamma
+        assert not hasattr(inv, "__dict__")
+
+
+CAP_VALUES = st.integers(1, 4)
+
+
+@st.composite
+def raw_invariants(draw):
+    """(group, gamma) with random caps and classes; the zero class and
+    classes straddling several summands included."""
+    k = draw(st.integers(0, 6))
+    caps = draw(st.lists(st.tuples(CAP_VALUES, CAP_VALUES), min_size=k, max_size=k))
+    group = DoubleScaledGroup(tuple(n for n, _ in caps), tuple(m for _, m in caps))
+    cls = st.lists(st.integers(0, 3), min_size=k, max_size=k).map(tuple)
+    gamma = draw(st.frozensets(cls, max_size=5))
+    if draw(st.booleans()):
+        gamma |= {(0,) * k}
+    return group, gamma
+
+
+@st.composite
+def shuffled_assembled(draw):
+    """A factor multiset's dense gamma with its summands permuted, sometimes
+    with a class added or removed."""
+    factors = draw(st.lists(st.sampled_from(catalog_descriptors()), min_size=1, max_size=4))
+    inv = k_grid_invariant(TripleSpec(tuple(factors)))
+    sigma = draw(st.permutations(range(inv.group.k)))
+    moved = permuted(inv, sigma)
+    gamma = moved.gamma
+    edit = draw(st.sampled_from(["none", "zero", "drop", "add"]))
+    if edit == "zero":
+        gamma |= {(0,) * inv.group.k}
+    elif edit == "drop":
+        gamma -= {draw(st.sampled_from(sorted(gamma)))}
+    elif edit == "add":
+        gamma |= {tuple(draw(st.lists(st.integers(0, 2), min_size=inv.group.k,
+                                      max_size=inv.group.k)))}
+    return moved.group, gamma
+
+
+class TestCallerBuilt:
+    @given(st.one_of(raw_invariants(), shuffled_assembled()))
+    def test_against_dense_reference(self, raw):
+        group, gamma = raw
+        inv = KGridInvariant(group, gamma)
+        assert inv.gamma == gamma
+        assert inv.zero_class == ((0,) * group.k in gamma)
+        assert inv.blocks == tuple(reference_blocks(group, gamma))
+        assert _quick_key.__wrapped__(inv) == reference_quick_key(group, gamma)
+        assert recovered(inv) == reference_recover(group, gamma, 0)
+        assert recovered(KGridInvariant(group, gamma, 1)) is UnknownFactorError
+
+    @given(raw_invariants(), st.data())
+    def test_equality_is_dense_equality(self, raw, data):
+        group, gamma = raw
+        other = data.draw(st.sampled_from([gamma, frozenset(sorted(gamma, reverse=True)),
+                                           gamma - {max(gamma, default=None)},
+                                           gamma | {(1,) * group.k}]))
+        a, b = KGridInvariant(group, gamma), KGridInvariant(group, other)
+        assert (a == b) == (gamma == other)
+        if a == b:
+            assert hash(a) == hash(b)
+
+
+# --- recovery oracle and scaling ---------------------------------------------------
+
+class TestRecoveryOracle:
+    @pytest.mark.parametrize("d", _oracle_factors(), ids=str)
+    def test_factor_is_its_own_candidate_and_recovered(self, d):
+        f = canonicalize_factor(d)
+        assert f in _candidates(sorted(enveloping_tro(d).summands))
+        assert recover_factors(k_grid_invariant(TripleSpec((d,)))) == TripleSpec((f,))
+
+
+def test_four_thousand_factors_assemble_and_recover_fast():
+    rng = random.Random(0)
+    s = TripleSpec(tuple(rng.choice(catalog_descriptors()) for _ in range(4000)))
+    start = time.perf_counter()
+    recovered_spec = recover_factors(k_grid_invariant(s))
+    assert time.perf_counter() - start < 2.0
+    assert recovered_spec == canonicalize_spec(s)
