@@ -101,7 +101,7 @@ class KGridInvariant:
 
     def __init__(self, group: DoubleScaledGroup, gamma: frozenset,
                  exceptional_count: int = 0) -> None:
-        if any(len(c) != group.k for c in gamma):
+        if set(map(len, gamma)) - {group.k}:
             raise ValueError(f"every grid class needs {group.k} entries, "
                              "one per summand")
         _store(self, group, _blocks(group, gamma), (0,) * group.k in gamma,
@@ -167,23 +167,27 @@ def _blocks(group: DoubleScaledGroup, gamma) -> tuple:
             r = find(support[0])
             for i in support[1:]:
                 root[find(i)] = r
+    roots = list(map(find, range(k)))
     columns: dict = {}
-    for i in range(k):
-        columns.setdefault(find(i), []).append(i)
+    for i, r in enumerate(roots):
+        columns.setdefault(r, []).append(i)
     classes: dict = {r: set() for r in columns}
     for cls, support in zip(gamma, supports):
         if support:
-            r = find(support[0])
+            r = roots[support[0]]
             classes[r].add(tuple(map(cls.__getitem__, columns[r])))
     pairs = list(zip(group.left_caps, group.right_caps))
-    shared: dict = {}  # copies of a factor share one caps tuple and class set
-    out = []
-    for r, cols in columns.items():
-        caps = tuple(map(pairs.__getitem__, cols))
-        block_classes = frozenset(classes[r])
-        out.append((tuple(cols), shared.setdefault(caps, caps),
-                    shared.setdefault(block_classes, block_classes)))
-    return tuple(out)
+    return tuple([(tuple(cols), _shared(tuple(map(pairs.__getitem__, cols))),
+                   _shared(frozenset(classes[r])))
+                  for r, cols in columns.items()])
+
+
+@lru_cache(maxsize=4096)
+def _shared(part):
+    """The first-seen object equal to a block's caps tuple or class set, so
+    that blocks of equal factors share them, in invariants built from dense
+    classes as in assembled ones (which share ``_factor_block``'s)."""
+    return part
 
 
 @lru_cache(maxsize=None)
