@@ -414,7 +414,7 @@ class TestRecovery:
             f = parse_triple_spec(row["factor"]).factors[0]
             inv = k_grid_invariant(TripleSpec((f,)))
             dense = KGridInvariant(inv.group, inv.gamma, inv.exceptional_count)
-            assert dense.blocks == (invariant._factor_block(f),), f
+            assert dense.blocks == (_factor_block(f),), f
 
 
 class TestShuffledSummands:
