@@ -206,21 +206,32 @@ def parse_triple_spec(text: str) -> TripleSpec:
 
 # --- canonical forms ---------------------------------------------------------
 
-def canonicalize_factor(d: CartanDescriptor) -> CartanDescriptor:
-    """Normal form modulo triple isomorphism within the supported catalog.
+def canonical_form(d: CartanDescriptor) -> tuple:
+    """The (kind, params) of d's normal form modulo triple isomorphism within
+    the supported catalog, without building a descriptor; ``params`` is
+    d's own tuple when d is already canonical.
 
     Transposition identifies I(n,m) with I(m,n); one-row and one-column
     rectangular factors are the same Hilbert factor; III(1) is the one
     dimensional factor; IV(4) is the classical coincidence with I(2,2).
+    Kind strings sort in ``_ARITY`` order, so sorted forms are in
+    ``sort_key`` order.
     """
-    if d.kind == "I":
-        n, m = d.params
-        return d if n <= m else CartanDescriptor("I", (m, n))
-    if d.kind == "III" and d.params[0] == 1:
-        return CartanDescriptor("I", (1, 1))
-    if d.kind == "IV" and d.params[0] == 4:
-        return CartanDescriptor("I", (2, 2))
-    return d
+    kind, params = d.kind, d.params
+    if kind == "I":
+        n, m = params
+        return (kind, params) if n <= m else (kind, (m, n))
+    if kind == "III" and params[0] == 1:
+        return ("I", (1, 1))
+    if kind == "IV" and params[0] == 4:
+        return ("I", (2, 2))
+    return (kind, params)
+
+
+def canonicalize_factor(d: CartanDescriptor) -> CartanDescriptor:
+    """The normal form of d (see ``canonical_form``); d itself if canonical."""
+    kind, params = canonical_form(d)
+    return d if params is d.params else CartanDescriptor(kind, params)
 
 
 def canonicalize_spec(s: TripleSpec) -> TripleSpec:

@@ -12,7 +12,7 @@ which the coincidence IV(4) = I(2,2) has equal invariants on both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress, permutations, product
 from math import comb
@@ -22,6 +22,7 @@ from .cartan import (
     CartanDescriptor,
     ExceptionalFactorError,
     TripleSpec,
+    canonical_form,
     canonicalize_spec,
     enveloping_tro,
     is_exceptional,
@@ -91,13 +92,16 @@ class KGridInvariant:
     built from a dense ``gamma`` splits it into blocks once, here.  Equal
     gammas give equal blocks either way, so equality and hashing mean what
     they meant on the dense set.  ``gamma`` rebuilds the dense set on every
-    read and is not kept.
+    read and is not kept.  ``_key`` holds ``_quick_key`` once it is first
+    read; it takes no part in equality, hashing or ``repr``.
     """
 
     group: DoubleScaledGroup
     blocks: tuple
     zero_class: bool
     exceptional_count: int
+    _key: Optional[tuple] = field(default=None, compare=False, hash=False,
+                                  repr=False)
 
     def __init__(self, group: DoubleScaledGroup, gamma: frozenset,
                  exceptional_count: int = 0) -> None:
@@ -136,7 +140,7 @@ def _store(inv: KGridInvariant, group: DoubleScaledGroup, blocks: tuple,
                          f"got {exceptional_count!r}")
     for name, value in (("group", group), ("blocks", blocks),
                         ("zero_class", zero_class),
-                        ("exceptional_count", exceptional_count)):
+                        ("exceptional_count", exceptional_count), ("_key", None)):
         object.__setattr__(inv, name, value)
     return inv
 
@@ -199,9 +203,12 @@ def _factor_block(f: CartanDescriptor) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _invariant_of_canonical(spec: TripleSpec) -> KGridInvariant:
+def _invariant_of_canonical(forms: tuple) -> KGridInvariant:
+    """The invariant of the canonical factors whose sorted ``canonical_form``s
+    are `forms`; their descriptors are built only here, on a cache miss."""
     blocks, caps = [], []
-    for f in spec.factors:
+    factors = [CartanDescriptor(kind, params) for kind, params in forms]
+    for f in factors:
         if not is_exceptional(f):
             _, block_caps, classes = _factor_block(f)
             blocks.append((tuple(range(len(caps), len(caps) + len(block_caps))),
@@ -209,13 +216,13 @@ def _invariant_of_canonical(spec: TripleSpec) -> KGridInvariant:
             caps += block_caps
     group = DoubleScaledGroup(tuple(n for n, _ in caps), tuple(m for _, m in caps))
     return _store(object.__new__(KGridInvariant), group, tuple(blocks), False,
-                  len(spec.factors) - len(blocks))
+                  len(factors) - len(blocks))
 
 
 def k_grid_invariant(s: TripleSpec) -> KGridInvariant:
     """Assemble the invariant of a factor multiset (canonicalized first):
     summands concatenate, and each factor's block is placed at its offset."""
-    return _invariant_of_canonical(canonicalize_spec(s))
+    return _invariant_of_canonical(tuple(sorted(map(canonical_form, s.factors))))
 
 
 # --- isomorphism of invariants -----------------------------------------------------
@@ -225,17 +232,25 @@ def _sorted_key(pairs, classes) -> tuple:
     return (tuple(sorted(pairs)), tuple(sorted(tuple(sorted(c)) for c in classes)))
 
 
-@lru_cache(maxsize=None)
 def _quick_key(inv: KGridInvariant) -> tuple:
     """Unequal keys mean non-isomorphic; unequal first entries, unequal groups.
-    This is the key of the dense gamma: each block class is padded with zeros
-    to length k, and sorting forgets where the zeros were."""
-    k = inv.group.k
-    classes = [(0,) * (k - len(columns)) + cls
-               for columns, _, block_classes in inv.blocks for cls in block_classes]
-    if inv.zero_class:
-        classes.append((0,) * k)
-    return _sorted_key(zip(inv.group.left_caps, inv.group.right_caps), classes)
+
+    The sorted cap pairs, and the sorted tuple of each class's sorted nonzero
+    entries, built on first read and kept on the invariant.  For a fixed k
+    (the number of cap pairs) dropping the zeros is a bijection on sorted
+    dense classes, so two keys are equal exactly when the keys of the dense
+    gammas (each class padded with zeros to length k, then sorted) are; the
+    cost is linear in the stored blocks, not in k per class.
+    """
+    key = inv._key
+    if key is None:
+        classes = [()] if inv.zero_class else []
+        for _, _, block_classes in inv.blocks:
+            classes += [tuple(sorted(filter(None, cls))) for cls in block_classes]
+        key = (tuple(sorted(zip(inv.group.left_caps, inv.group.right_caps))),
+               tuple(sorted(classes)))
+        object.__setattr__(inv, "_key", key)
+    return key
 
 
 def _match_block(a: tuple, b: tuple) -> Optional[tuple]:
@@ -370,14 +385,26 @@ def _candidates(caps: list) -> list:
     return out
 
 
+@lru_cache(maxsize=4096)
+def _block_factors(caps: tuple, classes: frozenset) -> tuple:
+    """The canonical factors whose own block a block with these caps and
+    classes matches, at whatever columns it sits.  Assembled blocks share
+    ``_factor_block``'s objects, so a hit hashes a short caps tuple and a
+    frozenset whose hash Python keeps."""
+    block = ((), caps, classes)
+    return tuple(f for f in _candidates(sorted(caps))
+                 if _match_block(block, _factor_block(f)) is not None)
+
+
 def recover_factors(inv: KGridInvariant) -> TripleSpec:
     """Recover the unique canonical factor multiset producing the invariant.
 
     Each stored factor block is identified on its own, so the summands may
     come in any order: the block is matched, by the block matcher of
     ``invariants_isomorphic``, against the single block of every factor with
-    the same cap multiset, and exactly one factor must match.  A zero class
-    lies in no block, so an invariant holding one is refused.
+    the same cap multiset, and exactly one factor must match.  The matches
+    are kept per (caps, classes) in a bounded memo.  A zero class lies in no
+    block, so an invariant holding one is refused.
     """
     if inv.exceptional_count > 0:
         raise UnknownFactorError(
@@ -389,10 +416,8 @@ def recover_factors(inv: KGridInvariant) -> TripleSpec:
     if inv.zero_class:
         raise UnknownFactorError("a zero grid class belongs to no factor block")
     factors = []
-    for block in inv.blocks:
-        columns, caps, _ = block
-        matches = [f for f in _candidates(sorted(caps))
-                   if _match_block(block, _factor_block(f)) is not None]
+    for columns, caps, classes in inv.blocks:
+        matches = _block_factors(caps, classes)
         if not matches:
             raise UnknownFactorError(
                 f"no supported factor matches the block of summands "

@@ -2,6 +2,7 @@ import ast
 import json
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -33,7 +34,13 @@ from kgrid.invariant import (
     published_gamma,
     recover_factors,
 )
-from kgrid.invariant import _candidates, _factor_block, _match_block, _quick_key
+from kgrid.invariant import (
+    _block_factors,
+    _candidates,
+    _factor_block,
+    _match_block,
+    _quick_key,
+)
 from kgrid.ktheory import DoubleScaledGroup
 from kgrid.tro import range_projection
 
@@ -524,6 +531,13 @@ def reference_quick_key(group, gamma) -> tuple:
             tuple(sorted(tuple(sorted(c)) for c in gamma)))
 
 
+def compact_key(key) -> tuple:
+    """A dense quick key with the zeros dropped from each sorted class, the
+    classes sorted again: for a fixed k a bijection on dense keys."""
+    caps, classes = key
+    return caps, tuple(sorted(tuple(v for v in c if v) for c in classes))
+
+
 def reference_recover(group, gamma, exceptional_count):
     """recover_factors on the dense gamma, block by reference block; returns
     the canonical multiset or the exception type."""
@@ -551,9 +565,9 @@ def assert_matches_dense(inv):
     dense = KGridInvariant(inv.group, inv.gamma, inv.exceptional_count)
     assert inv.blocks == tuple(reference_blocks(inv.group, inv.gamma)) == dense.blocks
     assert inv == dense and hash(inv) == hash(dense)
-    # past the cache: equal invariants share its entry
-    assert _quick_key.__wrapped__(inv) == _quick_key.__wrapped__(dense) == \
-        reference_quick_key(inv.group, inv.gamma)
+    # each invariant keeps its own key, built from its blocks
+    assert _quick_key(inv) == _quick_key(dense) == \
+        compact_key(reference_quick_key(inv.group, inv.gamma))
 
 
 class TestStoredBlocks:
@@ -618,6 +632,47 @@ def shuffled_assembled(draw):
     return moved.group, gamma
 
 
+@st.composite
+def key_pairs(draw):
+    """Two raw invariants with negative and repeated entries, often two
+    classes with equal sorted entries, and the zero class sometimes.  The second is the first with its summands permuted and each
+    class's entries permuted on their own (equal dense keys, other blocks),
+    the first with each class sorted (which merges classes with equal sorted
+    entries), one entry changed, one class dropped or the zero class toggled,
+    or a fresh draw with any k."""
+    def raw(k):
+        caps = draw(st.lists(st.tuples(CAP_VALUES, CAP_VALUES), min_size=k, max_size=k))
+        group = DoubleScaledGroup(tuple(n for n, _ in caps), tuple(m for _, m in caps))
+        cls = st.lists(st.integers(-2, 2), min_size=k, max_size=k).map(tuple)
+        gamma = draw(st.frozensets(cls, max_size=5))
+        if gamma and draw(st.booleans()):
+            gamma |= {tuple(draw(st.permutations(draw(st.sampled_from(sorted(gamma))))))}
+        return group, gamma | ({(0,) * k} if draw(st.booleans()) else set())
+
+    group, gamma = raw(draw(st.integers(0, 5)))
+    k = group.k
+    edit = draw(st.sampled_from(["scramble", "sort", "change", "drop", "zero", "fresh"]))
+    if edit == "scramble":
+        sigma = draw(st.permutations(range(k)))
+        left, right = [0] * k, [0] * k
+        for i, j in enumerate(sigma):
+            left[j], right[j] = group.left_caps[i], group.right_caps[i]
+        other = frozenset(tuple(draw(st.permutations(c))) for c in gamma)
+        return (group, gamma), (DoubleScaledGroup(tuple(left), tuple(right)), other)
+    if edit == "sort":
+        return (group, gamma), (group, frozenset(tuple(sorted(c)) for c in gamma))
+    if edit == "change" and gamma and k:
+        old = draw(st.sampled_from(sorted(gamma)))
+        i = draw(st.integers(0, k - 1))
+        new = old[:i] + (draw(st.integers(-2, 2)),) + old[i + 1:]
+        return (group, gamma), (group, gamma - {old} | {new})
+    if edit == "drop" and gamma:
+        return (group, gamma), (group, gamma - {draw(st.sampled_from(sorted(gamma)))})
+    if edit == "zero":
+        return (group, gamma), (group, gamma ^ {(0,) * k})
+    return (group, gamma), raw(draw(st.integers(0, 5)))
+
+
 class TestCallerBuilt:
     @given(st.one_of(raw_invariants(), shuffled_assembled()))
     def test_against_dense_reference(self, raw):
@@ -626,9 +681,17 @@ class TestCallerBuilt:
         assert inv.gamma == gamma
         assert inv.zero_class == ((0,) * group.k in gamma)
         assert inv.blocks == tuple(reference_blocks(group, gamma))
-        assert _quick_key.__wrapped__(inv) == reference_quick_key(group, gamma)
+        assert _quick_key(inv) == compact_key(reference_quick_key(group, gamma))
         assert recovered(inv) == reference_recover(group, gamma, 0)
+        assert recovered(inv) == reference_recover(group, gamma, 0)  # memo hit
         assert recovered(KGridInvariant(group, gamma, 1)) is UnknownFactorError
+
+    @given(key_pairs())
+    def test_key_equality_is_dense_key_equality(self, pair):
+        (group_a, gamma_a), (group_b, gamma_b) = pair
+        a, b = KGridInvariant(group_a, gamma_a), KGridInvariant(group_b, gamma_b)
+        assert (_quick_key(a) == _quick_key(b)) == \
+            (reference_quick_key(group_a, gamma_a) == reference_quick_key(group_b, gamma_b))
 
     @given(raw_invariants(), st.data())
     def test_equality_is_dense_equality(self, raw, data):
@@ -640,6 +703,65 @@ class TestCallerBuilt:
         assert (a == b) == (gamma == other)
         if a == b:
             assert hash(a) == hash(b)
+
+
+# --- recovery memo ------------------------------------------------------------------
+
+def stranded(block_caps, block_classes):
+    """Raw invariants holding one block alone at column 0, and after I(1,1)
+    at column 1."""
+    lone = KGridInvariant(DoubleScaledGroup(tuple(n for n, _ in block_caps),
+                                            tuple(m for _, m in block_caps)),
+                          frozenset(block_classes))
+    after = KGridInvariant(DoubleScaledGroup((1,) + lone.group.left_caps,
+                                             (1,) + lone.group.right_caps),
+                           frozenset({(1,) + (0,) * len(block_caps)}
+                                     | {(0,) + c for c in block_classes}))
+    return lone, after
+
+
+class TestRecoveryMemo:
+    def assert_refusals_name_own_columns(self, lone, after, what):
+        for first, second in ((lone, after), (after, lone)):
+            with pytest.raises(UnknownFactorError):
+                recover_factors(first)
+            hits = _block_factors.cache_info().hits
+            for inv, column in ((first, 0 if first is lone else 1),
+                                (second, 0 if second is lone else 1)):
+                with pytest.raises(UnknownFactorError,
+                                   match=rf"{what} block of summands \[{column}\]"):
+                    recover_factors(inv)
+            assert _block_factors.cache_info().hits > hits
+
+    def test_unknown_block_message_names_its_columns(self):
+        lone, after = stranded([(5, 5)], [(3,)])
+        self.assert_refusals_name_own_columns(lone, after, "matches the")
+
+    def test_ambiguous_block_message_names_its_columns(self, monkeypatch):
+        # no two supported factors share a block, so offer III(3) twice
+        real = invariant._candidates
+        monkeypatch.setattr(invariant, "_candidates",
+                            lambda caps: real(caps) * (2 if caps == [(3, 3)] else 1))
+        _block_factors.cache_clear()
+        try:
+            lone, after = stranded([(3, 3)], [(1,), (2,)])
+            self.assert_refusals_name_own_columns(lone, after, "ambiguous")
+        finally:
+            _block_factors.cache_clear()
+
+    def test_memo_is_bounded(self):
+        assert _block_factors.cache_info().maxsize is not None
+        assert not hasattr(_quick_key, "cache_info")
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_shuffled_raw_blocks_match_reference(self, seed):
+        rng = random.Random(seed)
+        pool = rng.sample(catalog_descriptors(), 5)
+        s = TripleSpec(tuple(rng.choice(pool) for _ in range(rng.randint(1, 6))))
+        b = shuffled(k_grid_invariant(s), rng)
+        for _ in range(2):  # the second pass reads the memo
+            assert recovered(b) == reference_recover(b.group, b.gamma, 0) == \
+                canonicalize_spec(s)
 
 
 # --- recovery oracle and scaling ---------------------------------------------------
@@ -658,4 +780,24 @@ def test_four_thousand_factors_assemble_and_recover_fast():
     start = time.perf_counter()
     recovered_spec = recover_factors(k_grid_invariant(s))
     assert time.perf_counter() - start < 2.0
+    assert recovered_spec == canonicalize_spec(s)
+
+
+def test_four_thousand_factors_classify_and_recover_within_budget():
+    # classify against the same factors reversed, then recover, from a cold
+    # assembly cache: the key and the recovery are linear in the factors
+    rng = random.Random(0)
+    s = TripleSpec(tuple(rng.choice(catalog_descriptors()) for _ in range(4000)))
+    invariant._invariant_of_canonical.cache_clear()
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        verdict = classify(s, TripleSpec(s.factors[::-1]))
+        recovered_spec = recover_factors(k_grid_invariant(s))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0 and peak < 50 * 2**20, (elapsed, peak)
+    assert verdict.status == "ISOMORPHIC"
     assert recovered_spec == canonicalize_spec(s)
