@@ -18,6 +18,7 @@ handled by canonicalization.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -42,16 +43,18 @@ class CoordinateError(ValueError):
 
 
 _ARITY = {"I": 2, "II": 1, "III": 1, "IV": 1, "V": 0, "VI": 0}  # in sort order
-_KIND_ORDER = {kind: n for n, kind in enumerate(_ARITY)}
 
 
-@dataclass(frozen=True, slots=True)
-class CartanDescriptor:
-    kind: str
-    params: tuple = ()
+class CartanDescriptor(namedtuple("CartanDescriptor", ("kind", "params"))):
+    """A factor as its (kind, params) pair, checked when it is constructed.
 
-    def __post_init__(self) -> None:
-        kind, params = self.kind, self.params
+    Descriptors hash, compare and sort as that pair; kind strings sort in
+    ``_ARITY`` order, so descriptors sort by kind, then by parameters.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, params: tuple = ()) -> CartanDescriptor:
         if kind not in _ARITY:
             raise ValueError(f"unknown factor kind {kind!r}")
         if len(params) != _ARITY[kind]:
@@ -81,6 +84,7 @@ class CartanDescriptor:
                     f"IV({d}) is below the supported range (d >= 4): "
                     + _IV_COINCIDENCE.get(d, "degenerate")
                 )
+        return tuple.__new__(cls, (kind, params))
 
     def to_text(self) -> str:
         if self.params:
@@ -89,9 +93,6 @@ class CartanDescriptor:
 
     def __str__(self) -> str:
         return self.to_text()
-
-    def sort_key(self) -> tuple:
-        return (_KIND_ORDER[self.kind], self.params)
 
 
 _II_COINCIDENCE = {
@@ -206,38 +207,31 @@ def parse_triple_spec(text: str) -> TripleSpec:
 
 # --- canonical forms ---------------------------------------------------------
 
-def canonical_form(d: CartanDescriptor) -> tuple:
-    """The (kind, params) of d's normal form modulo triple isomorphism within
-    the supported catalog, without building a descriptor; ``params`` is
-    d's own tuple when d is already canonical.
+# III(1) and IV(4), as the rectangular factors they coincide with
+_COINCIDENCES = {CartanDescriptor("III", (1,)): CartanDescriptor("I", (1, 1)),
+                 CartanDescriptor("IV", (4,)): CartanDescriptor("I", (2, 2))}
+
+
+def canonicalize_factor(d: CartanDescriptor) -> CartanDescriptor:
+    """The normal form of d modulo triple isomorphism within the supported
+    catalog; d itself if it is canonical.
 
     Transposition identifies I(n,m) with I(m,n); one-row and one-column
     rectangular factors are the same Hilbert factor; III(1) is the one
     dimensional factor; IV(4) is the classical coincidence with I(2,2).
-    Kind strings sort in ``_ARITY`` order, so sorted forms are in
-    ``sort_key`` order.
     """
-    kind, params = d.kind, d.params
+    kind = d.kind
     if kind == "I":
-        n, m = params
-        return (kind, params) if n <= m else (kind, (m, n))
-    if kind == "III" and params[0] == 1:
-        return ("I", (1, 1))
-    if kind == "IV" and params[0] == 4:
-        return ("I", (2, 2))
-    return (kind, params)
-
-
-def canonicalize_factor(d: CartanDescriptor) -> CartanDescriptor:
-    """The normal form of d (see ``canonical_form``); d itself if canonical."""
-    kind, params = canonical_form(d)
-    return d if params is d.params else CartanDescriptor(kind, params)
+        n, m = d.params
+        # the transpose of a valid descriptor is valid: built unchecked
+        return d if n <= m else tuple.__new__(CartanDescriptor, (kind, (m, n)))
+    if kind == "III" or kind == "IV":
+        return _COINCIDENCES.get(d, d)
+    return d
 
 
 def canonicalize_spec(s: TripleSpec) -> TripleSpec:
-    factors = sorted((canonicalize_factor(f) for f in s.factors),
-                     key=CartanDescriptor.sort_key)
-    return TripleSpec(tuple(factors))
+    return TripleSpec(tuple(sorted(map(canonicalize_factor, s.factors))))
 
 
 # --- dimensions and enveloping TROs ------------------------------------------

@@ -50,9 +50,14 @@ _GRID_KIND = {"I": "rectangular", "II": "symplectic", "III": "hermitian",
 
 @dataclass(frozen=True, slots=True)
 class Grid:
+    """A factor's grid elements and their labels; ``rank_two`` names the
+    elements that are rank-two tripotents by construction, which are exempt
+    from the minimality requirement."""
+
     factor: CartanDescriptor
     elements: tuple
     labels: tuple
+    rank_two: frozenset = frozenset()
 
     @property
     def kind(self) -> str:
@@ -84,24 +89,32 @@ def _spin_grid(d: CartanDescriptor) -> Grid:
         labels.append(f"u{k + 1}")
         elements.append((a - b.scale(I)).scale(HALF))
         labels.append(f"ut{k + 1}")
+    rank_two = frozenset()
     if n_sym % 2 == 0:
         elements.append(system.symmetries[-1])
         labels.append("u0")
-    return Grid(d, tuple(elements), tuple(labels))
+        rank_two = frozenset({"u0"})  # its range projection is the identity
+    return Grid(d, tuple(elements), tuple(labels), rank_two)
 
 
 def _matrix_labels(d: CartanDescriptor) -> tuple:
-    # in the order of intrinsic_basis: g[k] along a single row or column, else
-    # g[i,j] over the whole matrix (I), or its upper triangle, diagonal kept
-    # for III and left out for II
+    # (labels, rank-two labels), in the order of intrinsic_basis: g[k] along a
+    # single row or column, else g[i,j] over the whole matrix (I), or its
+    # upper triangle, diagonal kept for III and left out for II; the
+    # off-diagonal III elements E_ij + E_ji have range projection E_ii + E_jj
     if d.kind == "I":
         n, m = d.params
         if min(n, m) == 1:
-            return tuple(f"g[{k}]" for k in range(1, n * m + 1))
-        return tuple(f"g[{i + 1},{j + 1}]" for i in range(n) for j in range(m))
-    n = d.params[0]
-    first = 0 if d.kind == "III" else 1
-    return tuple(f"g[{i + 1},{j + 1}]" for i in range(n) for j in range(i + first, n))
+            return tuple(f"g[{k}]" for k in range(1, n * m + 1)), frozenset()
+        pairs = [(i, j) for i in range(n) for j in range(m)]
+    else:
+        n = d.params[0]
+        first = 0 if d.kind == "III" else 1
+        pairs = [(i, j) for i in range(n) for j in range(i + first, n)]
+    labels = tuple(f"g[{i + 1},{j + 1}]" for i, j in pairs)
+    rank_two = frozenset(label for label, (i, j) in zip(labels, pairs)
+                         if d.kind == "III" and i != j)
+    return labels, rank_two
 
 
 def grid_for(d: CartanDescriptor) -> Grid:
@@ -116,7 +129,7 @@ def grid_for(d: CartanDescriptor) -> Grid:
         raise ExceptionalFactorError(f"{d}: exceptional factor has no grid model")
     if d.kind == "IV":
         return _spin_grid(d)
-    return Grid(d, embedded_basis(d), _matrix_labels(d))
+    return Grid(d, embedded_basis(d), *_matrix_labels(d))
 
 
 def grid_gamma(g: Grid) -> frozenset:
@@ -190,19 +203,6 @@ class GridReport:
         }
 
 
-def _expect_minimal(kind: str, label: str) -> bool:
-    # Two grid families contain rank-2 tripotents by construction: the spin
-    # u0 (its range projection is the full identity) and the off-diagonal
-    # hermitian elements E_ij + E_ji (range projection E_ii + E_jj).  Those
-    # are exempt from the minimality requirement; everything else must pass.
-    if kind == "spin":
-        return label != "u0"
-    if kind == "hermitian":
-        inner = label[2:-1].split(",")
-        return len(inner) == 2 and inner[0] == inner[1]
-    return True
-
-
 def _spin_identity_checks(g: Grid) -> tuple:
     # {a,b,c} = -u/2 is checked as a b* c + c b* a = -u, with no halving
     u = {label: el for label, el in zip(g.labels, g.elements)}
@@ -243,7 +243,7 @@ def verify_grid(g: Grid) -> GridReport:
                                             for x, bd in zip(e.blocks, daggers)))
             for daggers in basis_daggers)
         checks.append(ElementCheck(label, tripotent, minimal,
-                                   expect_minimal=_expect_minimal(g.kind, label)))
+                                   expect_minimal=label not in g.rank_two))
     identity_checks = _spin_identity_checks(g) if g.kind == "spin" else ()
     return GridReport(
         kind=g.kind,

@@ -22,7 +22,7 @@ from .cartan import (
     CartanDescriptor,
     ExceptionalFactorError,
     TripleSpec,
-    canonical_form,
+    canonicalize_factor,
     canonicalize_spec,
     enveloping_tro,
     is_exceptional,
@@ -203,11 +203,10 @@ def _factor_block(f: CartanDescriptor) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _invariant_of_canonical(forms: tuple) -> KGridInvariant:
-    """The invariant of the canonical factors whose sorted ``canonical_form``s
-    are `forms`; their descriptors are built only here, on a cache miss."""
+def _invariant_of_canonical(*factors: CartanDescriptor) -> KGridInvariant:
+    """The invariant of sorted canonical factors; passed as separate
+    arguments, they are themselves the cache key."""
     blocks, caps = [], []
-    factors = [CartanDescriptor(kind, params) for kind, params in forms]
     for f in factors:
         if not is_exceptional(f):
             _, block_caps, classes = _factor_block(f)
@@ -222,7 +221,7 @@ def _invariant_of_canonical(forms: tuple) -> KGridInvariant:
 def k_grid_invariant(s: TripleSpec) -> KGridInvariant:
     """Assemble the invariant of a factor multiset (canonicalized first):
     summands concatenate, and each factor's block is placed at its offset."""
-    return _invariant_of_canonical(tuple(sorted(map(canonical_form, s.factors))))
+    return _invariant_of_canonical(*sorted(map(canonicalize_factor, s.factors)))
 
 
 # --- isomorphism of invariants -----------------------------------------------------

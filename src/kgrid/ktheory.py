@@ -51,8 +51,11 @@ class DoubleScaledGroup:
     def __post_init__(self) -> None:
         if len(self.left_caps) != len(self.right_caps):
             raise ValueError("left and right caps must have equal length")
-        if any(c < 1 for c in self.left_caps) or any(c < 1 for c in self.right_caps):
-            raise ValueError("scale caps must be >= 1")
+        for c in self.left_caps + self.right_caps:
+            if type(c) is not int:
+                raise ValueError(f"scale caps must be ints, got {c!r}")
+            if c < 1:
+                raise ValueError("scale caps must be >= 1")
 
     @property
     def k(self) -> int:

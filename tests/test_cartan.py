@@ -1,3 +1,6 @@
+import pickle
+import re
+from itertools import product
 from math import comb
 
 import pytest
@@ -27,6 +30,7 @@ from kgrid.cartan import (
     parse_triple_spec,
     standard_spin_system,
 )
+from kgrid.catalog import catalog_descriptors
 from kgrid.exact import HALF, I, dagger, identity, mat, matrix_unit, rank, zeros
 from kgrid.tro import (
     TroElement,
@@ -40,6 +44,26 @@ from .strategies import matrices
 
 def CD(kind, *params):
     return CartanDescriptor(kind, tuple(params))
+
+
+def reference_sort_key(d):
+    """The order of descriptors before they were (kind, params) pairs: kinds
+    in the order I, II, III, IV, V, VI, then parameters."""
+    return (["I", "II", "III", "IV", "V", "VI"].index(d.kind), d.params)
+
+
+def reference_canonical_form(d):
+    """The canonical (kind, params) of d, as computed before descriptors
+    were pairs."""
+    kind, params = d.kind, d.params
+    if kind == "I":
+        n, m = params
+        return (kind, params) if n <= m else (kind, (m, n))
+    if kind == "III" and params[0] == 1:
+        return ("I", (1, 1))
+    if kind == "IV" and params[0] == 4:
+        return ("I", (2, 2))
+    return (kind, params)
 
 
 class TestDescriptors:
@@ -82,6 +106,59 @@ class TestDescriptors:
         with pytest.raises(ValueError) as exc:
             CD("I", 2)
         assert str(exc.value) == "I takes 2 parameter(s), got 1"
+
+    @pytest.mark.parametrize("kind,params,error,message", [
+        ("X", (), ValueError, "unknown factor kind 'X'"),
+        ("I", (), ValueError, "I takes 2 parameter(s), got 0"),
+        ("V", (1,), ValueError, "V takes 0 parameter(s), got 1"),
+        ("I", (1, 2.0), ValueError, "I parameters must be ints, got (1, 2.0)"),
+        ("III", (True,), ValueError, "III parameters must be ints, got (True,)"),
+        ("I", (0, 2), UnsupportedFactorError, "I(0,2): dimensions must be >= 1"),
+        ("II", (4,), UnsupportedFactorError,
+         "II(4) is below the supported range (n >= 5): II(4) coincides with IV(6)"),
+        ("II", (0,), UnsupportedFactorError,
+         "II(0) is below the supported range (n >= 5): degenerate"),
+        ("III", (0,), UnsupportedFactorError, "III(n) needs n >= 1"),
+        ("IV", (3,), UnsupportedFactorError,
+         "IV(3) is below the supported range (d >= 4): IV(3) coincides with III(2)"),
+        ("IV", (-1,), UnsupportedFactorError,
+         "IV(-1) is below the supported range (d >= 4): degenerate"),
+    ])
+    def test_invalid_messages(self, kind, params, error, message):
+        # by the constructor, by keyword, and when unpickling a descriptor
+        # that was built without the checks
+        with pytest.raises(error) as exc:
+            CartanDescriptor(kind, params)
+        assert type(exc.value) is error and str(exc.value) == message
+        with pytest.raises(error, match=r"^" + re.escape(message) + "$"):
+            CartanDescriptor(kind=kind, params=params)
+        unchecked = pickle.dumps(tuple.__new__(CartanDescriptor, (kind, params)))
+        with pytest.raises(error, match=r"^" + re.escape(message) + "$"):
+            pickle.loads(unchecked)
+
+    @pytest.mark.parametrize("d,text,rep", [
+        (CD("I", 3, 2), "I(3,2)", "CartanDescriptor(kind='I', params=(3, 2))"),
+        (CD("IV", 4), "IV(4)", "CartanDescriptor(kind='IV', params=(4,))"),
+        (EXCEPTIONAL_16, "V", "CartanDescriptor(kind='V', params=())"),
+        (EXCEPTIONAL_27, "VI", "CartanDescriptor(kind='VI', params=())"),
+    ], ids=str)
+    def test_value(self, d, text, rep):
+        # str, repr and hash are those of the former frozen dataclass, whose
+        # hash was that of its field tuple; pickling checks it again
+        assert str(d) == d.to_text() == text
+        assert repr(d) == rep
+        assert hash(d) == hash((d.kind, d.params))
+        assert isinstance(d, tuple) and tuple(d) == (d.kind, d.params)
+        copy = pickle.loads(pickle.dumps(d))
+        assert copy == d and type(copy) is CartanDescriptor
+
+    def test_order_is_the_former_sort_key(self):
+        values = catalog_descriptors() + (CD("I", 5, 1), CD("I", 6, 1), CD("III", 1),
+                                          EXCEPTIONAL_16, EXCEPTIONAL_27)
+        assert CD("IV", 4) in values
+        for a, b in product(values, repeat=2):
+            assert (a < b) == (reference_sort_key(a) < reference_sort_key(b)), (a, b)
+            assert (a == b) == (reference_sort_key(a) == reference_sort_key(b))
 
 
 class TestGrammar:
@@ -158,7 +235,26 @@ class TestCanonicalization:
         ],
     )
     def test_factor(self, src, expected):
-        assert canonicalize_factor(CartanDescriptor(*src)) == CartanDescriptor(*expected)
+        d = CartanDescriptor(*src)
+        result = canonicalize_factor(d)
+        assert result == CartanDescriptor(*expected)
+        assert type(result) is CartanDescriptor
+        assert (result is d) is (src == expected)
+
+    def test_matches_reference_canonical_form(self):
+        factors = ([CD("I", n, m) for n in range(1, 9) for m in range(1, 9)]
+                   + [CD("II", n) for n in range(5, 10)]
+                   + [CD("III", n) for n in range(1, 10)]
+                   + [CD("IV", d) for d in range(4, 13)]
+                   + [EXCEPTIONAL_16, EXCEPTIONAL_27])
+        for d in factors:
+            result = canonicalize_factor(d)
+            assert type(result) is CartanDescriptor
+            assert (result.kind, result.params) == reference_canonical_form(d)
+            assert (result is d) is (reference_canonical_form(d) == (d.kind, d.params))
+        expected = sorted((CartanDescriptor(*reference_canonical_form(d)) for d in factors),
+                          key=reference_sort_key)
+        assert canonicalize_spec(TripleSpec(tuple(factors))).factors == tuple(expected)
 
     def test_spec_sorted(self):
         spec = parse_triple_spec("IV(4)+II(5)+I(3,2)")

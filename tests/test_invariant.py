@@ -222,7 +222,7 @@ class TestAssembly:
         expected = set()
         offset = 0
         total = inv.group.k
-        for d in sorted(parts, key=CartanDescriptor.sort_key):
+        for d in sorted(parts):
             width = len(enveloping_tro(d).summands)
             for cls in gamma(d):
                 vec = [0] * total

@@ -99,6 +99,18 @@ class TestDoubleScaledGroups:
         assert u.left_caps == (1, 2) and u.right_caps == (1, 2)
         assert dsg_isomorphic(t, u) is None
 
+    @pytest.mark.parametrize("left, right", [
+        ((4.0,), (4,)), ((4,), (4.0,)), ((True, 2), (1, 2)), ((1, 2), (1, True)),
+    ])
+    def test_caps_must_be_ints(self, left, right):
+        # a float cap used to reach recovery, a bool one to_dict as `true`
+        with pytest.raises(ValueError, match="scale caps must be ints"):
+            DoubleScaledGroup(left, right)
+
+    def test_caps_must_be_positive(self):
+        with pytest.raises(ValueError, match="scale caps must be >= 1"):
+            DoubleScaledGroup((1, 0), (1, 1))
+
     def test_rectangular(self):
         g = double_scaled_group(parse_space("M(5,7)"))
         assert g.k == 1 and g.left_caps == (5,) and g.right_caps == (7,)
