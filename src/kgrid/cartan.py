@@ -86,6 +86,11 @@ class CartanDescriptor(namedtuple("CartanDescriptor", ("kind", "params"))):
                 )
         return tuple.__new__(cls, (kind, params))
 
+    @classmethod
+    def _make(cls, iterable) -> CartanDescriptor:
+        # namedtuple's _make, which _replace calls, would skip the checks
+        return cls(*iterable)
+
     def to_text(self) -> str:
         if self.params:
             return f"{self.kind}({','.join(str(p) for p in self.params)})"

@@ -125,13 +125,17 @@ class TestDescriptors:
          "IV(-1) is below the supported range (d >= 4): degenerate"),
     ])
     def test_invalid_messages(self, kind, params, error, message):
-        # by the constructor, by keyword, and when unpickling a descriptor
-        # that was built without the checks
+        # by the constructor, by keyword, through namedtuple's _make and
+        # _replace, and when unpickling a descriptor built without the checks
         with pytest.raises(error) as exc:
             CartanDescriptor(kind, params)
         assert type(exc.value) is error and str(exc.value) == message
         with pytest.raises(error, match=r"^" + re.escape(message) + "$"):
             CartanDescriptor(kind=kind, params=params)
+        with pytest.raises(error, match=r"^" + re.escape(message) + "$"):
+            CartanDescriptor._make((kind, params))
+        with pytest.raises(error, match=r"^" + re.escape(message) + "$"):
+            CD("I", 1, 1)._replace(kind=kind, params=params)
         unchecked = pickle.dumps(tuple.__new__(CartanDescriptor, (kind, params)))
         with pytest.raises(error, match=r"^" + re.escape(message) + "$"):
             pickle.loads(unchecked)
