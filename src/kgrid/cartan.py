@@ -216,6 +216,10 @@ def parse_triple_spec(text: str) -> TripleSpec:
 _COINCIDENCES = {CartanDescriptor("III", (1,)): CartanDescriptor("I", (1, 1)),
                  CartanDescriptor("IV", (4,)): CartanDescriptor("I", (2, 2))}
 
+# builds a descriptor without the checks: used only for the transpose of a
+# valid I(n,m), which is valid
+_unchecked = tuple.__new__
+
 
 def canonicalize_factor(d: CartanDescriptor) -> CartanDescriptor:
     """The normal form of d modulo triple isomorphism within the supported
@@ -228,11 +232,8 @@ def canonicalize_factor(d: CartanDescriptor) -> CartanDescriptor:
     kind = d.kind
     if kind == "I":
         n, m = d.params
-        # the transpose of a valid descriptor is valid: built unchecked
-        return d if n <= m else tuple.__new__(CartanDescriptor, (kind, (m, n)))
-    if kind == "III" or kind == "IV":
-        return _COINCIDENCES.get(d, d)
-    return d
+        return d if n <= m else _unchecked(CartanDescriptor, (kind, (m, n)))
+    return _COINCIDENCES[d] if d in _COINCIDENCES else d
 
 
 def canonicalize_spec(s: TripleSpec) -> TripleSpec:
