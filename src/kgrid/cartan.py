@@ -46,11 +46,8 @@ _ARITY = {"I": 2, "II": 1, "III": 1, "IV": 1, "V": 0, "VI": 0}  # in sort order
 
 
 class CartanDescriptor(namedtuple("CartanDescriptor", ("kind", "params"))):
-    """A factor as its (kind, params) pair, checked when it is constructed.
-
-    Descriptors hash, compare and sort as that pair; kind strings sort in
-    ``_ARITY`` order, so descriptors sort by kind, then by parameters.
-    """
+    """A factor as its (kind, params) pair, checked when constructed; kinds
+    sort in ``_ARITY`` order, so descriptors sort by kind, then parameters."""
 
     __slots__ = ()
 
@@ -216,9 +213,7 @@ def parse_triple_spec(text: str) -> TripleSpec:
 _COINCIDENCES = {CartanDescriptor("III", (1,)): CartanDescriptor("I", (1, 1)),
                  CartanDescriptor("IV", (4,)): CartanDescriptor("I", (2, 2))}
 
-# builds a descriptor without the checks: used only for the transpose of a
-# valid I(n,m), which is valid
-_unchecked = tuple.__new__
+_unchecked = tuple.__new__  # no checks: only for the transpose of a valid I(n,m)
 
 
 def canonicalize_factor(d: CartanDescriptor) -> CartanDescriptor:

@@ -50,14 +50,10 @@ _GRID_KIND = {"I": "rectangular", "II": "symplectic", "III": "hermitian",
 
 @dataclass(frozen=True, slots=True)
 class Grid:
-    """A factor's grid elements and their labels; ``rank_two`` names the
-    elements that are rank-two tripotents by construction, which are exempt
-    from the minimality requirement."""
-
     factor: CartanDescriptor
     elements: tuple
     labels: tuple
-    rank_two: frozenset = frozenset()
+    rank_two: frozenset = frozenset()  # rank-two tripotents: not required minimal
 
     @property
     def kind(self) -> str:

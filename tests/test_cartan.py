@@ -1,5 +1,4 @@
 import pickle
-import re
 from itertools import product
 from math import comb
 
@@ -127,18 +126,15 @@ class TestDescriptors:
     def test_invalid_messages(self, kind, params, error, message):
         # by the constructor, by keyword, through namedtuple's _make and
         # _replace, and when unpickling a descriptor built without the checks
-        with pytest.raises(error) as exc:
-            CartanDescriptor(kind, params)
-        assert type(exc.value) is error and str(exc.value) == message
-        with pytest.raises(error, match=r"^" + re.escape(message) + "$"):
-            CartanDescriptor(kind=kind, params=params)
-        with pytest.raises(error, match=r"^" + re.escape(message) + "$"):
-            CartanDescriptor._make((kind, params))
-        with pytest.raises(error, match=r"^" + re.escape(message) + "$"):
-            CD("I", 1, 1)._replace(kind=kind, params=params)
         unchecked = pickle.dumps(tuple.__new__(CartanDescriptor, (kind, params)))
-        with pytest.raises(error, match=r"^" + re.escape(message) + "$"):
-            pickle.loads(unchecked)
+        for build in (lambda: CartanDescriptor(kind, params),
+                      lambda: CartanDescriptor(kind=kind, params=params),
+                      lambda: CartanDescriptor._make((kind, params)),
+                      lambda: CD("I", 1, 1)._replace(kind=kind, params=params),
+                      lambda: pickle.loads(unchecked)):
+            with pytest.raises(error) as exc:
+                build()
+            assert type(exc.value) is error and str(exc.value) == message
 
     @pytest.mark.parametrize("d,text,rep", [
         (CD("I", 3, 2), "I(3,2)", "CartanDescriptor(kind='I', params=(3, 2))"),
