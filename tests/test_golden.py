@@ -51,6 +51,13 @@ COMMANDS = (
         ["lift", ALPHA, "M(2,1)", "M(3,3)", "--json"],  # rejected
         ["sweep", "--max-factors", "2"],
         ["sweep", "--max-factors", "2", "--json"],
+        # the shared flags ahead of the subcommand
+        ["--json", "invariant", "I(2,3)"],
+        ["--quiet", "classify", "IV(5)", "III(4)"],
+        ["--json", "sweep", "--max-factors", "1"],
+        # human-form verify: odd and even spin factors, transposed summands
+        ["verify", "I(3,1)+IV(7)+I(1,3)+IV(6)+V"],
+        ["verify", "IV(10)"],
     ]
 )
 
