@@ -378,7 +378,6 @@ def _odd_symmetry_matrices(n: int) -> list:
     return mats
 
 
-@lru_cache(maxsize=None)
 def standard_spin_system(d: CartanDescriptor) -> SpinSystem:
     """The standard spin system spanning the spin factor inside its TRO.
 

@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import time
-from functools import cache
 from typing import Optional, Sequence
 
 from .cartan import (
@@ -60,7 +59,6 @@ def _factor_count(text: str) -> int:
     return value
 
 
-@cache  # parse_args keeps no state in the parser
 def _build_parser() -> _Parser:
     # the flags are accepted on both sides of the subcommand; the subparser
     # copies use SUPPRESS so they never overwrite a value set up front

@@ -1,13 +1,11 @@
 """Grids for the classical factors, constructed as explicit elements of the
 enveloping TROs, and the machine verification of their defining properties.
 
-The I, II and III grids are the embedded coordinate bases of
-``cartan.embedded_basis``: the matrix-unit frames E_ij, E_ij - E_ji and
-E_ii, E_ij + E_ji, and the signed-incidence frame of a rank-one factor.
-
-The IV(d) grid is built from the standard spin system of IV(d),
-``cartan.standard_spin_system(d)``, whose N = d - 1 symmetries span the
-embedded factor with the identity.  The spin grid convention: the grid is
+Every grid is built from ``cartan.embedded_basis``.  The I, II and III grids
+are the embedded coordinate bases: the matrix-unit frames E_ij, E_ij - E_ji
+and E_ii, E_ij + E_ji, and the signed-incidence frame of a rank-one factor.
+The IV(d) basis is the identity followed by the N = d - 1 symmetries of the
+standard spin system, which span the embedded factor.  The spin grid is
 
     u1 = (id - s1)/2,   ut1 = -(id + s1)/2,
     u_{k+1} = (s_{2k} + i s_{2k+1})/2,   ut_{k+1} = (s_{2k} - i s_{2k+1})/2,
@@ -31,7 +29,6 @@ from .cartan import (
     enveloping_tro,
     intrinsic_dim,
     is_exceptional,
-    standard_spin_system,
 )
 from .exact import HALF, I, in_complex_line, mat_mul
 from .ktheory import k0_class_of_projection
@@ -68,26 +65,25 @@ class Grid:
 
 
 def _spin_grid(d: CartanDescriptor) -> Grid:
-    """The spin grid of the standard spin system (see the module docstring)."""
-    system = standard_spin_system(d)
-    n_sym = len(system.symmetries)
+    """The spin grid of ``embedded_basis(d)`` (see the module docstring)."""
+    ident, *syms = embedded_basis(d)
+    n_sym = len(syms)
     elements = []
     labels = []
-    s1 = system.symmetries[0]
-    elements.append((system.identity - s1).scale(HALF))
+    elements.append((ident - syms[0]).scale(HALF))
     labels.append("u1")
-    elements.append((system.identity + s1).scale(-HALF))
+    elements.append((ident + syms[0]).scale(-HALF))
     labels.append("ut1")
     for k in range(1, (n_sym - 1) // 2 + 1):
-        a = system.symmetries[2 * k - 1]
-        b = system.symmetries[2 * k]
+        a = syms[2 * k - 1]
+        b = syms[2 * k]
         elements.append((a + b.scale(I)).scale(HALF))
         labels.append(f"u{k + 1}")
         elements.append((a - b.scale(I)).scale(HALF))
         labels.append(f"ut{k + 1}")
     rank_two = frozenset()
     if n_sym % 2 == 0:
-        elements.append(system.symmetries[-1])
+        elements.append(syms[-1])
         labels.append("u0")
         rank_two = frozenset({"u0"})  # its range projection is the identity
     return Grid(d, tuple(elements), tuple(labels), rank_two)
@@ -114,12 +110,12 @@ def _matrix_labels(d: CartanDescriptor) -> tuple:
 
 
 def grid_for(d: CartanDescriptor) -> Grid:
-    """The standard grid of a non-exceptional factor.
+    """The standard grid of a non-exceptional factor, from ``embedded_basis``.
 
     The I, II and III grids are the embedded coordinate bases: the images of
     the matrix-unit frames E_ij (I), E_ij - E_ji (II) and E_ii, E_ij + E_ji
     (III), or the signed-incidence frame for a one-row or one-column factor.
-    IV gets the spin grid of its standard spin system.
+    IV gets the spin grid of its basis, the standard spin system.
     """
     if is_exceptional(d):
         raise ExceptionalFactorError(f"{d}: exceptional factor has no grid model")

@@ -383,7 +383,7 @@ class TestEmbed:
         s = standard_spin_system(CD("IV", dim))
         basis = embedded_basis(CD("IV", dim))
         assert len(basis) == dim
-        assert all(b is e for b, e in zip(basis, (s.identity, *s.symmetries)))
+        assert basis == (s.identity, *s.symmetries)
 
     @pytest.mark.parametrize("d", [CD("I", 2, 3), CD("II", 5), CD("III", 3)], ids=str)
     def test_matrix_factor_basis_elements(self, d):
