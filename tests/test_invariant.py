@@ -1,5 +1,7 @@
 import ast
+import importlib
 import json
+import pkgutil
 import random
 import time
 import tracemalloc
@@ -20,6 +22,7 @@ from kgrid.cartan import (
     parse_triple_spec,
 )
 from kgrid.catalog import catalog_descriptors, catalog_multisets
+import kgrid
 from kgrid import cartan, invariant
 from kgrid.cli import run
 from kgrid.grids import grid_for, grid_gamma
@@ -752,7 +755,23 @@ class TestRecoveryMemo:
             _block_factors.cache_clear()
 
     def test_memo_is_bounded(self):
-        assert _block_factors.cache_info().maxsize is not None
+        # the inventory of kgrid's functools caches, each with its maxsize:
+        # a cache added, removed or resized shows here
+        caches = {}
+        for module in pkgutil.iter_modules(kgrid.__path__):
+            for value in vars(importlib.import_module(f"kgrid.{module.name}")).values():
+                if hasattr(value, "cache_info"):
+                    caches[f"{value.__module__}.{value.__qualname__}"] = \
+                        value.cache_info().maxsize
+        assert caches == {
+            "kgrid.cartan.embedded_basis": None,
+            "kgrid.cartan.hilbert_frame": None,
+            "kgrid.invariant.gamma": None,
+            "kgrid.invariant._factor_block": None,
+            "kgrid.invariant._invariant_of_canonical": None,
+            "kgrid.invariant._block_factors": 4096,
+            "kgrid.invariant._shared": 4096,
+        }
         assert not hasattr(_quick_key, "cache_info")
 
 
