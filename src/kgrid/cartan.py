@@ -54,6 +54,8 @@ class CartanDescriptor(namedtuple("CartanDescriptor", ("kind", "params"))):
     def __new__(cls, kind: str, params: tuple = ()) -> CartanDescriptor:
         if kind not in _ARITY:
             raise ValueError(f"unknown factor kind {kind!r}")
+        if type(params) is not tuple:
+            raise ValueError(f"{kind} parameters must be a tuple, got {params!r}")
         if len(params) != _ARITY[kind]:
             raise ValueError(
                 f"{kind} takes {_ARITY[kind]} parameter(s), got {len(params)}")
@@ -126,6 +128,8 @@ class TripleSpec:
     factors: tuple
 
     def __post_init__(self) -> None:
+        if type(self.factors) is not tuple:
+            raise ValueError(f"factors must be a tuple, got {self.factors!r}")
         if not self.factors:
             raise ValueError("a triple spec needs at least one factor")
 

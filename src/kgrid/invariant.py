@@ -105,6 +105,9 @@ class KGridInvariant:
 
     def __init__(self, group: DoubleScaledGroup, gamma: frozenset,
                  exceptional_count: int = 0) -> None:
+        for cls in gamma:
+            if type(cls) is not tuple:
+                raise ValueError(f"grid classes must be tuples, got {cls!r}")
         if set(map(len, gamma)) - {group.k}:
             raise ValueError(f"every grid class needs {group.k} entries, "
                              "one per summand")

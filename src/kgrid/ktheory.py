@@ -49,6 +49,9 @@ class DoubleScaledGroup:
     right_caps: tuple
 
     def __post_init__(self) -> None:
+        for caps in (self.left_caps, self.right_caps):
+            if type(caps) is not tuple:
+                raise ValueError(f"scale caps must be tuples, got {caps!r}")
         if len(self.left_caps) != len(self.right_caps):
             raise ValueError("left and right caps must have equal length")
         for c in self.left_caps + self.right_caps:

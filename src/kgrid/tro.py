@@ -53,9 +53,14 @@ class TroSpace:
     summands: tuple
 
     def __post_init__(self) -> None:
+        if type(self.summands) is not tuple:
+            raise ValueError(f"summands must be a tuple, got {self.summands!r}")
         if not self.summands:
             raise ValueError("a TRO space needs at least one summand")
-        for n, m in self.summands:
+        for summand in self.summands:
+            if type(summand) is not tuple:
+                raise ValueError(f"a summand must be a tuple, got {summand!r}")
+            n, m = summand
             if type(n) is not int or type(m) is not int:
                 raise ValueError(f"summand dimensions must be ints, got {(n, m)!r}")
             if n < 1 or m < 1:

@@ -122,6 +122,9 @@ class TestDescriptors:
          "IV(3) is below the supported range (d >= 4): IV(3) coincides with III(2)"),
         ("IV", (-1,), UnsupportedFactorError,
          "IV(-1) is below the supported range (d >= 4): degenerate"),
+        # a list would print alike but neither hash nor equal the tuple
+        ("I", [2, 3], ValueError, "I parameters must be a tuple, got [2, 3]"),
+        ("IV", 5, ValueError, "IV parameters must be a tuple, got 5"),
     ])
     def test_invalid_messages(self, kind, params, error, message):
         # by the constructor, by keyword, through namedtuple's _make and
@@ -135,6 +138,10 @@ class TestDescriptors:
             with pytest.raises(error) as exc:
                 build()
             assert type(exc.value) is error and str(exc.value) == message
+
+    def test_spec_factors_must_be_a_tuple(self):
+        with pytest.raises(ValueError, match=r"factors must be a tuple, got \["):
+            TripleSpec([CD("I", 2, 3)])
 
     @pytest.mark.parametrize("d,text,rep", [
         (CD("I", 3, 2), "I(3,2)", "CartanDescriptor(kind='I', params=(3, 2))"),

@@ -101,10 +101,13 @@ class TestDoubleScaledGroups:
 
     @pytest.mark.parametrize("left, right", [
         ((4.0,), (4,)), ((4,), (4.0,)), ((True, 2), (1, 2)), ((1, 2), (1, True)),
+        ([1, 1], (1, 1)), ((1, 1), [1, 1]),
     ])
     def test_caps_must_be_ints(self, left, right):
-        # a float cap used to reach recovery, a bool one to_dict as `true`
-        with pytest.raises(ValueError, match="scale caps must be ints"):
+        # a float cap used to reach recovery, a bool one to_dict as `true`;
+        # list caps made a group that neither hashed nor equalled its tuple form
+        what = "ints" if type(left) is type(right) is tuple else "tuples"
+        with pytest.raises(ValueError, match=f"scale caps must be {what}"):
             DoubleScaledGroup(left, right)
 
     def test_caps_must_be_positive(self):

@@ -92,10 +92,16 @@ class TestSpaces:
         assert left_dims(t) == (3, 3, 1)
         assert right_dims(t) == (1, 3, 3)
 
-    @pytest.mark.parametrize("summand", [(2.0, 3), (True, 3)], ids=["float", "bool"])
-    def test_non_int_dimension_rejected(self, summand):
-        with pytest.raises(ValueError, match="must be ints"):
-            TroSpace((summand,))
+    @pytest.mark.parametrize("summands,message", [
+        (((2.0, 3),), "must be ints"),
+        (((True, 3),), "must be ints"),
+        # lists would print alike but neither hash nor equal the tuples
+        ([(1, 2)], r"summands must be a tuple, got \[\(1, 2\)\]"),
+        (([1, 2],), r"a summand must be a tuple, got \[1, 2\]"),
+    ], ids=["float", "bool", "list", "list-summand"])
+    def test_non_int_dimension_rejected(self, summands, message):
+        with pytest.raises(ValueError, match=message):
+            TroSpace(summands)
 
     def test_block_shape_validated(self):
         with pytest.raises(ShapeError):
