@@ -680,13 +680,10 @@ def key_pairs(draw):
 
 
 class TestCallerBuilt:
-    @pytest.mark.parametrize("gamma", [
-        [[0, 0], [1, 0]],  # the zero class was dropped, the other one kept
-        frozenset({(1, 0), b"\x00\x01"}),
-    ], ids=["lists", "bytes"])
-    def test_classes_must_be_tuples(self, gamma):
-        with pytest.raises(ValueError, match="grid classes must be tuples"):
-            KGridInvariant(DoubleScaledGroup((1, 1), (1, 1)), gamma)
+    def test_classes_must_be_tuples(self):
+        # a list zero class was missed, while the other classes were kept
+        with pytest.raises(ValueError, match=r"grid classes must be tuples, got \["):
+            KGridInvariant(DoubleScaledGroup((1, 1), (1, 1)), [[0, 0], [1, 0]])
 
     @given(st.one_of(raw_invariants(), shuffled_assembled()))
     def test_against_dense_reference(self, raw):
