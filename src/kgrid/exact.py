@@ -33,7 +33,11 @@ RationalLike = Union[int, Fraction]
 
 
 def _frac(x: RationalLike) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    if isinstance(x, Fraction):
+        return x
+    if type(x) is not int:  # bool, float and str parts are rejected, not converted
+        raise ValueError(f"a Scalar part must be an int or a Fraction, not {x!r}")
+    return Fraction(x)
 
 
 @dataclass(frozen=True, slots=True)
@@ -245,8 +249,12 @@ def sparse_matrix(rows: int, cols: int, num: dict, den: int) -> Matrix:
     """The Matrix with nonzero numerators num = {row: {col: (re, im)}} over a
     positive denominator den.  num holds no zero value and no empty row, and
     is taken over, not copied; its common factor with den is divided out."""
-    g = math.gcd(den, *(x for row in num.values() for v in row.values() for x in v)) \
-        if den != 1 else 1
+    g = den
+    for row in num.values():
+        for re, im in row.values():
+            if g == 1:
+                break
+            g = math.gcd(g, re, im)
     if g != 1:
         num = {i: {j: (re // g, im // g) for j, (re, im) in row.items()}
                for i, row in num.items()}
@@ -359,23 +367,34 @@ def _gdiv(x: tuple, d: tuple) -> tuple:  # x / d, known to be a Gaussian integer
 
 def _eliminate(row: dict, at: tuple, pivot_row: dict, c: int, p: tuple) -> dict:
     # Bareiss step clearing column c of a row current at ``at``: (p row - row[c] pivot_row) / at
-    x = row[c]
-    acc = {j: _gmul(p, v) for j, v in row.items() if j != c}
-    for j, v in pivot_row.items():
+    pr, pi = p
+    xr, xi = row[c]
+    acc = {j: (pr * a - pi * b, pr * b + pi * a) for j, (a, b) in row.items() if j != c}
+    for j, (a, b) in pivot_row.items():
         if j != c:
-            old, sub = acc.get(j, (0, 0)), _gmul(x, v)
-            acc[j] = (old[0] - sub[0], old[1] - sub[1])
-    return {j: _gdiv(v, at) for j, v in acc.items() if v != (0, 0)}
+            sr, si = xr * a - xi * b, xr * b + xi * a
+            old = acc.get(j)
+            acc[j] = (-sr, -si) if old is None else (old[0] - sr, old[1] - si)
+    ar, ai = at
+    if ai:  # exact division by a non-real Gaussian integer
+        n = ar * ar + ai * ai
+        return {j: ((a * ar + b * ai) // n, (b * ar - a * ai) // n)
+                for j, (a, b) in acc.items() if a or b}
+    if ar == 1:
+        return {j: v for j, v in acc.items() if v[0] or v[1]}
+    return {j: (a // ar, b // ar) for j, (a, b) in acc.items() if a or b}
 
 
 def _bareiss(rows: list, limit: int) -> tuple:
     """Fraction-free (Bareiss) elimination of sparse rows {col: (re, im)}, in
     order: a nonzero row pivots on its least column below ``limit``, cleared
     from every later row.  Returns the (col, row) pivots and the nonzero rows
-    left with no column below ``limit``.  A row a step skips is owed p_new /
-    p_old, which telescopes, so each row keeps the pivot it is current at and
-    is updated only when used.  Every division is exact (Sylvester's identity),
-    which keeps coefficient growth polynomial."""
+    left with no column below ``limit``, in input order.  Columns from
+    ``limit`` on never pivot; they carry along the combination that made each
+    row, as the tag columns of span_coords do.  A row a step skips is owed
+    p_new / p_old, which telescopes, so each row keeps the pivot it is current
+    at and is updated only when used.  Every division is exact (Sylvester's
+    identity), which keeps coefficient growth polynomial."""
     prev, pivots, rest = (1, 0), [], []
     work = [(row, prev) for row in rows]
     for t, (row, at) in enumerate(work):
@@ -421,39 +440,54 @@ def _flat(v: Union[Matrix, tuple], like: Union[Matrix, tuple]) -> tuple:
     return flat, den
 
 
+def _stacked(vs: Sequence[Union[Matrix, tuple]], like: Union[Matrix, tuple]) -> tuple:
+    """(the rows _flat(v, like) for v in vs, their denominators, the row length):
+    each vector as one row, which keeps the rank of the vectors."""
+    flats = [_flat(v, like) for v in vs]
+    return [f for f, _ in flats], [d for _, d in flats], sum(n * m for n, m in _shape(like))
+
+
 def span_dim(vs: Sequence[Union[Matrix, tuple]]) -> int:
     """Dimension of the complex linear span of same-shaped vectors, each a
     matrix or a tuple of matrix blocks."""
     if not vs:
         return 0
-    # row r is vs[r] flattened and times its denominator, which keeps the rank
-    stacked = {r: flat for r, (flat, _) in enumerate(_flat(v, vs[0]) for v in vs) if flat}
-    return rank(_new(len(vs), sum(n * m for n, m in _shape(vs[0])), stacked, 1))
+    rows, _, size = _stacked(vs, vs[0])
+    return rank(_new(len(vs), size, {r: row for r, row in enumerate(rows) if row}, 1))
 
 
 def span_coords(vs: Sequence[Union[Matrix, tuple]],
                 target: Union[Matrix, tuple]) -> Optional[list]:
     """Coefficients c with sum(c_j * vs[j]) == target, or None if unsolvable.
 
-    The vectors are as in span_dim.  Free coordinates are returned as 0; any
-    one solution will do for the callers (span tests and basis pullbacks).
+    The vectors are as in span_dim.  The solution returned is the one that
+    gives 0 to every vector in the span of earlier ones, so it is unique.
+
+    The vectors and the target are reduced as stacked rows, one numerator
+    row N_j per vs[j] and N last for the target, each with a tag (1, 0) in
+    its own column after the entries.  The target lies in the span exactly
+    when its row ends with no entry left, and then its tags r_j and r != 0
+    are a relation sum(r_j N_j) + r N = 0 over the independent vectors, so
+    c_j = -r_j d_j / (r d) for the denominators d_j of vs[j] and d of target.
     """
     k = len(vs)
-    # one equation per entry position over the numerators N_j of vs[j] and,
-    # in column k, N of the target: sum_j x_j N_j = N, so c_j = x_j d_j / d
-    flats = [_flat(v, target) for v in [*vs, target]]
-    eqs: dict = {}
-    for j, (flat, _) in enumerate(flats):
-        for pos, x in flat.items():
-            eqs.setdefault(pos, {})[j] = x
-    pivots, rest = _bareiss(list(eqs.values()), k)
-    if rest:
+    rows, dens, size = _stacked([*vs, target], target)
+    for j, row in enumerate(rows):
+        row[size + j] = (1, 0)
+    rest = _bareiss(rows, size)[1]
+    rel = rest[-1] if rest else {}
+    if size + k not in rel:  # the target's row pivoted: it is off the span
         return None
-    x = [ZERO] * k
-    for c, row in reversed(pivots):
-        known = sum((Scalar(*v) * x[j] for j, v in row.items() if j != c and j < k), ZERO)
-        x[c] = (Scalar(*row.get(k, (0, 0))) - known) / Scalar(*row[c])
-    return [xj * Scalar(Fraction(d, flats[k][1])) for xj, (_, d) in zip(x, flats)]
+    # -r_j d_j / (r d) = -r_j d_j conj(r) / (|r|^2 d)
+    rr, ri = rel[size + k]
+    n = (rr * rr + ri * ri) * dens[k]
+    coords = []
+    for j in range(k):
+        xr, xi = rel.get(size + j, (0, 0))
+        f = -dens[j]
+        coords.append(Scalar(Fraction(f * (xr * rr + xi * ri), n),
+                             Fraction(f * (xi * rr - xr * ri), n)) if xr or xi else ZERO)
+    return coords
 
 
 def in_complex_line(e: tuple, w: tuple) -> bool:

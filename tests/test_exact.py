@@ -1,4 +1,5 @@
 import ast
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,6 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import kgrid
+from kgrid import exact
 from kgrid.exact import (
     HALF,
     I,
@@ -94,6 +96,22 @@ class TestScalar:
     def test_parse_rejects(self, text):
         with pytest.raises((ValueError, ZeroDivisionError)):
             parse_scalar(text)
+
+    @pytest.mark.parametrize("bad", [0.1, 0.5, 1.0, True, False, "1/3", None, 1j])
+    def test_rejects_inexact_and_non_numeric(self, bad):
+        # only int (not bool) and Fraction; parse_scalar is the text entry point
+        with pytest.raises(ValueError):
+            Scalar(bad)
+        with pytest.raises(ValueError):
+            Scalar(1, bad)
+
+    def test_matrices_reject_floats(self):
+        with pytest.raises(ValueError):
+            mat([[0.5]])
+        with pytest.raises(ValueError):
+            identity(2).scale(0.5)
+        with pytest.raises(ValueError):
+            identity(2).scale(True)
 
 
 class TestMatMul:
@@ -210,6 +228,30 @@ class TestSpan:
 
     def test_coords_off_span(self):
         assert span_coords([SIGMA1], SIGMA2) is None
+
+    def test_coords_pinned(self):
+        a = mat([[1, HALF], [0, I]])
+        b = mat([[0, 1], [Fraction(2, 3), 0]])
+        # 2a lies in the span of a, so it gets 0 and the solution is unique
+        assert span_coords([a, a.scale(2), b], a.scale(3) + b) == [Scalar(3), ZERO, ONE]
+
+    def test_coords_zero_vector(self):
+        a = mat([[1, 2], [I, 0]])
+        assert span_coords([zeros(2, 2), a], a.scale(I)) == [ZERO, I]
+        assert span_coords([a, zeros(2, 2)], a.scale(2)) == [Scalar(2), ZERO]
+
+    def test_coords_no_vectors(self):
+        assert span_coords([], zeros(2, 2)) == []
+        assert span_coords([], (zeros(1, 1), zeros(2, 3))) == []
+        assert span_coords([], matrix_unit(2, 2, 1, 0)) is None
+
+    def test_coords_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            span_coords([zeros(2, 2)], zeros(2, 3))
+        with pytest.raises(ShapeError):
+            span_coords([identity(2), zeros(3, 3)], identity(2))
+        with pytest.raises(ShapeError):
+            span_coords([(identity(1), identity(2))], (identity(1),))
 
     @given(matrices(2, 2), st.lists(scalars, min_size=3, max_size=3))
     def test_coords_recombine(self, _, coeffs):
@@ -451,6 +493,81 @@ class TestKernelAgainstReference:
             for c, r in zip(got, refs):
                 rebuilt = r_combine(rebuilt, r_scale((c.re, c.im), r), 1)
             assert rebuilt == rtarget
+
+    def test_rank_division_branches(self, monkeypatch):
+        # the rows are brought current at 1, at the real pivot 2 and at the
+        # non-real pivot -1+2i: each exact-division branch of the step runs
+        seen = []
+        step = exact._eliminate
+
+        def recording(row, at, *rest):
+            seen.append(at)
+            return step(row, at, *rest)
+
+        monkeypatch.setattr(exact, "_eliminate", recording)
+        m = mat([[2, 1, 0, 0], [1, I, 1, 0], [1, 1, 0, 1], [0, 1, 1, 1]])
+        assert rank(m) == r_rank(ref_of(m)) == 4
+        assert (1, 0) in seen and (2, 0) in seen and (-1, 2) in seen
+
+    def test_span_coords_non_real_relation(self, monkeypatch):
+        # the target's tag r in the relation is -1+2i, so the division by r is
+        # by a non-real Gaussian integer
+        relations = []
+        bareiss = exact._bareiss
+
+        def recording(rows, limit):
+            out = bareiss(rows, limit)
+            relations.append(out[1][-1])
+            return out
+
+        monkeypatch.setattr(exact, "_bareiss", recording)
+        vs = [mat([[I, 1]]), mat([[1, 2]])]
+        assert span_coords(vs, mat([[3, 1]])) == [Scalar(-1, -2), Scalar(1, 1)]
+        assert relations == [{2: (-5, 0), 3: (3, -1), 4: (-1, 2)}]
+
+    def test_span_coords_seeded(self):
+        # dense-algebra-shaped cases: 1-3 blocks up to 6x6, denominators 1-3,
+        # 2-5 vectors of which about half are combinations of earlier ones
+        rng = random.Random(1604)
+
+        def entry():
+            return Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                          Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+
+        def combine(coeffs, refs):
+            out = [[[(Fraction(0), Fraction(0))] * len(b[0]) for _ in b] for b in refs[0]]
+            for c, r in zip(coeffs, refs):
+                out = [r_combine(o, r_scale((c.re, c.im), b), 1) for o, b in zip(out, r)]
+            return out
+
+        def element(ref):
+            return tuple(mat([[Scalar(*x) for x in row] for row in b]) for b in ref)
+
+        for _ in range(200):
+            shapes = [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(rng.randint(1, 3))]
+            refs = []
+            for j in range(rng.randint(2, 5)):
+                if j and rng.random() < 0.5:
+                    refs.append(combine([entry() for _ in refs], refs))
+                else:
+                    refs.append([[[(e.re, e.im) for e in (entry() for _ in range(m))]
+                                  for _ in range(n)] for n, m in shapes])
+            if rng.random() < 0.5:
+                rtarget = combine([entry() for _ in refs], refs)
+            else:
+                rtarget = [[[(e.re, e.im) for e in (entry() for _ in range(m))]
+                            for _ in range(n)] for n, m in shapes]
+            flats = [[x for b in r for x in r_flat(b)] for r in refs]
+            tflat = [x for b in rtarget for x in r_flat(b)]
+            ranks = [r_rank(flats[:j]) for j in range(len(flats) + 1)]
+            got = span_coords([element(r) for r in refs], element(rtarget))
+            assert (got is not None) == (r_rank(flats + [tflat]) == ranks[-1])
+            if got is None:
+                continue
+            assert combine(got, refs) == rtarget
+            for j, c in enumerate(got):
+                if ranks[j + 1] == ranks[j]:  # vs[j] is in the span of earlier ones
+                    assert c == ZERO
 
     def test_span_coords_denominators(self):
         basis = [mat([[HALF, 0], [0, Scalar(0, Fraction(1, 3))]]), mat([[0, Fraction(2, 5)], [1, 0]])]
