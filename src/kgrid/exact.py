@@ -251,10 +251,12 @@ def sparse_matrix(rows: int, cols: int, num: dict, den: int) -> Matrix:
     is taken over, not copied; its common factor with den is divided out."""
     g = den
     for row in num.values():
+        if g == 1:
+            break
         for re, im in row.values():
+            g = math.gcd(g, re, im)
             if g == 1:
                 break
-            g = math.gcd(g, re, im)
     if g != 1:
         num = {i: {j: (re // g, im // g) for j, (re, im) in row.items()}
                for i, row in num.items()}
