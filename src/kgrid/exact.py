@@ -392,8 +392,10 @@ def _bareiss(rows: list, limit: int) -> tuple:
     order: a nonzero row pivots on its least column below ``limit``, cleared
     from every later row.  Returns the (col, row) pivots and the nonzero rows
     left with no column below ``limit``, in input order.  Columns from
-    ``limit`` on never pivot; they carry along the combination that made each
-    row, as the tag columns of span_coords do.  A row a step skips is owed
+    ``limit`` on never pivot: span_coords puts one tag column per stacked
+    vector there, so a row left over carries a relation between its vector
+    and the pivot rows before it, and a vector in the span of earlier ones
+    gets coefficient 0.  A row a step skips is owed
     p_new / p_old, which telescopes, so each row keeps the pivot it is current
     at and is updated only when used.  Every division is exact (Sylvester's
     identity), which keeps coefficient growth polynomial."""
