@@ -250,11 +250,12 @@ def sparse_matrix(rows: int, cols: int, num: dict, den: int) -> Matrix:
     positive denominator den.  num holds no zero value and no empty row, and
     is taken over, not copied; its common factor with den is divided out."""
     g = den
-    for row in num.values():
-        if g == 1:
-            break
-        for re, im in row.values():
-            g = math.gcd(g, re, im)
+    if g != 1:  # read entries only until the gcd reaches 1
+        for row in num.values():
+            for re, im in row.values():
+                g = math.gcd(g, re, im)
+                if g == 1:
+                    break
             if g == 1:
                 break
     if g != 1:
