@@ -396,10 +396,10 @@ def _bareiss(rows: list, limit: int) -> tuple:
     ``limit`` on never pivot: span_coords puts one tag column per stacked
     vector there, so a row left over carries a relation between its vector
     and the pivot rows before it, and a vector in the span of earlier ones
-    gets coefficient 0.  A row a step skips is owed
-    p_new / p_old, which telescopes, so each row keeps the pivot it is current
-    at and is updated only when used.  Every division is exact (Sylvester's
-    identity), which keeps coefficient growth polynomial."""
+    gets coefficient 0.  A row a step skips is owed p_new / p_old, which
+    telescopes, so each row keeps the pivot it is current at and is updated
+    only when used.  Every division is exact (Sylvester's identity), which
+    keeps coefficient growth polynomial."""
     prev, pivots, rest = (1, 0), [], []
     work = [(row, prev) for row in rows]
     for t, (row, at) in enumerate(work):

@@ -532,6 +532,10 @@ class TestKernelAgainstReference:
                 out = [r_combine(o, r_scale((c.re, c.im), b), 1) for o, b in zip(out, r)]
             return out
 
+        def dense(shapes):
+            return [[[(e.re, e.im) for e in (entry() for _ in range(m))] for _ in range(n)]
+                    for n, m in shapes]
+
         def element(ref):
             return tuple(mat([[Scalar(*x) for x in row] for row in b]) for b in ref)
 
@@ -539,16 +543,10 @@ class TestKernelAgainstReference:
             shapes = [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(rng.randint(1, 3))]
             refs = []
             for j in range(rng.randint(2, 5)):
-                if j and rng.random() < 0.5:
-                    refs.append(combine([entry() for _ in refs], refs))
-                else:
-                    refs.append([[[(e.re, e.im) for e in (entry() for _ in range(m))]
-                                  for _ in range(n)] for n, m in shapes])
-            if rng.random() < 0.5:
-                rtarget = combine([entry() for _ in refs], refs)
-            else:
-                rtarget = [[[(e.re, e.im) for e in (entry() for _ in range(m))]
-                            for _ in range(n)] for n, m in shapes]
+                dependent = j and rng.random() < 0.5
+                refs.append(combine([entry() for _ in refs], refs) if dependent else dense(shapes))
+            in_span = rng.random() < 0.5
+            rtarget = combine([entry() for _ in refs], refs) if in_span else dense(shapes)
             flats = [[x for b in r for x in r_flat(b)] for r in refs]
             tflat = [x for b in rtarget for x in r_flat(b)]
             ranks = [r_rank(flats[:j]) for j in range(len(flats) + 1)]
