@@ -58,6 +58,9 @@ COMMANDS = (
         # human-form verify: odd and even spin factors, transposed summands
         ["verify", "I(3,1)+IV(7)+I(1,3)+IV(6)+V"],
         ["verify", "IV(10)"],
+        # spin factors past the catalog, both parities
+        ["verify", "--json", "IV(11)+IV(12)+IV(13)+IV(14)"],
+        ["verify", "IV(16)"],
     ]
 )
 
