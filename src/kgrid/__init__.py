@@ -29,6 +29,7 @@ from .exact import (
     zeros,
 )
 from .tro import (
+    CliffordElement,
     LiftError,
     SpaceMismatch,
     TroElement,

@@ -26,8 +26,9 @@ from itertools import combinations
 from typing import Sequence
 
 from .exact import (HALF, SIGMA1, SIGMA2, SIGMA3, Matrix, ParseError, identity,
-                    kron_all, mat_mul, matrix_unit, span_coords, sparse_matrix)
-from .tro import TroElement, TroSpace, element_span_coords, jordan_triple
+                    kron_all, matrix_unit, span_coords, sparse_matrix)
+from .tro import (TroElement, TroSpace, element_span_coords, jordan_triple,
+                  ternary_product)
 
 
 class UnsupportedFactorError(ValueError):
@@ -333,15 +334,12 @@ def hilbert_frame(h: int) -> tuple:
 _ID2 = identity(2)
 
 
-def _block_mul(x: TroElement, y: TroElement) -> TroElement:
-    # algebra product for square-block elements
-    return TroElement(x.space, tuple(mat_mul(a, b) for a, b in zip(x.blocks, y.blocks)))
-
-
 @dataclass(frozen=True, slots=True)
 class SpinSystem:
     """Self-adjoint elements s_i with (s_i s_j + s_j s_i)/2 = delta_ij * id,
-    checked as s_i^2 = id and s_i s_j = -s_j s_i for i < j."""
+    checked as s_i^2 = id and s_i s_j = -s_j s_i for i < j, with the
+    products of the elements' own type: matrix blocks, or the words of
+    ``tro.CliffordElement``."""
 
     identity: TroElement
     symmetries: tuple
@@ -351,14 +349,16 @@ class SpinSystem:
         for idx, s in enumerate(self.symmetries):
             if s.space != id_el.space:
                 raise ValueError(f"symmetry {idx} lives in a different space")
-            for b, blk in enumerate(s.blocks):
-                if blk.dagger() != blk:
+            for b, (blk, adj) in enumerate(zip(s.blocks, s.adjoint_blocks())):
+                if adj != blk:
                     raise ValueError(f"symmetry {idx}, block {b} is not self-adjoint")
         for i, si in enumerate(self.symmetries):
             for j in range(i, len(self.symmetries)):
                 sj = self.symmetries[j]
-                prod = _block_mul(si, sj)
-                ok = prod == id_el if i == j else prod == -_block_mul(sj, si)
+                # s_i s_i* id = s_i^2, and then s_i s_j* s_i = s_i s_j s_i is
+                # -s_j exactly when s_i s_j = -s_j s_i
+                ok = (ternary_product(si, si, id_el) == id_el if i == j
+                      else ternary_product(si, sj, si) == -sj)
                 if not ok:
                     raise ValueError(f"anticommutator relation fails for ({i},{j})")
 

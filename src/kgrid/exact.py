@@ -1,6 +1,7 @@
 """Exact arithmetic over the Gaussian rationals Q(i): scalars, sparse matrices
 of Gaussian-integer numerators over one common denominator, rank and span by
-one fraction-free elimination, Kronecker products and block-diagonal sums.
+one fraction-free elimination, Kronecker products and block-diagonal sums,
+and the product and adjoint of Clifford words.
 No other module reads the sparse format; span and line test take block tuples.
 
 Everything here is exact; no floating point is ever involved.  Matrices are
@@ -319,6 +320,50 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         if acc:
             num[i] = acc
     return sparse_matrix(a.rows, b.cols, num, a.den * b.den)
+
+
+def _word_check(a: Matrix, b: Matrix) -> None:
+    if a.rows != 1 or b.rows != 1 or a.cols != b.cols or a.cols & (a.cols - 1):
+        raise ShapeError(f"words are 1 x 2^N rows of one N, not {a.shape}, {b.shape}")
+
+
+def word_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Product in the complex Clifford algebra on N generators, whose elements
+    are words: 1 x 2^N matrices with the coefficient of gamma_A in column A,
+    bit k of the mask A standing for gamma_(k+1).  On basis words,
+    gamma_A gamma_B = (-1)^#{(p, q): p in A, q in B, p > q} gamma_(A xor B):
+    each generator of A passes those of B below it, and gamma_k^2 = 1."""
+    _word_check(a, b)
+    brow = list(b.num.get(0, {}).items())
+    acc: dict = {}
+    for x, (ar, ai) in a.num.get(0, {}).items():
+        for y, (br, bi) in brow:
+            swaps, rest = 0, x  # over the bits p of x, the bits of y below p
+            while rest:
+                low = rest & -rest
+                swaps += (y & (low - 1)).bit_count()
+                rest ^= low
+            if swaps & 1:
+                re, im = ai * bi - ar * br, -ar * bi - ai * br
+            else:
+                re, im = ar * br - ai * bi, ar * bi + ai * br
+            z = x ^ y
+            if z in acc:
+                old = acc[z]
+                re, im = old[0] + re, old[1] + im
+            acc[z] = (re, im)
+    if (0, 0) in acc.values():
+        acc = {z: v for z, v in acc.items() if v != (0, 0)}
+    return sparse_matrix(1, a.cols, {0: acc} if acc else {}, a.den * b.den)
+
+
+def word_adjoint(a: Matrix) -> Matrix:
+    """The adjoint of a word (see word_mul): gamma_A* = (-1)^(|A|(|A|-1)/2)
+    gamma_A, the generators reversed, with conjugated coefficients."""
+    _word_check(a, a)
+    return _new(1, a.cols, {i: {z: (-re, im) if z.bit_count() & 2 else (re, -im)
+                                for z, (re, im) in row.items()}
+                            for i, row in a.num.items()}, a.den)
 
 
 def dagger(a: Matrix) -> Matrix:

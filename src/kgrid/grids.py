@@ -1,11 +1,13 @@
 """Grids for the classical factors, constructed as explicit elements of the
 enveloping TROs, and the machine verification of their defining properties.
 
-Every grid is built from ``cartan.embedded_basis``.  The I, II and III grids
-are the embedded coordinate bases: the matrix-unit frames E_ij, E_ij - E_ji
-and E_ii, E_ij + E_ji, and the signed-incidence frame of a rank-one factor.
-The IV(d) basis is the identity followed by the N = d - 1 symmetries of the
-standard spin system, which span the embedded factor.  The spin grid is
+Every grid is built from a basis of its factor: the I, II and III grids from
+``cartan.embedded_basis``, whose coordinate frames they are: the matrix-unit
+frames E_ij, E_ij - E_ji and E_ii, E_ij + E_ji, and the signed-incidence
+frame of a rank-one factor.  The IV(d) grid is built from the identity and
+the N = d - 1 generators of the Clifford algebra that is its enveloping TRO,
+as words (``tro.CliffordElement``); the same formula on the matrices of
+``cartan.standard_spin_system`` builds the matrix grid.  The spin grid is
 
     u1 = (id - s1)/2,   ut1 = -(id + s1)/2,
     u_{k+1} = (s_{2k} + i s_{2k+1})/2,   ut_{k+1} = (s_{2k} - i s_{2k+1})/2,
@@ -25,14 +27,16 @@ from typing import Optional
 from .cartan import (
     CartanDescriptor,
     ExceptionalFactorError,
+    SpinSystem,
     embedded_basis,
     enveloping_tro,
     intrinsic_dim,
     is_exceptional,
 )
-from .exact import HALF, I, in_complex_line, mat_mul
+from .exact import HALF, I, in_complex_line, matrix_unit
 from .ktheory import k0_class_of_projection
 from .tro import (
+    CliffordElement,
     TroElement,
     TroSpace,
     element_span_dim,
@@ -48,9 +52,20 @@ _GRID_KIND = {"I": "rectangular", "II": "symplectic", "III": "hermitian",
 @dataclass(frozen=True, slots=True)
 class Grid:
     factor: CartanDescriptor
+    basis: tuple  # the factor's basis, in the elements' form: minimality's test set
     elements: tuple
     labels: tuple
     rank_two: frozenset = frozenset()  # rank-two tripotents: not required minimal
+
+    def __post_init__(self) -> None:
+        if len(self.elements) != len(self.labels):
+            raise ValueError(f"{len(self.elements)} grid elements "
+                             f"but {len(self.labels)} labels")
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError(f"grid labels repeat: {self.labels}")
+        if not self.rank_two <= set(self.labels):
+            raise ValueError(f"rank-two labels {sorted(self.rank_two - set(self.labels))} "
+                             "name no grid element")
 
     @property
     def kind(self) -> str:
@@ -64,9 +79,9 @@ class Grid:
         return self.elements[self.labels.index(label)]
 
 
-def _spin_grid(d: CartanDescriptor) -> Grid:
-    """The spin grid of ``embedded_basis(d)`` (see the module docstring)."""
-    ident, *syms = embedded_basis(d)
+def _spin_grid(d: CartanDescriptor, system: SpinSystem) -> Grid:
+    """The spin grid of a spin system of d (see the module docstring)."""
+    ident, syms = system.identity, system.symmetries
     n_sym = len(syms)
     elements = []
     labels = []
@@ -86,7 +101,19 @@ def _spin_grid(d: CartanDescriptor) -> Grid:
         elements.append(syms[-1])
         labels.append("u0")
         rank_two = frozenset({"u0"})  # its range projection is the identity
-    return Grid(d, tuple(elements), tuple(labels), rank_two)
+    return Grid(d, (ident,) + syms, tuple(elements), tuple(labels), rank_two)
+
+
+def _word_system(d: CartanDescriptor) -> SpinSystem:
+    """The identity and the generators gamma_1 ... gamma_(d-1) of IV(d)'s
+    enveloping Clifford algebra, as words; SpinSystem checks their relations
+    with the word products."""
+    space = enveloping_tro(d)
+    n = d.params[0] - 1
+
+    def word(mask: int) -> CliffordElement:
+        return CliffordElement(space, matrix_unit(1, 1 << n, 0, mask))
+    return SpinSystem(word(0), tuple(word(1 << k) for k in range(n)))
 
 
 def _matrix_labels(d: CartanDescriptor) -> tuple:
@@ -115,13 +142,14 @@ def grid_for(d: CartanDescriptor) -> Grid:
     The I, II and III grids are the embedded coordinate bases: the images of
     the matrix-unit frames E_ij (I), E_ij - E_ji (II) and E_ii, E_ij + E_ji
     (III), or the signed-incidence frame for a one-row or one-column factor.
-    IV gets the spin grid of its basis, the standard spin system.
+    IV gets the spin grid of its Clifford generators, as words.
     """
     if is_exceptional(d):
         raise ExceptionalFactorError(f"{d}: exceptional factor has no grid model")
     if d.kind == "IV":
-        return _spin_grid(d)
-    return Grid(d, embedded_basis(d), *_matrix_labels(d))
+        return _spin_grid(d, _word_system(d))
+    basis = embedded_basis(d)
+    return Grid(d, basis, basis, *_matrix_labels(d))
 
 
 def grid_gamma(g: Grid) -> frozenset:
@@ -222,18 +250,17 @@ def _spin_identity_checks(g: Grid) -> tuple:
 def verify_grid(g: Grid) -> GridReport:
     """Check tripotency, span, minimality and (for spin) the triple-product
     identities; failures are reported, never raised.  A spin grid's system
-    relations were checked when its SpinSystem was constructed."""
-    # {e, Z, e} ranges over the embedded factor, not the ambient TRO
-    basis = embedded_basis(g.factor)
+    relations were checked when its SpinSystem was constructed.  The checks
+    use the products of the elements' type: blockwise matrix products, or
+    word products for a spin grid of Clifford words."""
+    # {e, Z, e} ranges over the factor, not the ambient TRO: Z over g.basis.
     # {e,b,e} = e b* e blockwise, no halving; each b is daggered once per grid
-    basis_daggers = [tuple(m.dagger() for m in b.blocks) for b in basis]
+    basis_daggers = [b.adjoint_blocks() for b in g.basis]
     checks = []
     for label, e in zip(g.labels, g.elements):
         tripotent = is_tripotent(e)
-        minimal = all(
-            in_complex_line(e.blocks, tuple(mat_mul(mat_mul(x, bd), x)
-                                            for x, bd in zip(e.blocks, daggers)))
-            for daggers in basis_daggers)
+        minimal = all(in_complex_line(e.blocks, e.sandwich(daggers))
+                      for daggers in basis_daggers)
         checks.append(ElementCheck(label, tripotent, minimal,
                                    expect_minimal=label not in g.rank_two))
     identity_checks = _spin_identity_checks(g) if g.kind == "spin" else ()

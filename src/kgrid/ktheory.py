@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .exact import rank
-from .tro import TroElement, TroSpace, left_dims, right_dims
+from .exact import HALF, I, ONE, Scalar, matrix_unit, rank, word_adjoint, word_mul
+from .tro import CliffordElement, TroElement, TroSpace, left_dims, right_dims
 
 K0Class = Tuple[int, ...]
 
@@ -26,7 +26,10 @@ class ProjectionError(ValueError):
 
 
 def k0_class_of_projection(p: TroElement) -> K0Class:
-    """Blockwise ranks of an exact projection (square blocks, p = p* = p^2)."""
+    """Blockwise ranks of an exact projection (square blocks, p = p* = p^2).
+    A Clifford element is checked and ranked block by block as words."""
+    if type(p) is CliffordElement:
+        return _clifford_class(p)
     for idx, b in enumerate(p.blocks):
         if b.rows != b.cols:
             raise ProjectionError(idx, f"block is {b.rows}x{b.cols}, not square")
@@ -35,6 +38,61 @@ def k0_class_of_projection(p: TroElement) -> K0Class:
         if (b @ b) != b:
             raise ProjectionError(idx, "not idempotent")
     return tuple(rank(b) for b in p.blocks)
+
+
+def top_scalar(n: int) -> Scalar:
+    """The scalar i^((n-1)/2) by which the central word gamma_1 ... gamma_n,
+    n odd, acts on block 0 of the standard spin system of IV(n + 1).
+
+    With n = 2m + 1 that system is gamma_(2l+1) = s3^l (x) s1 (x) 1 and
+    gamma_(2l+2) = s3^l (x) s2 (x) 1 on M(2^m), l = 0 .. m-1, equal on both
+    blocks, then gamma_n = s3^m on block 0 and -s3^m on block 1
+    (``cartan.standard_spin_system``).  Since s3^2 = 1 and s1 s2 = i s3, each
+    pair multiplies to i s3 in tensor slot l, so gamma_1 ... gamma_(2m) is
+    i^m s3^m, and gamma_n brings it to i^m on block 0 and -i^m on block 1."""
+    return (ONE, I, -ONE, -I)[(n - 1) // 2 % 4]
+
+
+def _clifford_class(p: CliffordElement) -> K0Class:
+    """The K0 class of a Clifford projection p, read from its words.
+
+    A block's rank is the trace of p's part in it.  For even N there is one
+    block, of side 2^(N/2), and the part is p.  For odd N the word
+    gamma_top = gamma_1 ... gamma_N is central, gamma_top^2 = lambda^2 for
+    lambda = top_scalar(N), and gamma_top acts as lambda on block 0 and as
+    -lambda on block 1, so z_b = (1 +- gamma_top/lambda)/2 are the central
+    projections onto the blocks and p z_b is p's part in block b.  Every word
+    but 1 and gamma_top anticommutes with some generator, so it has trace 0
+    on each block; 1 has trace 2^((N-1)/2), the side s of a block, and
+    gamma_top has trace +-lambda s.  So block b has rank s (p_0 +- lambda
+    p_top), for p_0 and p_top the coefficients of 1 and gamma_top.
+
+    p = p* = p^2 holds exactly when it holds for each part.  When it fails,
+    the parts are checked in block order, as the matrix path checks blocks,
+    and the first failure is raised."""
+    w = p.word
+    if word_adjoint(w) != w or word_mul(w, w) != w:
+        for idx, q in enumerate(_block_parts(p)):
+            if word_adjoint(q) != q:
+                raise ProjectionError(idx, "not self-adjoint")
+            if word_mul(q, q) != q:
+                raise ProjectionError(idx, "not idempotent")
+    side = p.space.summands[0][0]
+    if len(p.space) == 1:
+        return (int(side * w[0, 0].re),)
+    p_0, p_top = w[0, 0], w[0, w.cols - 1] * top_scalar(w.cols.bit_length() - 1)
+    return (int(side * (p_0 + p_top).re), int(side * (p_0 - p_top).re))
+
+
+def _block_parts(p: CliffordElement) -> list:
+    # p, or p z_0 and p z_1 for two blocks (see _clifford_class)
+    w = p.word
+    if len(p.space) == 1:
+        return [w]
+    one = matrix_unit(1, w.cols, 0, 0)
+    top = matrix_unit(1, w.cols, 0, w.cols - 1).scale(
+        ONE / top_scalar(w.cols.bit_length() - 1))
+    return [word_mul(w, (one + top).scale(HALF)), word_mul(w, (one - top).scale(HALF))]
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 from .exact import (
     EntryLike,
     HALF,
+    Matrix,
     ParseError,
     ShapeError,
     block_diagonal,
@@ -24,6 +25,8 @@ from .exact import (
     matrix_to_strings,
     span_coords,
     span_dim,
+    word_adjoint,
+    word_mul,
     zeros,
 )
 
@@ -153,11 +156,76 @@ class TroElement:
     def is_zero(self) -> bool:
         return all(b.is_zero() for b in self.blocks)
 
+    def adjoint_blocks(self) -> tuple:
+        """The conjugate transposes of the blocks."""
+        return tuple(b.dagger() for b in self.blocks)
+
+    def sandwich(self, mids: tuple) -> tuple:
+        """The blocks x m x, for each block x and the matching m of mids."""
+        return tuple(mat_mul(mat_mul(x, m), x) for x, m in zip(self.blocks, mids))
+
     def to_json_dict(self) -> dict:
         return {
             "space": self.space.to_text(),
             "blocks": [matrix_to_strings(b) for b in self.blocks],
         }
+
+
+def _clifford_summands(n: int) -> tuple:
+    # the blocks of the Clifford algebra on n generators: M(2^(n/2)) for
+    # even n, two copies of M(2^((n-1)/2)) for odd n
+    side = 1 << (n // 2)
+    return ((side, side),) * (1 + n % 2)
+
+
+@dataclass(frozen=True, slots=True)
+class CliffordElement:
+    """An element of the complex Clifford algebra on N generators, stored as
+    one word (see kgrid.exact.word_mul): a 1 x 2^N matrix whose column A holds
+    the coefficient of gamma_A.  That algebra is the TroSpace ``space``, the
+    enveloping TRO of the spin factor IV(N + 1), with gamma_1 ... gamma_N its
+    standard spin system (``cartan.standard_spin_system``) and gamma_A the
+    product of the gamma_k for the bits of A in increasing order.  For odd N
+    it has two blocks, and block 0 is the one on which the central word
+    gamma_1 ... gamma_N acts as i^((N - 1)/2) (see ``ktheory``).
+
+    Sums, scalings, equality, spans and line tests read the word as a
+    one-block element; ternary products, range projections and K0 classes
+    multiply words instead of matrices."""
+
+    space: TroSpace
+    word: Matrix
+
+    def __post_init__(self) -> None:
+        n = self.word.cols.bit_length() - 1
+        if self.word.shape != (1, 1 << n) or self.space.summands != _clifford_summands(n):
+            raise ShapeError(f"a {self.word.rows}x{self.word.cols} word is not "
+                             f"an element of {self.space}")
+
+    @property
+    def blocks(self) -> tuple:
+        return (self.word,)
+
+    def __add__(self, other: "CliffordElement") -> "CliffordElement":
+        return CliffordElement(self.space, self.word + other.word)
+
+    def __sub__(self, other: "CliffordElement") -> "CliffordElement":
+        return CliffordElement(self.space, self.word - other.word)
+
+    def __neg__(self) -> "CliffordElement":
+        return CliffordElement(self.space, -self.word)
+
+    def scale(self, s: EntryLike) -> "CliffordElement":
+        return CliffordElement(self.space, self.word.scale(s))
+
+    def is_zero(self) -> bool:
+        return self.word.is_zero()
+
+    def adjoint_blocks(self) -> tuple:
+        return (word_adjoint(self.word),)
+
+    def sandwich(self, mids: tuple) -> tuple:
+        return (word_mul(word_mul(self.word, mids[0]), self.word),)
 
 
 def element_from_json_dict(data: dict) -> TroElement:
@@ -176,8 +244,11 @@ def _require_same_space(*els: TroElement) -> None:
 
 
 def ternary_product(x: TroElement, y: TroElement, z: TroElement) -> TroElement:
-    """Blockwise x y* z."""
+    """Blockwise x y* z; Clifford elements multiply as words."""
     _require_same_space(x, y, z)
+    if type(x) is CliffordElement:
+        return CliffordElement(x.space, word_mul(word_mul(x.word, word_adjoint(y.word)),
+                                                 z.word))
     return TroElement(
         x.space,
         tuple(mat_mul(mat_mul(a, b.dagger()), c)
@@ -196,7 +267,10 @@ def is_tripotent(e: TroElement) -> bool:
 
 
 def range_projection(x: TroElement) -> TroElement:
-    """Blockwise x x*, living in the left algebra; a projection iff x is tripotent."""
+    """Blockwise x x*, living in the left algebra; a projection iff x is tripotent.
+    A Clifford element's is the word x x*, in the same algebra."""
+    if type(x) is CliffordElement:
+        return CliffordElement(x.space, word_mul(x.word, word_adjoint(x.word)))
     return TroElement(
         left_algebra_space(x.space),
         tuple(mat_mul(b, b.dagger()) for b in x.blocks),

@@ -16,6 +16,7 @@ from kgrid.cartan import (
     b_matrix,
     canonicalize_spec,
     enveloping_tro,
+    standard_spin_system,
 )
 from kgrid.catalog import sweep
 from kgrid.exact import Matrix, Scalar, dagger, kron, rank
@@ -44,6 +45,7 @@ from kgrid.tro import (
     ternary_product,
 )
 
+from .spin import to_matrix, word_matrices
 from .test_exact import naive_rank
 
 
@@ -112,12 +114,14 @@ def test_criterion_2_spin_factors():
         else:
             assert "u0" not in by_label
         assert all(c.minimal for c in report.element_checks if c.label != "u0")
-        # independent brute-force oracle: each grid projection is validated
-        # exactly, then ranked both by trace and by a plain elimination that
-        # shares no code with the library's fraction-free rank
+        # independent brute-force oracle: each grid projection, a word, is
+        # mapped to its matrices, validated exactly, then ranked both by trace
+        # and by a plain elimination that shares no code with the library's
+        # fraction-free rank
+        words = word_matrices(standard_spin_system(d))
         oracle = set()
         for e in grid.elements:
-            p = range_projection(e)
+            p = to_matrix(words, range_projection(e))
             vec = []
             for blk in p.blocks:
                 assert blk.dagger() == blk and (blk @ blk) == blk

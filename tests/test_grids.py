@@ -43,6 +43,7 @@ from kgrid.tro import (
     range_projection,
 )
 
+from .spin import reference_grid, to_matrix, word_matrices
 from .strategies import elements_of, scalars, small_fractions, spaces
 
 
@@ -161,34 +162,48 @@ class TestSpinSystems:
 
 
 class TestSpinGrids:
+    # each check runs on the word grid and on the matrix reference grid
+    PATHS = (grid_for, reference_grid)
+
     def test_dim5_layout(self):
-        g = grid_for(CD("IV", 5))
-        assert g.labels == ("u1", "ut1", "u2", "ut2", "u0")
-        assert element_span_dim(list(g.elements)) == 5
+        for path in self.PATHS:
+            g = path(CD("IV", 5))
+            assert g.labels == ("u1", "ut1", "u2", "ut2", "u0")
+            assert element_span_dim(list(g.elements)) == 5
 
     def test_dim6_has_no_u0(self):
-        g = grid_for(CD("IV", 6))
-        assert g.labels == ("u1", "ut1", "u2", "ut2", "u3", "ut3")
-        assert element_span_dim(list(g.elements)) == 6
+        for path in self.PATHS:
+            g = path(CD("IV", 6))
+            assert g.labels == ("u1", "ut1", "u2", "ut2", "u3", "ut3")
+            assert element_span_dim(list(g.elements)) == 6
 
     def test_grid_identities_dim5(self):
-        g = grid_for(CD("IV", 5))
-        u = dict(zip(g.labels, g.elements))
-        assert jordan_triple(u["u2"], u["ut1"], u["ut2"]) == u["u1"].scale(-HALF)
-        assert jordan_triple(u["u1"], u["ut2"], u["ut1"]) == u["u2"].scale(-HALF)
+        for path in self.PATHS:
+            g = path(CD("IV", 5))
+            u = dict(zip(g.labels, g.elements))
+            assert jordan_triple(u["u2"], u["ut1"], u["ut2"]) == u["u1"].scale(-HALF)
+            assert jordan_triple(u["u1"], u["ut2"], u["ut1"]) == u["u2"].scale(-HALF)
 
     def test_pair_identity_dim7(self):
-        g = grid_for(CD("IV", 7))
-        u = dict(zip(g.labels, g.elements))
-        assert jordan_triple(u["u2"], u["ut3"], u["ut2"]) == u["u3"].scale(-HALF)
-        assert jordan_triple(u["u3"], u["ut2"], u["ut3"]) == u["u2"].scale(-HALF)
+        for path in self.PATHS:
+            g = path(CD("IV", 7))
+            u = dict(zip(g.labels, g.elements))
+            assert jordan_triple(u["u2"], u["ut3"], u["ut2"]) == u["u3"].scale(-HALF)
+            assert jordan_triple(u["u3"], u["ut2"], u["ut3"]) == u["u2"].scale(-HALF)
 
     def test_span_matches_system(self):
         for dim in (4, 5, 6, 7):
             system = standard_spin_system(CD("IV", dim))
-            g = grid_for(CD("IV", dim))
-            span_system = element_span_dim([system.identity, *system.symmetries])
-            assert element_span_dim(list(g.elements)) == span_system == dim
+            for path in self.PATHS:
+                g = path(CD("IV", dim))
+                span_system = element_span_dim([system.identity, *system.symmetries])
+                assert element_span_dim(list(g.elements)) == span_system == dim
+        # the word grid is the matrix grid read through gamma_A -> its matrices
+        for dim in (4, 5, 6, 7):
+            d = CD("IV", dim)
+            words = word_matrices(standard_spin_system(d))
+            assert [to_matrix(words, e) for e in grid_for(d).elements] == \
+                list(reference_grid(d).elements)
 
 
 class TestVerifyGrid:
@@ -219,6 +234,24 @@ class TestVerifyGrid:
         assert by_label["u0"].expect_minimal is False
         assert report.ok  # u0 is exempt from the minimality requirement
         assert all(c.minimal for c in report.element_checks if c.label != "u0")
+
+    def test_extra_element_rejected(self):
+        # a grid used to verify ok past its labels, leaving extra elements unchecked
+        g = grid_for(CD("III", 3))
+        with pytest.raises(ValueError, match="7 grid elements but 6 labels"):
+            dataclasses.replace(g, elements=g.elements + (g.elements[0].scale(2),))
+        with pytest.raises(ValueError, match="5 grid elements but 6 labels"):
+            dataclasses.replace(g, elements=g.elements[:-1])
+
+    def test_repeated_label_rejected(self):
+        g = grid_for(CD("III", 2))
+        with pytest.raises(ValueError, match="grid labels repeat"):
+            dataclasses.replace(g, labels=("g[1,1]", "g[1,2]", "g[1,1]"))
+
+    def test_unknown_rank_two_label_rejected(self):
+        g = grid_for(CD("IV", 5))
+        with pytest.raises(ValueError, match=r"rank-two labels \['u9'\] name no grid element"):
+            dataclasses.replace(g, rank_two=frozenset({"u0", "u9"}))
 
     def test_scaled_element_reported(self):
         g = grid_for(CD("III", 2))
@@ -419,5 +452,10 @@ def test_grid_for_layout(d, labels, first, last):
     g = grid_for(d)
     assert g.labels == labels
     assert len(g.elements) == len(labels) == intrinsic_dim(d)
-    assert g.elements[0].blocks == first
-    assert g.elements[-1].blocks == last
+    if d.kind == "IV":  # words, read as matrices of the standard spin system
+        words = word_matrices(standard_spin_system(d))
+        ends = [to_matrix(words, e) for e in (g.elements[0], g.elements[-1])]
+    else:
+        ends = [g.elements[0], g.elements[-1]]
+    assert ends[0].blocks == first
+    assert ends[-1].blocks == last

@@ -20,6 +20,7 @@ from kgrid.cartan import (
     canonicalize_spec,
     enveloping_tro,
     parse_triple_spec,
+    standard_spin_system,
 )
 from kgrid.catalog import catalog_descriptors, catalog_multisets
 import kgrid
@@ -46,6 +47,8 @@ from kgrid.invariant import (
 )
 from kgrid.ktheory import DoubleScaledGroup
 from kgrid.tro import range_projection
+
+from .spin import to_matrix, word_matrices
 
 
 def CD(kind, *params):
@@ -121,18 +124,20 @@ class TestGamma:
     def test_spin_odd_by_oracle(self):
         d = CD("IV", 5)
         g = grid_for(d)
+        words = word_matrices(standard_spin_system(d))
         oracle = set()
         for e in g.elements:
-            p = range_projection(e)
+            p = to_matrix(words, range_projection(e))
             oracle.add(tuple(projection_trace_rank(b) for b in p.blocks))
         assert grid_gamma(g) == frozenset(oracle) == frozenset({(2,), (4,)})
 
     def test_spin_even_by_oracle(self):
         d = CD("IV", 6)
         g = grid_for(d)
+        words = word_matrices(standard_spin_system(d))
         oracle = set()
         for e in g.elements:
-            p = range_projection(e)
+            p = to_matrix(words, range_projection(e))
             oracle.add(tuple(projection_trace_rank(b) for b in p.blocks))
         assert grid_gamma(g) == frozenset(oracle) == frozenset({(2, 2)})
 
