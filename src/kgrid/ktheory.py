@@ -90,8 +90,9 @@ def _block_parts(p: CliffordElement) -> list:
     if len(p.space) == 1:
         return [w]
     one = matrix_unit(1, w.cols, 0, 0)
+    # gamma_top / lambda, with 1/lambda = conj(lambda) for a fourth root of unity
     top = matrix_unit(1, w.cols, 0, w.cols - 1).scale(
-        ONE / top_scalar(w.cols.bit_length() - 1))
+        top_scalar(w.cols.bit_length() - 1).conjugate())
     return [word_mul(w, (one + top).scale(HALF)), word_mul(w, (one - top).scale(HALF))]
 
 
