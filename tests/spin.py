@@ -13,7 +13,8 @@ def reference_grid(d) -> Grid:
     return _spin_grid(d, standard_spin_system(d))
 
 
-def _times(x: TroElement, y: TroElement) -> TroElement:
+def times(x: TroElement, y: TroElement) -> TroElement:
+    """The blockwise product x y."""
     return TroElement(x.space, tuple(mat_mul(a, b) for a, b in zip(x.blocks, y.blocks)))
 
 
@@ -22,7 +23,7 @@ def word_matrices(system: SpinSystem) -> list:
     multiplied in increasing order."""
     out = [system.identity]
     for s in system.symmetries:
-        out += [_times(m, s) for m in out]
+        out += [times(m, s) for m in out]
     return out
 
 

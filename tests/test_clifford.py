@@ -19,15 +19,11 @@ from kgrid.invariant import gamma_report
 from kgrid.ktheory import ProjectionError, k0_class_of_projection, top_scalar
 from kgrid.tro import CliffordElement, TroElement, element_span_dim, ternary_product
 
-from .spin import reference_grid, to_matrix, word_matrices
+from .spin import reference_grid, times, to_matrix, word_matrices
 
 
 def CD(kind, *params):
     return CartanDescriptor(kind, tuple(params))
-
-
-def _times(x: TroElement, y: TroElement) -> TroElement:
-    return TroElement(x.space, tuple(a @ b for a, b in zip(x.blocks, y.blocks)))
 
 
 class TestCliffordFact:
@@ -47,7 +43,7 @@ class TestCliffordFact:
         system = standard_spin_system(CD("IV", dim))
         top = system.identity
         for s in system.symmetries:
-            top = _times(top, s)
+            top = times(top, s)
         closed = Scalar(1)
         for _ in range(dim // 2 - 1):
             closed = closed * I
@@ -76,7 +72,7 @@ class TestWordKernels:
             a, b = _random_word(rng, dim - 1), _random_word(rng, dim - 1)
             ma, mb = to_matrix(words, a), to_matrix(words, b)
             ab = CliffordElement(a.space, word_mul(a.word, b.word))
-            assert to_matrix(words, ab) == _times(ma, mb)
+            assert to_matrix(words, ab) == times(ma, mb)
             star = CliffordElement(a.space, word_adjoint(a.word))
             assert to_matrix(words, star) == TroElement(ma.space, ma.adjoint_blocks())
 
