@@ -27,8 +27,8 @@ from typing import Sequence
 
 from .exact import (HALF, SIGMA1, SIGMA2, SIGMA3, Matrix, ParseError, identity,
                     kron_all, matrix_unit, span_coords, sparse_matrix)
-from .tro import (TroElement, TroSpace, element_span_coords, jordan_triple,
-                  ternary_product)
+from .tro import (CliffordElement, TroElement, TroSpace, element_span_coords,
+                  jordan_triple, ternary_product)
 
 
 class UnsupportedFactorError(ValueError):
@@ -383,7 +383,9 @@ def _odd_symmetry_matrices(n: int) -> list:
 
 
 def standard_spin_system(d: CartanDescriptor) -> SpinSystem:
-    """The standard spin system spanning the spin factor inside its TRO.
+    """The standard spin system spanning the spin factor inside its TRO, as
+    matrices: the realization in which the words of ``embedded_basis(d)``
+    are read (see ``tro.CliffordElement``).
 
     Odd dimension 2n+1: 2n symmetries in M(2^n).  Even dimension 2n: 2n-1
     symmetries in M(2^(n-1)) + M(2^(n-1)), the last one carrying opposite
@@ -447,14 +449,20 @@ def embedded_basis(d: CartanDescriptor) -> tuple:
     """Images of ``intrinsic_basis(d)``, in its order; spans the embedded factor.
 
     A matrix unit u of I(n,m) goes to (u, u^T) and a basis matrix u of II(n)
-    or III(n) to (u,).  A rank-one factor's basis is its ``hilbert_frame`` and
-    a spin factor's is its standard spin system, identity first: the frames
-    themselves.
+    or III(n) to (u,).  A rank-one factor's basis is its ``hilbert_frame``.
+    A spin factor's is the identity and the generators gamma_1 ... gamma_(d-1)
+    of its enveloping Clifford algebra, as words (``tro.CliffordElement``):
+    a ``SpinSystem``, so their relations are checked with word products.
     """
     if d.kind == "I" and min(d.params) == 1:
         return hilbert_frame(d.params[0] * d.params[1])
     if d.kind == "IV":
-        system = standard_spin_system(d)
+        space = enveloping_tro(d)
+        n = d.params[0] - 1
+
+        def word(mask: int) -> CliffordElement:
+            return CliffordElement(space, (matrix_unit(1, 1 << n, 0, mask),))
+        system = SpinSystem(word(0), tuple(word(1 << k) for k in range(n)))
         return (system.identity,) + system.symmetries
     basis = intrinsic_basis(d)
     target = enveloping_tro(d)

@@ -322,10 +322,12 @@ _COMMANDS = {
 }
 
 
+_PARSER = _build_parser()
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -239,7 +239,15 @@ class Matrix:
         return not self.num
 
     def __repr__(self) -> str:
-        return f"Matrix[{'; '.join(', '.join(r) for r in matrix_to_strings(self))}]"
+        if self.rows * self.cols <= _REPR_SLOTS:
+            return f"Matrix[{'; '.join(', '.join(r) for r in matrix_to_strings(self))}]"
+        # a word has 2^N columns: past a few slots, show only what is stored
+        entries = ", ".join(f"({i},{j}): {self[i, j]}" for i in sorted(self.num)
+                            for j in sorted(self.num[i]))
+        return f"Matrix[{self.rows}x{self.cols}: {entries or 'zero'}]"
+
+
+_REPR_SLOTS = 256  # Matrix.__repr__ writes out every entry up to this size
 
 
 def _new(rows: int, cols: int, num: dict, den: int) -> Matrix:  # normalized data
@@ -337,13 +345,15 @@ def word_mul(a: Matrix, b: Matrix) -> Matrix:
     brow = list(b.num.get(0, {}).items())
     acc: dict = {}
     for x, (ar, ai) in a.num.get(0, {}).items():
+        # bit q of odd is set when an odd number of bits of x lie above q, so
+        # the sign of gamma_x gamma_y is (-1)^(the number of bits of y in odd)
+        odd, rest = 0, x
+        while rest:
+            low = rest & -rest
+            odd ^= low - 1
+            rest ^= low
         for y, (br, bi) in brow:
-            swaps, rest = 0, x  # over the bits p of x, the bits of y below p
-            while rest:
-                low = rest & -rest
-                swaps += (y & (low - 1)).bit_count()
-                rest ^= low
-            if swaps & 1:
+            if (y & odd).bit_count() & 1:
                 re, im = ai * bi - ar * br, -ar * bi - ai * br
             else:
                 re, im = ar * br - ai * bi, ar * bi + ai * br

@@ -1,13 +1,14 @@
 """Grids for the classical factors, constructed as explicit elements of the
 enveloping TROs, and the machine verification of their defining properties.
 
-Every grid is built from a basis of its factor: the I, II and III grids from
-``cartan.embedded_basis``, whose coordinate frames they are: the matrix-unit
+Every grid is built from its factor's basis, ``cartan.embedded_basis``.  The
+I, II and III grids are those bases, the coordinate frames: the matrix-unit
 frames E_ij, E_ij - E_ji and E_ii, E_ij + E_ji, and the signed-incidence
-frame of a rank-one factor.  The IV(d) grid is built from the identity and
-the N = d - 1 generators of the Clifford algebra that is its enveloping TRO,
-as words (``tro.CliffordElement``); the same formula on the matrices of
-``cartan.standard_spin_system`` builds the matrix grid.  The spin grid is
+frame of a rank-one factor.  The IV(d) basis is the identity and the
+N = d - 1 generators s_1 ... s_N of the Clifford algebra that is its
+enveloping TRO, as words (``tro.CliffordElement``); the same formula on the
+matrices of ``cartan.standard_spin_system`` builds the matrix grid.  The
+spin grid is
 
     u1 = (id - s1)/2,   ut1 = -(id + s1)/2,
     u_{k+1} = (s_{2k} + i s_{2k+1})/2,   ut_{k+1} = (s_{2k} - i s_{2k+1})/2,
@@ -27,16 +28,14 @@ from typing import Optional
 from .cartan import (
     CartanDescriptor,
     ExceptionalFactorError,
-    SpinSystem,
     embedded_basis,
     enveloping_tro,
     intrinsic_dim,
     is_exceptional,
 )
-from .exact import HALF, I, in_complex_line, matrix_unit
+from .exact import HALF, I, in_complex_line
 from .ktheory import k0_class_of_projection
 from .tro import (
-    CliffordElement,
     TroElement,
     TroSpace,
     element_span_dim,
@@ -79,9 +78,10 @@ class Grid:
         return self.elements[self.labels.index(label)]
 
 
-def _spin_grid(d: CartanDescriptor, system: SpinSystem) -> Grid:
-    """The spin grid of a spin system of d (see the module docstring)."""
-    ident, syms = system.identity, system.symmetries
+def _spin_grid(d: CartanDescriptor, basis: tuple) -> Grid:
+    """The spin grid of d from a basis of it: the identity, then the
+    symmetries of a spin system (see the module docstring)."""
+    ident, syms = basis[0], basis[1:]
     n_sym = len(syms)
     elements = []
     labels = []
@@ -101,19 +101,7 @@ def _spin_grid(d: CartanDescriptor, system: SpinSystem) -> Grid:
         elements.append(syms[-1])
         labels.append("u0")
         rank_two = frozenset({"u0"})  # its range projection is the identity
-    return Grid(d, (ident,) + syms, tuple(elements), tuple(labels), rank_two)
-
-
-def _word_system(d: CartanDescriptor) -> SpinSystem:
-    """The identity and the generators gamma_1 ... gamma_(d-1) of IV(d)'s
-    enveloping Clifford algebra, as words; SpinSystem checks their relations
-    with the word products."""
-    space = enveloping_tro(d)
-    n = d.params[0] - 1
-
-    def word(mask: int) -> CliffordElement:
-        return CliffordElement(space, matrix_unit(1, 1 << n, 0, mask))
-    return SpinSystem(word(0), tuple(word(1 << k) for k in range(n)))
+    return Grid(d, basis, tuple(elements), tuple(labels), rank_two)
 
 
 def _matrix_labels(d: CartanDescriptor) -> tuple:
@@ -142,13 +130,14 @@ def grid_for(d: CartanDescriptor) -> Grid:
     The I, II and III grids are the embedded coordinate bases: the images of
     the matrix-unit frames E_ij (I), E_ij - E_ji (II) and E_ii, E_ij + E_ji
     (III), or the signed-incidence frame for a one-row or one-column factor.
-    IV gets the spin grid of its Clifford generators, as words.
+    IV gets the spin grid of its basis: the identity and the Clifford
+    generators, as words.
     """
     if is_exceptional(d):
         raise ExceptionalFactorError(f"{d}: exceptional factor has no grid model")
-    if d.kind == "IV":
-        return _spin_grid(d, _word_system(d))
     basis = embedded_basis(d)
+    if d.kind == "IV":
+        return _spin_grid(d, basis)
     return Grid(d, basis, basis, *_matrix_labels(d))
 
 

@@ -1,7 +1,8 @@
 """Finite-dimensional ternary rings of operators (TROs).
 
 A space here is a direct sum of rectangular matrix blocks M(n1,m1)+...+M(nk,mk),
-an element is one matrix per block, and a homomorphism is recorded by its
+an element is one matrix per block (or, for the Clifford algebra of a spin
+factor, one word: ``CliffordElement``), and a homomorphism is recorded by its
 multiplicity matrix (one nonnegative integer per target/source block pair).
 Concrete block maps are realized only through ``apply_hom``, which places the
 copies block-diagonally and pads with zeros.
@@ -20,9 +21,8 @@ from .exact import (
     ParseError,
     ShapeError,
     block_diagonal,
+    dagger,
     mat_mul,
-    matrix_from_strings,
-    matrix_to_strings,
     span_coords,
     span_dim,
     word_adjoint,
@@ -121,7 +121,11 @@ def left_algebra_space(t: TroSpace) -> TroSpace:
 
 @dataclass(frozen=True, slots=True)
 class TroElement:
-    """An element of a TroSpace: one matrix per summand, shapes matching."""
+    """An element of a TroSpace: one matrix per summand, shapes matching.
+
+    Every operation below builds its result as ``type(self)`` and multiplies
+    blocks with ``block_mul`` and ``block_adjoint``, so a subclass with its
+    own block kernels (``CliffordElement``) shares all of it."""
 
     space: TroSpace
     blocks: tuple
@@ -137,38 +141,40 @@ class TroElement:
                     f"block {idx} has shape {b.shape}, summand is M({n},{m})"
                 )
 
+    @staticmethod
+    def block_mul(a: Matrix, b: Matrix) -> Matrix:
+        # looked up by name on each call, so a rebound kgrid.tro.mat_mul is seen
+        return mat_mul(a, b)
+
+    block_adjoint = staticmethod(dagger)
+
     def __add__(self, other: "TroElement") -> "TroElement":
         _require_same_space(self, other)
-        return TroElement(self.space,
+        return type(self)(self.space,
                           tuple(a + b for a, b in zip(self.blocks, other.blocks)))
 
     def __sub__(self, other: "TroElement") -> "TroElement":
         _require_same_space(self, other)
-        return TroElement(self.space,
+        return type(self)(self.space,
                           tuple(a - b for a, b in zip(self.blocks, other.blocks)))
 
     def __neg__(self) -> "TroElement":
-        return TroElement(self.space, tuple(-b for b in self.blocks))
+        return type(self)(self.space, tuple(-b for b in self.blocks))
 
     def scale(self, s: EntryLike) -> "TroElement":
-        return TroElement(self.space, tuple(b.scale(s) for b in self.blocks))
+        return type(self)(self.space, tuple(b.scale(s) for b in self.blocks))
 
     def is_zero(self) -> bool:
         return all(b.is_zero() for b in self.blocks)
 
     def adjoint_blocks(self) -> tuple:
-        """The conjugate transposes of the blocks."""
-        return tuple(b.dagger() for b in self.blocks)
+        """The adjoints of the blocks."""
+        return tuple(map(self.block_adjoint, self.blocks))
 
     def sandwich(self, mids: tuple) -> tuple:
         """The blocks x m x, for each block x and the matching m of mids."""
-        return tuple(mat_mul(mat_mul(x, m), x) for x, m in zip(self.blocks, mids))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "space": self.space.to_text(),
-            "blocks": [matrix_to_strings(b) for b in self.blocks],
-        }
+        mul = self.block_mul
+        return tuple(mul(mul(x, m), x) for x, m in zip(self.blocks, mids))
 
 
 def _clifford_summands(n: int) -> tuple:
@@ -179,58 +185,35 @@ def _clifford_summands(n: int) -> tuple:
 
 
 @dataclass(frozen=True, slots=True)
-class CliffordElement:
-    """An element of the complex Clifford algebra on N generators, stored as
-    one word (see kgrid.exact.word_mul): a 1 x 2^N matrix whose column A holds
-    the coefficient of gamma_A.  That algebra is the TroSpace ``space``, the
-    enveloping TRO of the spin factor IV(N + 1), with gamma_1 ... gamma_N its
-    standard spin system (``cartan.standard_spin_system``) and gamma_A the
-    product of the gamma_k for the bits of A in increasing order.  For odd N
-    it has two blocks, and block 0 is the one on which the central word
-    gamma_1 ... gamma_N acts as i^((N - 1)/2) (see ``ktheory``).
+class CliffordElement(TroElement):
+    """An element of the complex Clifford algebra on N generators, whose
+    blocks are one word (see kgrid.exact.word_mul): a 1 x 2^N matrix whose
+    column A holds the coefficient of gamma_A.  That algebra is the TroSpace
+    ``space``, the enveloping TRO of the spin factor IV(N + 1), with
+    gamma_1 ... gamma_N the symmetries of its standard spin system
+    (``cartan.standard_spin_system``) and gamma_A the product of the gamma_k
+    for the bits of A in increasing order.  For odd N it has two blocks, and
+    block 0 is the one on which the central word gamma_1 ... gamma_N acts as
+    i^((N - 1)/2) (see ``ktheory``).
 
-    Sums, scalings, equality, spans and line tests read the word as a
-    one-block element; ternary products, range projections and K0 classes
-    multiply words instead of matrices."""
-
-    space: TroSpace
-    word: Matrix
+    It is a ``TroElement`` with its own shape check and block kernels: its
+    products and adjoints are ``word_mul`` and ``word_adjoint``.  Its
+    space has square blocks, so its range projections stay in it."""
 
     def __post_init__(self) -> None:
+        if len(self.blocks) != 1:
+            raise ShapeError(f"a Clifford element is one word, not {len(self.blocks)} blocks")
         n = self.word.cols.bit_length() - 1
         if self.word.shape != (1, 1 << n) or self.space.summands != _clifford_summands(n):
             raise ShapeError(f"a {self.word.rows}x{self.word.cols} word is not "
                              f"an element of {self.space}")
 
+    block_mul = staticmethod(word_mul)
+    block_adjoint = staticmethod(word_adjoint)
+
     @property
-    def blocks(self) -> tuple:
-        return (self.word,)
-
-    def __add__(self, other: "CliffordElement") -> "CliffordElement":
-        return CliffordElement(self.space, self.word + other.word)
-
-    def __sub__(self, other: "CliffordElement") -> "CliffordElement":
-        return CliffordElement(self.space, self.word - other.word)
-
-    def __neg__(self) -> "CliffordElement":
-        return CliffordElement(self.space, -self.word)
-
-    def scale(self, s: EntryLike) -> "CliffordElement":
-        return CliffordElement(self.space, self.word.scale(s))
-
-    def is_zero(self) -> bool:
-        return self.word.is_zero()
-
-    def adjoint_blocks(self) -> tuple:
-        return (word_adjoint(self.word),)
-
-    def sandwich(self, mids: tuple) -> tuple:
-        return (word_mul(word_mul(self.word, mids[0]), self.word),)
-
-
-def element_from_json_dict(data: dict) -> TroElement:
-    sp = parse_space(data["space"])
-    return TroElement(sp, tuple(matrix_from_strings(b) for b in data["blocks"]))
+    def word(self) -> Matrix:
+        return self.blocks[0]
 
 
 def zero_element(t: TroSpace) -> TroElement:
@@ -241,19 +224,17 @@ def _require_same_space(*els: TroElement) -> None:
     for e in els[1:]:
         if e.space != els[0].space:
             raise SpaceMismatch(f"spaces differ: {els[0].space} vs {e.space}")
+        if type(e) is not type(els[0]):
+            raise SpaceMismatch(f"element types differ in {e.space}: "
+                                f"{type(els[0]).__name__} vs {type(e).__name__}")
 
 
 def ternary_product(x: TroElement, y: TroElement, z: TroElement) -> TroElement:
-    """Blockwise x y* z; Clifford elements multiply as words."""
+    """Blockwise x y* z, with the block kernels of the elements' type."""
     _require_same_space(x, y, z)
-    if type(x) is CliffordElement:
-        return CliffordElement(x.space, word_mul(word_mul(x.word, word_adjoint(y.word)),
-                                                 z.word))
-    return TroElement(
-        x.space,
-        tuple(mat_mul(mat_mul(a, b.dagger()), c)
-              for a, b, c in zip(x.blocks, y.blocks, z.blocks)),
-    )
+    mul = x.block_mul
+    return type(x)(x.space, tuple(mul(mul(a, b), c) for a, b, c
+                                  in zip(x.blocks, y.adjoint_blocks(), z.blocks)))
 
 
 def jordan_triple(a: TroElement, b: TroElement, c: TroElement) -> TroElement:
@@ -267,14 +248,10 @@ def is_tripotent(e: TroElement) -> bool:
 
 
 def range_projection(x: TroElement) -> TroElement:
-    """Blockwise x x*, living in the left algebra; a projection iff x is tripotent.
-    A Clifford element's is the word x x*, in the same algebra."""
-    if type(x) is CliffordElement:
-        return CliffordElement(x.space, word_mul(x.word, word_adjoint(x.word)))
-    return TroElement(
-        left_algebra_space(x.space),
-        tuple(mat_mul(b, b.dagger()) for b in x.blocks),
-    )
+    """Blockwise x x*, living in the left algebra; a projection iff x is tripotent."""
+    mul = x.block_mul
+    return type(x)(left_algebra_space(x.space),
+                   tuple(map(mul, x.blocks, x.adjoint_blocks())))
 
 
 def element_span_dim(els: Sequence[TroElement]) -> int:

@@ -10,7 +10,8 @@ from kgrid.tro import CliffordElement, TroElement, zero_element
 
 def reference_grid(d) -> Grid:
     """The spin grid of d on the matrices of its standard spin system."""
-    return _spin_grid(d, standard_spin_system(d))
+    system = standard_spin_system(d)
+    return _spin_grid(d, (system.identity,) + system.symmetries)
 
 
 def times(x: TroElement, y: TroElement) -> TroElement:

@@ -38,6 +38,7 @@ from kgrid.tro import (
     parse_space,
 )
 
+from .spin import to_matrix, word_matrices
 from .strategies import matrices
 
 
@@ -356,8 +357,9 @@ class TestEmbed:
         assert embed(CD("II", 5), g).blocks == (g,)
 
     def test_spin_identity_direction(self):
-        el = embed(CD("IV", 5), mat([[1, 0, 0, 0, 0]]))
-        assert el.blocks == (identity(4),)
+        d = CD("IV", 5)
+        el = embed(d, mat([[1, 0, 0, 0, 0]]))
+        assert to_matrix(word_matrices(standard_spin_system(d)), el).blocks == (identity(4),)
 
     def test_validates_shapes_and_symmetry(self):
         with pytest.raises(CoordinateError):
@@ -390,7 +392,8 @@ class TestEmbed:
         s = standard_spin_system(CD("IV", dim))
         basis = embedded_basis(CD("IV", dim))
         assert len(basis) == dim
-        assert basis == (s.identity, *s.symmetries)
+        words = word_matrices(s)
+        assert tuple(to_matrix(words, x) for x in basis) == (s.identity, *s.symmetries)
 
     @pytest.mark.parametrize("d", [CD("I", 2, 3), CD("II", 5), CD("III", 3)], ids=str)
     def test_matrix_factor_basis_elements(self, d):

@@ -11,13 +11,16 @@ from fractions import Fraction
 
 import pytest
 
-from kgrid.cartan import CartanDescriptor, SpinSystem, enveloping_tro, standard_spin_system
+from kgrid.cartan import (CartanDescriptor, SpinSystem, coords_of, embed, embedded_basis,
+                          enveloping_tro, intrinsic_jordan, standard_spin_system)
 from kgrid.cli import run
-from kgrid.exact import I, Scalar, ShapeError, identity, matrix_unit, word_adjoint, word_mul
+from kgrid.exact import (I, Scalar, ShapeError, identity, mat, matrix_unit, word_adjoint,
+                         word_mul)
 from kgrid.grids import grid_for, grid_gamma, verify_grid
 from kgrid.invariant import gamma_report
 from kgrid.ktheory import ProjectionError, k0_class_of_projection, top_scalar
-from kgrid.tro import CliffordElement, TroElement, element_span_dim, ternary_product
+from kgrid.tro import (CliffordElement, SpaceMismatch, TroElement, element_span_dim,
+                       ternary_product)
 
 from .spin import reference_grid, times, to_matrix, word_matrices
 
@@ -58,7 +61,7 @@ def _random_word(rng: random.Random, n: int) -> CliffordElement:
     for _ in range(rng.randint(1, 4)):
         c = Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 2)), rng.randint(-2, 2))
         word = word + matrix_unit(1, 2 ** n, 0, rng.randrange(2 ** n)).scale(c)
-    return CliffordElement(space, word)
+    return CliffordElement(space, (word,))
 
 
 class TestWordKernels:
@@ -71,9 +74,9 @@ class TestWordKernels:
         for _ in range(25):
             a, b = _random_word(rng, dim - 1), _random_word(rng, dim - 1)
             ma, mb = to_matrix(words, a), to_matrix(words, b)
-            ab = CliffordElement(a.space, word_mul(a.word, b.word))
+            ab = CliffordElement(a.space, (word_mul(a.word, b.word),))
             assert to_matrix(words, ab) == times(ma, mb)
-            star = CliffordElement(a.space, word_adjoint(a.word))
+            star = CliffordElement(a.space, (word_adjoint(a.word),))
             assert to_matrix(words, star) == TroElement(ma.space, ma.adjoint_blocks())
 
     def test_basis_products(self):
@@ -90,7 +93,18 @@ class TestWordKernels:
         with pytest.raises(ShapeError):
             word_adjoint(matrix_unit(1, 6, 0, 0))
         with pytest.raises(ShapeError):
-            CliffordElement(enveloping_tro(CD("IV", 5)), matrix_unit(1, 8, 0, 0))
+            CliffordElement(enveloping_tro(CD("IV", 5)), (matrix_unit(1, 8, 0, 0),))
+
+    def test_words_and_matrices_do_not_mix(self):
+        # IV(d) has one TroSpace for its words and for its matrices
+        d = CD("IV", 6)
+        w, m = embedded_basis(d)[1], standard_spin_system(d).symmetries[0]
+        assert w.space == m.space
+        for a, b in ((w, m), (m, w)):
+            for op in (lambda: a + b, lambda: a - b, lambda: ternary_product(a, b, a),
+                       lambda: ternary_product(a, a, b)):
+                with pytest.raises(SpaceMismatch, match="element types differ"):
+                    op()
 
 
 class TestWordSystem:
@@ -206,3 +220,35 @@ class TestLargeSpinFactors:
         finally:
             tracemalloc.stop()
         assert peak < 50 * 2**20, peak
+
+    def test_coordinates_in_process(self):
+        # embed, coords_of and intrinsic_jordan on IV(64) run on words with
+        # 64 generators, not on 2^31-square matrices
+        d = CD("IV", 64)
+        rng = random.Random(64)
+        x, y, z = (mat([[Scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                                rng.randint(-2, 2)) for _ in range(64)]]) for _ in range(3))
+
+        def round_trip():
+            assert coords_of(d, embed(d, x)) == x
+            assert intrinsic_jordan(d, x, y, z).shape == (1, 64)
+
+        start = time.perf_counter()
+        round_trip()
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, elapsed
+        tracemalloc.start()
+        try:
+            round_trip()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20, peak
+
+    def test_word_repr_is_short(self):
+        # a word has 2^63 columns here: repr shows its one stored entry
+        start = time.perf_counter()
+        text = repr(embedded_basis(CD("IV", 64))[1])
+        assert time.perf_counter() - start < 0.1
+        assert "Matrix[1x9223372036854775808: (0,1): 1]" in text
+        assert len(text) < 200

@@ -10,9 +10,12 @@ from kgrid.cartan import (
     ExceptionalFactorError,
     SpinSystem,
     b_matrix,
+    canonicalize_factor,
+    embedded_basis,
     intrinsic_dim,
     standard_spin_system,
 )
+from kgrid.catalog import catalog_descriptors
 from kgrid.exact import (
     HALF,
     I,
@@ -403,6 +406,12 @@ def test_grid_for_dispatch():
     assert grid_for(CD("IV", 5)).kind == "spin"
     with pytest.raises(ExceptionalFactorError):
         grid_for(CD("V"))
+
+
+def test_grid_for_builds_from_embedded_basis():
+    for d in catalog_descriptors():
+        if canonicalize_factor(d) == d:
+            assert grid_for(d).basis is embedded_basis(d), d
 
 
 def _unit(n, m, i, j):

@@ -11,7 +11,6 @@ from kgrid.exact import (
     SIGMA1,
     SIGMA2,
     SIGMA3,
-    Scalar,
     ShapeError,
     identity,
     mat,
@@ -26,7 +25,6 @@ from kgrid.tro import (
     TroSpace,
     apply_hom,
     compose_homs,
-    element_from_json_dict,
     element_span_coords,
     element_span_dim,
     identity_hom,
@@ -363,9 +361,3 @@ class TestTripotentStructure:
             right = eb.dagger() @ eb
             assert right @ right == right
             assert right.dagger() == right
-
-
-def test_element_json_roundtrip():
-    t = parse_space("M(2,2)+M(1,2)")
-    x = TroElement(t, (SIGMA2.scale(HALF), mat([[I, Scalar(2, -1)]])))
-    assert element_from_json_dict(x.to_json_dict()) == x
