@@ -483,7 +483,8 @@ def _combine(basis: Sequence, coeffs: Sequence) -> Matrix | TroElement:
 def embed(d: CartanDescriptor, x: Matrix) -> TroElement:
     """The triple embedding: the linear map sending ``intrinsic_basis(d)``
     onto ``embedded_basis(d)``; raises CoordinateError off the coordinate
-    space (see ``intrinsic_basis`` for the conventions)."""
+    space (see ``intrinsic_basis`` for the conventions).  For IV(d) the image
+    is a ``CliffordElement`` word, not a matrix element."""
     basis = intrinsic_basis(d)
     if x.shape != basis[0].shape:
         raise CoordinateError(f"{d} expects a {basis[0].rows}x{basis[0].cols} "
@@ -495,8 +496,15 @@ def embed(d: CartanDescriptor, x: Matrix) -> TroElement:
 
 
 def coords_of(d: CartanDescriptor, el: TroElement) -> Matrix:
-    """Inverse of ``embed`` on its image; raises CoordinateError off the image."""
-    coeffs = element_span_coords(list(embedded_basis(d)), el)
+    """Inverse of ``embed`` on its image; raises CoordinateError off the image,
+    which holds elements of the basis's type only: words for IV(d), so a
+    matrix element of ``standard_spin_system(d)`` is off it.  An element of
+    that type in another space raises SpaceMismatch."""
+    basis = embedded_basis(d)
+    if type(el) is not type(basis[0]):
+        raise CoordinateError(f"the embedded copy of {d} holds "
+                              f"{type(basis[0]).__name__}s, not {type(el).__name__}s")
+    coeffs = element_span_coords(list(basis), el)
     if coeffs is None:
         raise CoordinateError(f"element is not in the embedded copy of {d}")
     return _combine(intrinsic_basis(d), coeffs)

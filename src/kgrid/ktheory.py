@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .exact import HALF, I, ONE, Scalar, matrix_unit, rank, word_adjoint, word_mul
+from .exact import HALF, I, ONE, Scalar, matrix_unit, rank, word_mul
 from .tro import CliffordElement, TroElement, TroSpace, left_dims, right_dims
 
 K0Class = Tuple[int, ...]
@@ -27,17 +27,22 @@ class ProjectionError(ValueError):
 
 def k0_class_of_projection(p: TroElement) -> K0Class:
     """Blockwise ranks of an exact projection (square blocks, p = p* = p^2).
-    A Clifford element is checked and ranked block by block as words."""
+    When p fails, its blocks are checked in order and the first failure is
+    raised; a Clifford element is split into its block parts for that, and
+    its ranks are read as traces (see ``_clifford_class``)."""
+    blocks = p.blocks
+    if p.adjoint_blocks() != blocks or tuple(map(p.block_mul, blocks, blocks)) != blocks:
+        parts = _block_parts(p) if type(p) is CliffordElement else blocks
+        for idx, ((n, m), b) in enumerate(zip(p.space.summands, parts)):
+            if n != m:
+                raise ProjectionError(idx, f"block is {n}x{m}, not square")
+            if p.block_adjoint(b) != b:
+                raise ProjectionError(idx, "not self-adjoint")
+            if p.block_mul(b, b) != b:
+                raise ProjectionError(idx, "not idempotent")
     if type(p) is CliffordElement:
         return _clifford_class(p)
-    for idx, b in enumerate(p.blocks):
-        if b.rows != b.cols:
-            raise ProjectionError(idx, f"block is {b.rows}x{b.cols}, not square")
-        if b.dagger() != b:
-            raise ProjectionError(idx, "not self-adjoint")
-        if (b @ b) != b:
-            raise ProjectionError(idx, "not idempotent")
-    return tuple(rank(b) for b in p.blocks)
+    return tuple(rank(b) for b in blocks)
 
 
 def top_scalar(n: int) -> Scalar:
@@ -65,18 +70,9 @@ def _clifford_class(p: CliffordElement) -> K0Class:
     but 1 and gamma_top anticommutes with some generator, so it has trace 0
     on each block; 1 has trace 2^((N-1)/2), the side s of a block, and
     gamma_top has trace +-lambda s.  So block b has rank s (p_0 +- lambda
-    p_top), for p_0 and p_top the coefficients of 1 and gamma_top.
-
-    p = p* = p^2 holds exactly when it holds for each part.  When it fails,
-    the parts are checked in block order, as the matrix path checks blocks,
-    and the first failure is raised."""
+    p_top), for p_0 and p_top the coefficients of 1 and gamma_top.  p = p* =
+    p^2 holds exactly when it holds for each part."""
     w = p.word
-    if word_adjoint(w) != w or word_mul(w, w) != w:
-        for idx, q in enumerate(_block_parts(p)):
-            if word_adjoint(q) != q:
-                raise ProjectionError(idx, "not self-adjoint")
-            if word_mul(q, q) != q:
-                raise ProjectionError(idx, "not idempotent")
     side = p.space.summands[0][0]
     if len(p.space) == 1:
         return (int(side * w[0, 0].re),)

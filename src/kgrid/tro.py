@@ -217,6 +217,7 @@ class CliffordElement(TroElement):
 
 
 def zero_element(t: TroSpace) -> TroElement:
+    """The zero of t with matrix blocks; a word's zero is ``w.scale(0)``."""
     return TroElement(t, tuple(zeros(n, m) for n, m in t.summands))
 
 
@@ -313,7 +314,11 @@ def identity_hom(t: TroSpace) -> TroHom:
 
 
 def apply_hom(h: TroHom, x: TroElement) -> TroElement:
-    """Concrete block-diagonal realization: copies first, zero padding last."""
+    """Concrete block-diagonal realization: copies first, zero padding last.
+    Only matrix blocks are placed; a subclass's blocks (a Clifford word) are
+    not the space's matrices, so its elements raise SpaceMismatch."""
+    if type(x) is not TroElement:
+        raise SpaceMismatch(f"apply_hom places matrix blocks, not a {type(x).__name__}")
     if x.space != h.source:
         raise SpaceMismatch(f"element lives in {x.space}, hom expects {h.source}")
     return TroElement(h.target, tuple(

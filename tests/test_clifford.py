@@ -11,16 +11,17 @@ from fractions import Fraction
 
 import pytest
 
-from kgrid.cartan import (CartanDescriptor, SpinSystem, coords_of, embed, embedded_basis,
-                          enveloping_tro, intrinsic_jordan, standard_spin_system)
+from kgrid.cartan import (CartanDescriptor, CoordinateError, SpinSystem, coords_of, embed,
+                          embedded_basis, enveloping_tro, intrinsic_jordan,
+                          standard_spin_system)
 from kgrid.cli import run
 from kgrid.exact import (I, Scalar, ShapeError, identity, mat, matrix_unit, word_adjoint,
                          word_mul)
 from kgrid.grids import grid_for, grid_gamma, verify_grid
 from kgrid.invariant import gamma_report
 from kgrid.ktheory import ProjectionError, k0_class_of_projection, top_scalar
-from kgrid.tro import (CliffordElement, SpaceMismatch, TroElement, element_span_dim,
-                       ternary_product)
+from kgrid.tro import (CliffordElement, SpaceMismatch, TroElement, TroSpace, apply_hom,
+                       element_span_dim, lift_hom, ternary_product)
 
 from .spin import reference_grid, times, to_matrix, word_matrices
 
@@ -105,6 +106,24 @@ class TestWordKernels:
                        lambda: ternary_product(a, a, b)):
                 with pytest.raises(SpaceMismatch, match="element types differ"):
                     op()
+
+    @pytest.mark.parametrize("dim", [5, 6])
+    def test_apply_hom_rejects_words(self, dim):
+        # apply_hom places matrix blocks; a 1 x 2^N word is not one
+        d = CD("IV", dim)
+        w, m = embedded_basis(d)[1], standard_spin_system(d).symmetries[0]
+        k, side = len(w.space), w.space.summands[0][0]
+        target = TroSpace(((4 * side, 16 * side),) * k)
+        h = lift_hom([[4 * (i == j) for j in range(k)] for i in range(k)], w.space, target)
+        assert apply_hom(h, m).space == target
+        with pytest.raises(SpaceMismatch, match="places matrix blocks, not a CliffordElement"):
+            apply_hom(h, w)
+
+    def test_coordinates_are_read_from_words_only(self):
+        d = CD("IV", 6)
+        assert coords_of(d, embedded_basis(d)[2]) == matrix_unit(1, 6, 0, 2)
+        with pytest.raises(CoordinateError, match="holds CliffordElements, not TroElements"):
+            coords_of(d, standard_spin_system(d).symmetries[1])
 
 
 class TestWordSystem:
@@ -226,20 +245,27 @@ class TestLargeSpinFactors:
         # 64 generators, not on 2^31-square matrices
         d = CD("IV", 64)
         rng = random.Random(64)
-        x, y, z = (mat([[Scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
-                                rng.randint(-2, 2)) for _ in range(64)]]) for _ in range(3))
 
-        def round_trip():
-            assert coords_of(d, embed(d, x)) == x
-            assert intrinsic_jordan(d, x, y, z).shape == (1, 64)
+        def coords(support):
+            return mat([[Scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                                rng.randint(-2, 2)) if j in support else 0
+                         for j in range(64)]])
 
+        x, y, z = (coords(range(64)) for _ in range(3))
         start = time.perf_counter()
-        round_trip()
+        assert coords_of(d, embed(d, x)) == x
+        assert intrinsic_jordan(d, x, y, z).shape == (1, 64)
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, elapsed
+        # tracemalloc slows the word products about tenfold, so the traced
+        # product takes coordinates on 8 of the 64 directions, the identity
+        # and both ends among them: its words still have 2^63 columns
+        support = {0, 1, 2, 20, 40, 61, 62, 63}
+        xs, ys, zs = (coords(support) for _ in range(3))
         tracemalloc.start()
         try:
-            round_trip()
+            assert coords_of(d, embed(d, x)) == x
+            assert intrinsic_jordan(d, xs, ys, zs).shape == (1, 64)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
