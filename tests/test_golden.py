@@ -61,6 +61,9 @@ COMMANDS = (
         # spin factors past the catalog, both parities
         ["verify", "--json", "IV(11)+IV(12)+IV(13)+IV(14)"],
         ["verify", "IV(16)"],
+        # rank-one, symplectic, hermitian and rectangular grids past the catalog
+        ["verify", "--json", "I(1,8)+I(8,1)+I(1,9)+II(8)+III(8)+III(10)+I(6,6)"],
+        ["verify", "I(20,20)"],
     ]
 )
 
