@@ -15,7 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 
 class ShapeError(ValueError):
@@ -578,6 +578,63 @@ def in_complex_line(e: tuple, w: tuple) -> bool:
                     _gmul(a, yrow[k]) != _gmul(c, v) for k, v in xrow.items()):
                 return False
     return True
+
+
+def compressed_in_line(e: tuple, ws: Iterable[tuple]) -> Optional[bool]:
+    """True iff each w of ws, its blocks cut down to the rows x columns where
+    the blocks e have a nonzero entry, is a complex multiple of e; None if
+    some block of e is not monomial (two nonzero entries in a row or column).
+
+    Decided like in_complex_line, on numerators with no division: let p and q
+    be the numerators of e and w at e's first nonzero entry, in block b.
+    Each row r of a monomial block holds one entry of e, at column s(r), and
+    w's cut-down row r must be zero off s(r) and have p W dw_b de = q E de_b dw
+    at it, with the names of in_complex_line.
+    """
+    entries = []  # (block, row, e's column there, e's numerator, e's columns)
+    for blk, x in enumerate(e):
+        if any(len(row) > 1 for row in x.num.values()):
+            return None
+        used = {j for row in x.num.values() for j in row}
+        if len(used) != len(x.num):
+            return None
+        entries += [(blk, r, *next(iter(row.items())), used) for r, row in x.num.items()]
+    if not entries:
+        return True
+    b, i, j, p, _ = entries[0]
+    for w in ws:
+        q = w[b].num.get(i, {}).get(j)
+        if q is None:  # then w must vanish on rows(e) x cols(e)
+            if any(not used.isdisjoint(w[blk].num.get(r, ()))
+                   for blk, r, _, _, used in entries):
+                return False
+            continue
+        dens = [(w[b].den * x.den, e[b].den * y.den) for x, y in zip(e, w)]
+        for blk, r, s, v, used in entries:
+            wrow = w[blk].num.get(r, {})
+            if s not in wrow or any(k != s and k in used for k in wrow):
+                return False
+            (ar, ai), (cr, ci), (de, dw) = _gmul(p, wrow[s]), _gmul(q, v), dens[blk]
+            if ar * de != cr * dw or ai * de != ci * dw:
+                return False
+    return True
+
+
+def row_support(blocks: tuple) -> list:
+    """The (block index, row) of every row with a nonzero entry."""
+    return [(b, i) for b, x in enumerate(blocks) for i in x.num]
+
+
+def trace(a: Matrix) -> Scalar:
+    """The sum of the diagonal entries of a square matrix."""
+    if a.rows != a.cols:
+        raise ShapeError(f"trace of a non-square {a.rows}x{a.cols} matrix")
+    re = im = 0
+    for i, row in a.num.items():
+        v = row.get(i)
+        if v is not None:
+            re, im = re + v[0], im + v[1]
+    return Scalar(Fraction(re, a.den), Fraction(im, a.den))
 
 
 def matrix_to_strings(m: Matrix) -> list:

@@ -33,7 +33,7 @@ from .cartan import (
     intrinsic_dim,
     is_exceptional,
 )
-from .exact import HALF, I, in_complex_line
+from .exact import HALF, I, compressed_in_line, in_complex_line, row_support
 from .ktheory import k0_class_of_projection
 from .tro import (
     TroElement,
@@ -236,21 +236,47 @@ def _spin_identity_checks(g: Grid) -> tuple:
     return tuple(checks)
 
 
+def _minimal(g: Grid, e: TroElement, tripotent: bool, by_row: dict) -> bool:
+    """Whether {e, b, e} = e b* e lies in Ce for every b of g.basis.
+
+    A tripotent e with matrix blocks is decided by compression.  With p = ee*
+    and q = e*e, e b* e lies in Ce exactly when p b q does: if p b q = l e,
+    then e b* e = e (p b q)* e = conj(l) e, and if e b* e = m e, then
+    p b q = e (e b* e)* e = conj(m) e, both by e e* e = e.  p = ee* is zero
+    off the rows where e has a nonzero entry, so p b q = 0 for every b with
+    no nonzero entry in those rows: only the b that ``by_row`` lists for e's
+    rows are tested.  When each block of e is monomial, e e* e = e makes every
+    nonzero entry of e of modulus 1, so p and q are the diagonal 0/1
+    projections onto e's rows and columns, and p b q is b cut down to them
+    (``exact.compressed_in_line``).  Every other e (a Clifford word, or a
+    non-tripotent or non-monomial one) is tested on the products e b* e."""
+    if tripotent and type(e) is TroElement:
+        near = {k for key in row_support(e.blocks) for k in by_row.get(key, ())}
+        verdict = compressed_in_line(e.blocks, (g.basis[k].blocks for k in near))
+        if verdict is not None:
+            return verdict
+    return all(in_complex_line(e.blocks, e.sandwich(b.adjoint_blocks()))
+               for b in g.basis)
+
+
 def verify_grid(g: Grid) -> GridReport:
     """Check tripotency, span, minimality and (for spin) the triple-product
     identities; failures are reported, never raised.  A spin grid's system
     relations were checked when its SpinSystem was constructed.  The checks
     use the products of the elements' type: blockwise matrix products, or
-    word products for a spin grid of Clifford words."""
-    # {e, Z, e} ranges over the factor, not the ambient TRO: Z over g.basis.
-    # {e,b,e} = e b* e blockwise, no halving; each b is daggered once per grid
-    basis_daggers = [b.adjoint_blocks() for b in g.basis]
+    word products for a spin grid of Clifford words; minimality of a
+    monomial tripotent needs no product at all (see ``_minimal``)."""
+    # {e, Z, e} ranges over the factor, not the ambient TRO: Z over g.basis,
+    # found by the rows where each b has a nonzero entry
+    by_row: dict = {}
+    for k, b in enumerate(g.basis):
+        for key in row_support(b.blocks):
+            by_row.setdefault(key, []).append(k)
     checks = []
     for label, e in zip(g.labels, g.elements):
         tripotent = is_tripotent(e)
-        minimal = all(in_complex_line(e.blocks, e.sandwich(daggers))
-                      for daggers in basis_daggers)
-        checks.append(ElementCheck(label, tripotent, minimal,
+        checks.append(ElementCheck(label, tripotent,
+                                   _minimal(g, e, tripotent, by_row),
                                    expect_minimal=label not in g.rank_two))
     identity_checks = _spin_identity_checks(g) if g.kind == "spin" else ()
     return GridReport(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import kgrid.tro
 from kgrid.cartan import (
     CartanDescriptor,
     ExceptionalFactorError,
@@ -25,6 +26,7 @@ from kgrid.exact import (
     ZERO,
     Matrix,
     Scalar,
+    compressed_in_line,
     identity,
     in_complex_line,
     kron,
@@ -397,6 +399,132 @@ class TestLineTest:
         assert in_complex_line(e.blocks, w.blocks) is True
         assert in_complex_line(w.blocks, e.blocks) is e.is_zero()
         assert reference_in_complex_line(w, e) is e.is_zero()
+
+
+def full_product_verdicts(g: Grid) -> list:
+    """Minimality of each element of g by the products e b* e themselves."""
+    return [all(in_complex_line(e.blocks, e.sandwich(b.adjoint_blocks()))
+                for b in g.basis) for e in g.elements]
+
+
+# every canonical I, II and III factor up to I(6,6), I(1,9), II(8) and III(8)
+_COMPRESSED = ([CD("I", n, m) for n in range(1, 7) for m in range(n, 7)]
+               + [CD("I", 1, m) for m in (7, 8, 9)]
+               + [CD("II", n) for n in range(5, 9)]
+               + [CD("III", n) for n in range(2, 9)])
+
+
+def _count_mat_mul(monkeypatch) -> list:
+    # block_mul looks kgrid.tro.mat_mul up by name, so every block product counts
+    calls = []
+    real = kgrid.tro.mat_mul
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+    monkeypatch.setattr(kgrid.tro, "mat_mul", counted)
+    return calls
+
+
+class TestCompression:
+    """Minimality of a monomial tripotent by compression (exact.compressed_in_line
+    inside verify_grid), against the verdict of the full products e b* e."""
+
+    @pytest.mark.parametrize("d", _COMPRESSED, ids=str)
+    def test_verdicts_match_full_products(self, d):
+        g = grid_for(d)
+        assert canonicalize_factor(d) == d
+        report = verify_grid(g)
+        assert [c.minimal for c in report.element_checks] == full_product_verdicts(g)
+        # every element takes the compression path: its blocks are monomial
+        assert all(compressed_in_line(e.blocks, [b.blocks for b in g.basis])
+                   is not None for e in g.elements)
+
+    @pytest.mark.parametrize("d", [CD("I", 6, 6), CD("II", 8), CD("III", 8),
+                                   CD("I", 1, 9)], ids=str)
+    def test_only_tripotency_multiplies(self, d, monkeypatch):
+        g = grid_for(d)
+        calls = _count_mat_mul(monkeypatch)
+        assert verify_grid(g).ok
+        # e e* e is two products per block; minimality makes none
+        assert len(calls) == 2 * len(g.ambient) * len(g.elements)
+
+    @staticmethod
+    def _doctored(d, label, blocks):
+        g = grid_for(d)
+        elements = list(g.elements)
+        elements[g.labels.index(label)] = TroElement(g.ambient, blocks)
+        return dataclasses.replace(g, elements=tuple(elements))
+
+    def test_monomial_tripotent_not_minimal(self):
+        # E11 + E22 in I(3,3): monomial and tripotent, so compression decides it
+        blk = _unit(3, 3, 1, 1) + _unit(3, 3, 2, 2)
+        g = self._doctored(CD("I", 3, 3), "g[1,1]", (blk, blk))
+        e = g.by_label("g[1,1]")
+        assert compressed_in_line(e.blocks, [b.blocks for b in g.basis]) is False
+        checks = {c.label: c for c in verify_grid(g).element_checks}
+        assert (checks["g[1,1]"].tripotent, checks["g[1,1]"].minimal) == (True, False)
+        assert [c.minimal for c in verify_grid(g).element_checks] == \
+            full_product_verdicts(g)
+
+    def test_non_monomial_tripotent_falls_back(self, monkeypatch):
+        # the rank-one projection (E11 + E12 + E21 + E22)/2 of I(2,2) is a
+        # minimal tripotent with two entries in a row: full products decide it
+        blk = (_unit(2, 2, 1, 1) + _unit(2, 2, 1, 2) + _unit(2, 2, 2, 1)
+               + _unit(2, 2, 2, 2)).scale(HALF)
+        g = self._doctored(CD("I", 2, 2), "g[1,1]", (blk, blk))
+        assert compressed_in_line((blk, blk), [b.blocks for b in g.basis]) is None
+        calls = _count_mat_mul(monkeypatch)
+        report = verify_grid(g)
+        checks = {c.label: c for c in report.element_checks}
+        assert (checks["g[1,1]"].tripotent, checks["g[1,1]"].minimal) == (True, True)
+        assert report.ok
+        # tripotency for all 4 elements, then e b* e for the one element and 4 b
+        assert len(calls) == 2 * 2 * 4 + 2 * 2 * 4
+        assert [c.minimal for c in report.element_checks] == full_product_verdicts(g)
+
+    def test_non_tripotent_keeps_its_verdict(self):
+        g = grid_for(CD("I", 2, 3))
+        doubled = g.by_label("g[1,2]").scale(2)
+        g = self._doctored(CD("I", 2, 3), "g[1,2]", doubled.blocks)
+        report = verify_grid(g)
+        checks = {c.label: c for c in report.element_checks}
+        assert (checks["g[1,2]"].tripotent, checks["g[1,2]"].minimal) == (False, True)
+        assert report.failures() == ["g[1,2]: not tripotent"]
+        assert [c.minimal for c in report.element_checks] == full_product_verdicts(g)
+
+    @given(data=st.data())
+    def test_kernel_matches_cut_down_line_test(self, data):
+        # a monomial e (any nonzero entries) against w, and w cut down to
+        # e's rows x columns with the plain line test
+        sp = data.draw(spaces)
+        blocks = []
+        for n, m in sp.summands:
+            k = data.draw(st.integers(0, min(n, m)))
+            rows = data.draw(st.permutations(range(n)))[:k]
+            cols = data.draw(st.permutations(range(m)))[:k]
+            entries = [ZERO] * (n * m)
+            for r, c in zip(rows, cols):
+                entries[r * m + c] = data.draw(scalars.filter(lambda s: not s.is_zero()))
+            blocks.append(Matrix(n, m, tuple(entries)))
+        e = TroElement(sp, tuple(blocks))
+        w = data.draw(st.one_of(elements_of(sp, st.one_of(st.just(ZERO), scalars)),
+                                st.builds(e.scale, scalars)))
+        if data.draw(st.booleans()):  # change one entry, in the cut-down part or not
+            b = data.draw(st.integers(0, len(sp) - 1))
+            n, m = sp.summands[b]
+            w = _with_entry(w, b, data.draw(st.integers(0, n * m - 1)), data.draw(scalars))
+        cut = []
+        for x, y in zip(e.blocks, w.blocks):
+            rows = {i for i in range(x.rows) if any(not x[i, j].is_zero()
+                                                     for j in range(x.cols))}
+            cols = {j for j in range(x.cols) if any(not x[i, j].is_zero()
+                                                     for i in range(x.rows))}
+            cut.append(Matrix(y.rows, y.cols, tuple(
+                y[i, j] if i in rows and j in cols else ZERO
+                for i in range(y.rows) for j in range(y.cols))))
+        assert compressed_in_line(e.blocks, [w.blocks]) is \
+            in_complex_line(e.blocks, tuple(cut))
 
 
 def test_grid_for_dispatch():
