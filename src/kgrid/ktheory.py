@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .exact import HALF, I, ONE, Scalar, matrix_unit, rank, word_mul
+from .exact import HALF, I, ONE, Scalar, matrix_unit, trace, word_mul
 from .tro import CliffordElement, TroElement, TroSpace, left_dims, right_dims
 
 K0Class = Tuple[int, ...]
@@ -26,10 +26,11 @@ class ProjectionError(ValueError):
 
 
 def k0_class_of_projection(p: TroElement) -> K0Class:
-    """Blockwise ranks of an exact projection (square blocks, p = p* = p^2).
-    When p fails, its blocks are checked in order and the first failure is
-    raised; a Clifford element is split into its block parts for that, and
-    its ranks are read as traces (see ``_clifford_class``)."""
+    """Blockwise ranks of an exact projection (square blocks, p = p* = p^2),
+    read as traces: a projection's eigenvalues are 0 and 1, so its trace is
+    its rank.  When p fails, its blocks are checked in order and the first
+    failure is raised; a Clifford element is split into its block parts for
+    that, and its traces are read from its words (see ``_clifford_class``)."""
     blocks = p.blocks
     if p.adjoint_blocks() != blocks or tuple(map(p.block_mul, blocks, blocks)) != blocks:
         parts = _block_parts(p) if type(p) is CliffordElement else blocks
@@ -42,7 +43,7 @@ def k0_class_of_projection(p: TroElement) -> K0Class:
                 raise ProjectionError(idx, "not idempotent")
     if type(p) is CliffordElement:
         return _clifford_class(p)
-    return tuple(rank(b) for b in blocks)
+    return tuple(int(trace(b).re) for b in blocks)
 
 
 def top_scalar(n: int) -> Scalar:

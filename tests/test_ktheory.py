@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kgrid.exact import identity, mat, matrix_unit, zeros
+from kgrid.exact import ONE, Matrix, Scalar, identity, mat, matrix_unit, rank, zeros
 from kgrid.ktheory import (
     DoubleScaledGroup,
     ProjectionError,
@@ -23,6 +23,8 @@ from kgrid.tro import (
     lift_hom,
     parse_space,
 )
+
+from .strategies import scalars
 
 M4 = parse_space("M(4,4)")
 
@@ -54,6 +56,22 @@ def rotate_first_corner(p: TroElement) -> TroElement:
     return TroElement(p.space, tuple(blocks))
 
 
+def projection_onto(vectors: list) -> Matrix:
+    """The orthogonal projection onto the span of column vectors over Q(i):
+    Gram-Schmidt, then the sum of u u* / (u* u); a dependent vector adds nothing."""
+    n = vectors[0].rows
+    p = zeros(n, n)
+    for v in vectors:
+        u = v - p @ v
+        if not u.is_zero():
+            p = p + (u @ u.dagger()).scale(ONE / (u.dagger() @ u)[0, 0])
+    return p
+
+
+_column = st.lists(scalars, min_size=3, max_size=3).map(
+    lambda es: Matrix(3, 1, tuple(es)))
+
+
 class TestProjectionClasses:
     def test_zero_projection(self):
         sp = parse_space("M(2,2)+M(3,3)")
@@ -75,6 +93,29 @@ class TestProjectionClasses:
         sp = parse_space("M(3,3)")
         p = rotate_first_corner(diag_projection(sp, [(0, 2)]))
         assert k0_class_of_projection(p) == (2,)
+
+    @given(st.lists(_column, min_size=1, max_size=3), st.lists(_column, max_size=2))
+    def test_class_is_rank_of_dense_projections(self, first, second):
+        # dense Gaussian-rational projections with real denominators: the
+        # class, read as traces, is the rank of each block
+        sp = parse_space("M(3,3)+M(3,3)")
+        p = TroElement(sp, (projection_onto(first),
+                            projection_onto(second) if second else zeros(3, 3)))
+        assert k0_class_of_projection(p) == tuple(rank(b) for b in p.blocks)
+
+    def test_class_is_rank_of_unit_and_rotated_projections(self):
+        sp = parse_space("M(3,3)+M(2,2)+M(4,4)")
+        for picks in ([(0, 2), (), (1, 2, 3)], [(1,), (0, 1), ()], [(), (), ()]):
+            for p in (diag_projection(sp, picks),
+                      rotate_first_corner(diag_projection(sp, picks))):
+                assert k0_class_of_projection(p) == tuple(rank(b) for b in p.blocks)
+
+    def test_projection_onto_has_real_denominators(self):
+        v = mat([[1], [Scalar(1, 1)], [2]])
+        p = projection_onto([v])
+        assert p[0, 0] == Scalar(Fraction(1, 7))
+        assert p[1, 0] == Scalar(Fraction(1, 7), Fraction(1, 7))
+        assert k0_class_of_projection(TroElement(parse_space("M(3,3)"), (p,))) == (1,)
 
     def test_rejects_with_block_index(self):
         sp = parse_space("M(2,2)+M(2,2)")
