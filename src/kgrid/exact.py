@@ -2,7 +2,7 @@
 of Gaussian-integer numerators over one common denominator, rank and span by
 one fraction-free elimination, Kronecker products and block-diagonal sums,
 and the product and adjoint of Clifford words.
-No other module reads the sparse format; span and line test take block tuples.
+No other module reads the sparse format; span and line tests take block tuples.
 
 Everything here is exact; no floating point is ever involved.  Matrices are
 immutable value types, so they can be shared freely and used as dict keys.

@@ -51,7 +51,7 @@ _GRID_KIND = {"I": "rectangular", "II": "symplectic", "III": "hermitian",
 @dataclass(frozen=True, slots=True)
 class Grid:
     factor: CartanDescriptor
-    basis: tuple  # the factor's basis, in the elements' form: minimality's test set
+    basis: tuple  # the factor's basis, in the elements' form: the b of {e, b, e} in _minimal
     elements: tuple
     labels: tuple
     rank_two: frozenset = frozenset()  # rank-two tripotents: not required minimal
