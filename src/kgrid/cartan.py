@@ -18,6 +18,7 @@ handled by canonicalization.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
@@ -283,12 +284,17 @@ def enveloping_tro(d: CartanDescriptor) -> TroSpace:
 
 # --- rank-one machinery -------------------------------------------------------
 
-def _perm_sign(seq: Sequence[int]) -> int:
-    inv = 0
-    for a in range(len(seq)):
-        for b in range(a + 1, len(seq)):
-            if seq[a] > seq[b]:
-                inv += 1
+def _perm_sign(subset_i: tuple, i: int) -> int:
+    """The sign of the permutation (sorted I, i, sorted J) of (1..n), for I
+    = subset_i (sorted, without i) and J the rest of {1..n} minus {i}.
+
+    Both runs are sorted, so its inversions are counted without a pass over
+    pairs.  The t-th element a of I (from t = 0) stands before exactly the
+    a - 1 - t smaller numbers outside I, all of them i or in J; then i
+    stands before the i - 1 - #{a in I : a < i} elements of J below it.
+    """
+    k = len(subset_i)
+    inv = sum(subset_i) - k * (k + 1) // 2 + i - 1 - bisect_left(subset_i, i)
     return -1 if inv % 2 else 1
 
 
@@ -313,7 +319,7 @@ def b_matrix(n: int, k: int, i: int) -> Matrix:
             continue
         subset_j = tuple(sorted(set(range(1, n + 1)) - set(subset_i) - {i}))
         r = row_index[subset_j]
-        sign = _perm_sign(list(subset_i) + [i] + list(subset_j))
+        sign = _perm_sign(subset_i, i)
         num[r] = {c: (sign, 0)}
     return sparse_matrix(nrows, ncols, num, 1)
 

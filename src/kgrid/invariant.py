@@ -12,18 +12,20 @@ which the coincidence IV(4) = I(2,2) has equal invariants on both sides.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress, permutations, product
+from itertools import chain, compress, permutations, product
 from math import comb
+from operator import itemgetter
 from typing import Optional
 
 from .cartan import (
+    EXCEPTIONAL_16,
     CartanDescriptor,
     ExceptionalFactorError,
     TripleSpec,
     canonicalize_factor,
-    canonicalize_spec,
     enveloping_tro,
     is_exceptional,
 )
@@ -136,15 +138,18 @@ class KGridInvariant:
 
 
 def _store(inv: KGridInvariant, group: DoubleScaledGroup, blocks: tuple,
-           zero_class: bool, exceptional_count: int) -> KGridInvariant:
+           zero_class: bool, exceptional_count: int,
+           key: Optional[tuple] = None) -> KGridInvariant:
     """Set the fields of a frozen invariant."""
     if type(exceptional_count) is not int or exceptional_count < 0:
         raise ValueError("exceptional_count must be a non-negative int, "
                          f"got {exceptional_count!r}")
-    for name, value in (("group", group), ("blocks", blocks),
-                        ("zero_class", zero_class),
-                        ("exceptional_count", exceptional_count), ("_key", None)):
-        object.__setattr__(inv, name, value)
+    set_field = object.__setattr__
+    set_field(inv, "group", group)
+    set_field(inv, "blocks", blocks)
+    set_field(inv, "zero_class", zero_class)
+    set_field(inv, "exceptional_count", exceptional_count)
+    set_field(inv, "_key", key)
     return inv
 
 
@@ -193,38 +198,75 @@ def _blocks(group: DoubleScaledGroup, gamma) -> tuple:
 def _shared(part):
     """The first-seen object equal to a block's caps tuple or class set, so
     that blocks of equal factors share them, in invariants built from dense
-    classes as in assembled ones (which share ``_factor_block``'s)."""
+    classes as in assembled ones (which share ``_factor_block``'s); and to an
+    assembled block, so that invariants with a factor at the same offset
+    share its whole block."""
     return part
 
 
 @lru_cache(maxsize=None)
+def _factor_parts(f: CartanDescriptor) -> tuple:
+    """What assembly takes from one canonical factor, built once: its own
+    block (see ``_factor_block``), its left and right caps, its sorted cap
+    pairs, and the sorted nonzero entries of each of its classes, sorted
+    (its share of ``_quick_key``)."""
+    caps = enveloping_tro(f).summands
+    classes = gamma(f)
+    return ((tuple(range(len(caps))), caps, classes),
+            tuple(n for n, _ in caps), tuple(m for _, m in caps),
+            tuple(sorted(caps)), tuple(sorted(_nonzero_entries(classes))))
+
+
+def _nonzero_entries(classes) -> list:
+    """The sorted nonzero entries of each class: its part of ``_quick_key``."""
+    return [tuple(sorted(filter(None, c))) for c in classes]
+
+
+_BLOCK, _LEFT, _RIGHT, _PAIRS, _CLASSES = map(itemgetter, range(5))
+
+
 def _factor_block(f: CartanDescriptor) -> tuple:
     """The single block of a canonical factor's own invariant: all its
     summands, their caps and its grid classes."""
-    caps = enveloping_tro(f).summands
-    return (tuple(range(len(caps))), caps, gamma(f))
+    return _factor_parts(f)[0]
+
+
+@lru_cache(maxsize=None)
+def _canonical(d: CartanDescriptor) -> CartanDescriptor:
+    """``canonicalize_factor``, kept per raw descriptor: mapped over a spec's
+    factors, a hit runs no Python code and builds no descriptor."""
+    return canonicalize_factor(d)
 
 
 @lru_cache(maxsize=None)
 def _invariant_of_canonical(*factors: CartanDescriptor) -> KGridInvariant:
     """The invariant of sorted canonical factors; passed as separate
-    arguments, they are themselves the cache key."""
-    blocks, caps = [], []
-    for f in factors:
-        if not is_exceptional(f):
-            _, block_caps, classes = _factor_block(f)
-            blocks.append((tuple(range(len(caps), len(caps) + len(block_caps))),
-                           block_caps, classes))
-            caps += block_caps
-    group = DoubleScaledGroup(tuple(n for n, _ in caps), tuple(m for _, m in caps))
+    arguments, they are themselves the cache key.
+
+    A miss concatenates the factors' ``_factor_parts``: the caps go to the
+    group as they are, each factor's block is placed at its offset (and
+    shared through ``_shared`` with every invariant that has it there), and
+    ``_quick_key`` is set here by sorting the joined runs, each already
+    sorted.  V and VI sort after every other kind and have no parts.
+    """
+    parts = list(map(_factor_parts, factors[:bisect_left(factors, EXCEPTIONAL_16)]))
+    blocks, offset = [], 0
+    for columns, caps, classes in map(_BLOCK, parts):
+        end = offset + len(columns)
+        blocks.append(_shared((tuple(range(offset, end)), caps, classes)))
+        offset = end
+    group = DoubleScaledGroup(tuple(chain.from_iterable(map(_LEFT, parts))),
+                              tuple(chain.from_iterable(map(_RIGHT, parts))))
+    key = (tuple(sorted(chain.from_iterable(map(_PAIRS, parts)))),
+           tuple(sorted(chain.from_iterable(map(_CLASSES, parts)))))
     return _store(object.__new__(KGridInvariant), group, tuple(blocks), False,
-                  len(factors) - len(blocks))
+                  len(factors) - len(blocks), key)
 
 
 def k_grid_invariant(s: TripleSpec) -> KGridInvariant:
     """Assemble the invariant of a factor multiset (canonicalized first):
     summands concatenate, and each factor's block is placed at its offset."""
-    return _invariant_of_canonical(*sorted(map(canonicalize_factor, s.factors)))
+    return _invariant_of_canonical(*sorted(map(_canonical, s.factors)))
 
 
 # --- isomorphism of invariants -----------------------------------------------------
@@ -238,17 +280,19 @@ def _quick_key(inv: KGridInvariant) -> tuple:
     """Unequal keys mean non-isomorphic; unequal first entries, unequal groups.
 
     The sorted cap pairs, and the sorted tuple of each class's sorted nonzero
-    entries, built on first read and kept on the invariant.  For a fixed k
-    (the number of cap pairs) dropping the zeros is a bijection on sorted
-    dense classes, so two keys are equal exactly when the keys of the dense
-    gammas (each class padded with zeros to length k, then sorted) are; the
-    cost is linear in the stored blocks, not in k per class.
+    entries, kept on the invariant.  An assembled invariant gets it at
+    assembly, from its factors' parts; one built from dense classes builds
+    it here on first read, from its blocks.  For a fixed k (the number of
+    cap pairs) dropping the zeros is a bijection on sorted dense classes, so
+    two keys are equal exactly when the keys of the dense gammas (each class
+    padded with zeros to length k, then sorted) are; the cost is linear in
+    the stored blocks, not in k per class.
     """
     key = inv._key
     if key is None:
         classes = [()] if inv.zero_class else []
         for _, _, block_classes in inv.blocks:
-            classes += [tuple(sorted(filter(None, cls))) for cls in block_classes]
+            classes += _nonzero_entries(block_classes)
         key = (tuple(sorted(zip(inv.group.left_caps, inv.group.right_caps))),
                tuple(sorted(classes)))
         object.__setattr__(inv, "_key", key)
@@ -430,4 +474,4 @@ def recover_factors(inv: KGridInvariant) -> TripleSpec:
             raise UnknownFactorError(
                 f"ambiguous block of summands {list(columns)}: {names}")
         factors.append(matches[0])
-    return canonicalize_spec(TripleSpec(tuple(factors)))
+    return TripleSpec(tuple(sorted(factors)))  # candidates are canonical

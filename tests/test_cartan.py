@@ -1,5 +1,5 @@
 import pickle
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -15,6 +15,7 @@ from kgrid.cartan import (
     ParseError,
     TripleSpec,
     UnsupportedFactorError,
+    _perm_sign,
     b_matrix,
     canonicalize_factor,
     canonicalize_spec,
@@ -307,6 +308,13 @@ class TestDimensions:
         assert intrinsic_dim(CartanDescriptor(*d)) == expected
 
 
+def reference_perm_sign(seq) -> int:
+    """The sign of a permutation by counting its inversions over all pairs."""
+    inversions = sum(seq[a] > seq[b] for a in range(len(seq))
+                     for b in range(a + 1, len(seq)))
+    return -1 if inversions % 2 else 1
+
+
 class TestBMatrix:
     def test_trivial(self):
         assert b_matrix(1, 1, 1) == mat([[1]])
@@ -328,6 +336,24 @@ class TestBMatrix:
 
     def test_rank_binomial(self):
         assert rank(b_matrix(3, 2, 1) @ dagger(b_matrix(3, 2, 1))) == 2
+
+    def test_signs_match_the_inversion_count(self):
+        # the quadratic inversion count of (I, i, J) is the reference for
+        # the sign and for every entry, for each h <= 8, k and i
+        for h in range(1, 9):
+            for k in range(1, h + 1):
+                for i in range(1, h + 1):
+                    rows = list(combinations(range(1, h + 1), h - k))
+                    cols = list(combinations(range(1, h + 1), k - 1))
+                    dense = [[0] * len(cols) for _ in rows]
+                    for c, subset_i in enumerate(cols):
+                        if i in subset_i:
+                            continue
+                        subset_j = tuple(sorted(set(range(1, h + 1)) - {i, *subset_i}))
+                        sign = reference_perm_sign(subset_i + (i,) + subset_j)
+                        assert _perm_sign(subset_i, i) == sign
+                        dense[rows.index(subset_j)][c] = sign
+                    assert b_matrix(h, k, i) == mat(dense), (h, k, i)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

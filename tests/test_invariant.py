@@ -605,6 +605,49 @@ class TestStoredBlocks:
         assert not hasattr(inv, "__dict__")
 
 
+# every raw spelling of each canonical factor of the catalog, V and VI: its
+# transpose, III(1) for I(1,1) and IV(4) for I(2,2)
+RAW_SPELLINGS: dict = {}
+for _d in catalog_descriptors() + (CD("III", 1), CD("V"), CD("VI")):
+    RAW_SPELLINGS.setdefault(canonicalize_factor(_d), []).append(_d)
+
+
+def raw_spelling(factors, rng):
+    """The multiset of factors with each spelled at random, shuffled."""
+    factors = [rng.choice(RAW_SPELLINGS[canonicalize_factor(f)]) for f in factors]
+    rng.shuffle(factors)
+    return TripleSpec(tuple(factors))
+
+
+EXCEPTIONAL_EXTRAS = ((), (), (CD("V"),), (CD("VI"),))
+
+
+class TestAssemblyOracle:
+    # an invariant assembled from factor parts is the dense one, built with
+    # full validation and the union-find, and its key is set at assembly
+    def assert_assembled_is_dense(self, multisets):
+        invariant._invariant_of_canonical.cache_clear()
+        for s in multisets:
+            inv = k_grid_invariant(s)
+            dense = KGridInvariant(inv.group, inv.gamma, inv.exceptional_count)
+            assert inv == dense and hash(inv) == hash(dense), s
+            assert inv._key == _quick_key(dense), s
+
+    def test_catalog_multisets_up_to_three(self):
+        rng = random.Random(21)
+        self.assert_assembled_is_dense(
+            raw_spelling(s.factors + rng.choice(EXCEPTIONAL_EXTRAS), rng)
+            for s in catalog_multisets(3))
+
+    def test_four_factor_draws(self):
+        rng = random.Random(2021)
+        descs = catalog_descriptors()
+        self.assert_assembled_is_dense(
+            raw_spelling(tuple(rng.choice(descs) for _ in range(4))
+                         + rng.choice(EXCEPTIONAL_EXTRAS), rng)
+            for _ in range(2000))
+
+
 CAP_VALUES = st.integers(1, 4)
 
 
@@ -777,7 +820,8 @@ class TestRecoveryMemo:
             "kgrid.cartan.embedded_basis": None,
             "kgrid.cartan.hilbert_frame": None,
             "kgrid.invariant.gamma": None,
-            "kgrid.invariant._factor_block": None,
+            "kgrid.invariant._factor_parts": None,
+            "kgrid.invariant._canonical": None,
             "kgrid.invariant._invariant_of_canonical": None,
             "kgrid.invariant._block_factors": 4096,
             "kgrid.invariant._shared": 4096,
@@ -793,6 +837,33 @@ class TestRecoveryOracle:
         f = canonicalize_factor(d)
         assert f in _candidates(sorted(enveloping_tro(d).summands))
         assert recover_factors(k_grid_invariant(TripleSpec((d,)))) == TripleSpec((f,))
+
+
+class TestRecoveryStaysCanonical:
+    # recover_factors sorts the candidates' factors and canonicalizes nothing
+    def test_candidates_are_canonical(self):
+        factors = [CD("I", n, m) for n in range(1, 41) for m in range(n, 41)]
+        factors += [CD("II", n) for n in range(5, 41)]
+        factors += [CD("III", n) for n in range(2, 41)]
+        factors += [CD("IV", d) for d in range(5, 81)]
+        for f in factors:
+            assert canonicalize_factor(f) is f
+            found = _candidates(sorted(enveloping_tro(f).summands))
+            assert f in found
+            for c in found:
+                assert canonicalize_factor(c) is c, (f, c)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_shuffled_raw_invariants_recover_canonical_specs(self, seed):
+        # copies of one small factor plus two others, as raw spellings, with
+        # the summands of the dense invariant shuffled
+        rng = random.Random(seed)
+        descs = catalog_descriptors()
+        factor = rng.choice(descs)
+        s = raw_spelling((factor,) * rng.randint(2, 4) + tuple(rng.sample(descs, 2)),
+                         rng)
+        got = recover_factors(shuffled(k_grid_invariant(s), rng))
+        assert got == canonicalize_spec(got) == canonicalize_spec(s)
 
 
 def test_four_thousand_factors_assemble_and_recover_fast():
