@@ -198,9 +198,7 @@ def _blocks(group: DoubleScaledGroup, gamma) -> tuple:
 def _shared(part):
     """The first-seen object equal to a block's caps tuple or class set, so
     that blocks of equal factors share them, in invariants built from dense
-    classes as in assembled ones (which share ``_factor_block``'s); and to an
-    assembled block, so that invariants with a factor at the same offset
-    share its whole block."""
+    classes as in assembled ones (which share ``_factor_block``'s)."""
     return part
 
 
@@ -244,8 +242,7 @@ def _invariant_of_canonical(*factors: CartanDescriptor) -> KGridInvariant:
     arguments, they are themselves the cache key.
 
     A miss concatenates the factors' ``_factor_parts``: the caps go to the
-    group as they are, each factor's block is placed at its offset (and
-    shared through ``_shared`` with every invariant that has it there), and
+    group as they are, each factor's block is placed at its offset, and
     ``_quick_key`` is set here by sorting the joined runs, each already
     sorted.  V and VI sort after every other kind and have no parts.
     """
@@ -253,7 +250,7 @@ def _invariant_of_canonical(*factors: CartanDescriptor) -> KGridInvariant:
     blocks, offset = [], 0
     for columns, caps, classes in map(_BLOCK, parts):
         end = offset + len(columns)
-        blocks.append(_shared((tuple(range(offset, end)), caps, classes)))
+        blocks.append((tuple(range(offset, end)), caps, classes))
         offset = end
     group = DoubleScaledGroup(tuple(chain.from_iterable(map(_LEFT, parts))),
                               tuple(chain.from_iterable(map(_RIGHT, parts))))
@@ -382,25 +379,47 @@ class Verdict:
         }
 
 
-def classify_invariants(a: KGridInvariant, b: KGridInvariant) -> Verdict:
-    perm = invariants_isomorphic(a, b)
-    if perm is None:
-        if _quick_key(a)[0] != _quick_key(b)[0]:
-            return Verdict("NOT_ISOMORPHIC", None, "caps",
-                           "double-scaled groups differ (summand dimension pairs)")
-        return Verdict("NOT_ISOMORPHIC", None, "gamma",
-                       "groups match but no cap-preserving permutation maps the "
-                       "grid classes onto each other")
-    if a.exceptional_count != b.exceptional_count:
-        return Verdict("NOT_ISOMORPHIC", None, "exceptional_count",
-                       f"exceptional factor counts differ "
-                       f"({a.exceptional_count} vs {b.exceptional_count})")
-    if a.exceptional_count > 0:
+_CAPS_DIFFER = Verdict("NOT_ISOMORPHIC", None, "caps",
+                       "double-scaled groups differ (summand dimension pairs)")
+_GAMMA_DIFFER = Verdict("NOT_ISOMORPHIC", None, "gamma",
+                        "groups match but no cap-preserving permutation maps the "
+                        "grid classes onto each other")
+
+
+def _agreeing(perm: tuple, exceptional: bool) -> Verdict:
+    """The verdict on invariants whose summands perm matches, exceptional
+    counts equal: indeterminate when there are exceptional factors."""
+    if exceptional:
         return Verdict("INDETERMINATE", perm, None,
                        "non-exceptional parts agree; exceptional factors are "
                        "indistinguishable by K-theory")
     return Verdict("ISOMORPHIC", perm, None,
                    "witness permutation maps caps and grid classes exactly")
+
+
+@lru_cache(maxsize=256)
+def _identity_verdict(k: int, exceptional: bool) -> Verdict:
+    """The verdict on an invariant with k summands against itself."""
+    return _agreeing(tuple(range(k)), exceptional)
+
+
+def classify_invariants(a: KGridInvariant, b: KGridInvariant) -> Verdict:
+    """The verdict on two invariants, with a witness when they agree.
+
+    An invariant against itself (two spellings of one multiset share their
+    assembled invariant) and two invariants with different caps or classes
+    get a verdict object that is kept, so those calls build no verdict.
+    """
+    if a is b:
+        return _identity_verdict(a.group.k, a.exceptional_count > 0)
+    perm = invariants_isomorphic(a, b)
+    if perm is None:
+        return _CAPS_DIFFER if _quick_key(a)[0] != _quick_key(b)[0] else _GAMMA_DIFFER
+    if a.exceptional_count != b.exceptional_count:
+        return Verdict("NOT_ISOMORPHIC", None, "exceptional_count",
+                       f"exceptional factor counts differ "
+                       f"({a.exceptional_count} vs {b.exceptional_count})")
+    return _agreeing(perm, a.exceptional_count > 0)
 
 
 def classify(s1: TripleSpec, s2: TripleSpec) -> Verdict:

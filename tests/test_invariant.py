@@ -31,6 +31,7 @@ from kgrid.invariant import (
     KGridInvariant,
     UnknownFactorError,
     classify,
+    classify_invariants,
     gamma,
     gamma_report,
     invariants_isomorphic,
@@ -345,6 +346,39 @@ class TestClassify:
         assert v.status == "INDETERMINATE" and v.exit_code == 2
         v = classify(spec("I(2,2)+V"), spec("I(2,2)+VI"))
         assert v.status == "INDETERMINATE"
+
+
+class TestKeptVerdicts:
+    # two spellings of one multiset share their assembled invariant, whose
+    # verdict against itself is kept, as are the caps and gamma refusals;
+    # each equals the verdict of the general path on a dense copy
+    def test_against_itself(self):
+        rng = random.Random(22)
+        multisets = list(catalog_multisets(2)) + [
+            spec(text) for text in ("V", "V+VI", "I(2,2)+V", "IV(6)+VI+I(1,3)")]
+        for s in multisets:
+            t = raw_spelling(s.factors, rng)
+            inv = k_grid_invariant(s)
+            dense = KGridInvariant(inv.group, inv.gamma, inv.exceptional_count)
+            v = classify(s, t)
+            assert v is classify(t, s), s
+            assert v == classify_invariants(inv, dense) == classify_invariants(dense, inv), s
+            assert v.witness == tuple(range(inv.group.k))
+
+    @pytest.mark.parametrize("a, b, detail", [
+        ("I(1,2)+I(2,1)", "I(1,1)+I(2,2)",
+         "double-scaled groups differ (summand dimension pairs)"),
+        ("III(8)", "II(8)", "groups match but no cap-preserving permutation "
+                            "maps the grid classes onto each other"),
+    ], ids=["caps", "gamma"])
+    def test_refusals(self, a, b, detail):
+        v = classify(spec(a), spec(b))
+        assert v is classify(spec(b), spec(a))
+        assert v.to_dict() == {"verdict": "NOT_ISOMORPHIC", "witness": None,
+                               "distinguishing": v.distinguishing, "detail": detail}
+        inv = k_grid_invariant(spec(b))
+        assert v == classify_invariants(
+            k_grid_invariant(spec(a)), KGridInvariant(inv.group, inv.gamma))
 
 
 class TestDecisionProperties:
@@ -825,6 +859,7 @@ class TestRecoveryMemo:
             "kgrid.invariant._invariant_of_canonical": None,
             "kgrid.invariant._block_factors": 4096,
             "kgrid.invariant._shared": 4096,
+            "kgrid.invariant._identity_verdict": 256,
         }
         assert not hasattr(_quick_key, "cache_info")
 
