@@ -365,17 +365,17 @@ class TestKeptVerdicts:
             assert v == classify_invariants(inv, dense) == classify_invariants(dense, inv), s
             assert v.witness == tuple(range(inv.group.k))
 
-    @pytest.mark.parametrize("a, b, detail", [
-        ("I(1,2)+I(2,1)", "I(1,1)+I(2,2)",
+    @pytest.mark.parametrize("a, b, reason, detail", [
+        ("I(1,2)+I(2,1)", "I(1,1)+I(2,2)", "caps",
          "double-scaled groups differ (summand dimension pairs)"),
-        ("III(8)", "II(8)", "groups match but no cap-preserving permutation "
-                            "maps the grid classes onto each other"),
+        ("III(8)", "II(8)", "gamma", "groups match but no cap-preserving "
+                                     "permutation maps the grid classes onto each other"),
     ], ids=["caps", "gamma"])
-    def test_refusals(self, a, b, detail):
+    def test_refusals(self, a, b, reason, detail):
         v = classify(spec(a), spec(b))
         assert v is classify(spec(b), spec(a))
         assert v.to_dict() == {"verdict": "NOT_ISOMORPHIC", "witness": None,
-                               "distinguishing": v.distinguishing, "detail": detail}
+                               "distinguishing": reason, "detail": detail}
         inv = k_grid_invariant(spec(b))
         assert v == classify_invariants(
             k_grid_invariant(spec(a)), KGridInvariant(inv.group, inv.gamma))
