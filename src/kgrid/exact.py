@@ -2,7 +2,8 @@
 of Gaussian-integer numerators over one common denominator, rank and span by
 one fraction-free elimination, Kronecker products and block-diagonal sums,
 and the product and adjoint of Clifford words.
-No other module reads the sparse format; span and line tests take block tuples.
+No other module reads the sparse format; span and line tests and the ranks of
+unit-monomial elements take block tuples.
 
 Everything here is exact; no floating point is ever involved.  Matrices are
 immutable value types, so they can be shared freely and used as dict keys.
@@ -618,6 +619,29 @@ def compressed_in_line(e: tuple, ws: Iterable[tuple]) -> Optional[bool]:
             if ar * de != cr * dw or ai * de != ci * dw:
                 return False
     return True
+
+
+def unit_monomial_ranks(blocks: tuple) -> Optional[tuple]:
+    """Each block's count of nonzero entries when every block is monomial (at
+    most one nonzero entry in each row and column) and every entry has
+    modulus 1; None otherwise.
+
+    Then the blocks e are a tripotent and the counts are the ranks of its
+    range projection, with no product: for a monomial e, e e* is diagonal
+    and holds |x|^2 at the row of each entry x, so e e* e = e exactly when
+    every |x| = 1, and then p = e e* is the 0/1 diagonal projection onto e's
+    rows, whose trace, its rank, is the entry count.
+    """
+    ranks = []
+    for x in blocks:
+        entries = [v for row in x.num.values() for v in row.items()]
+        if len(entries) != len(x.num) or len({j for j, _ in entries}) != len(entries):
+            return None
+        unit = x.den * x.den
+        if any(re * re + im * im != unit for _, (re, im) in entries):
+            return None
+        ranks.append(len(entries))
+    return tuple(ranks)
 
 
 def row_support(blocks: tuple) -> list:

@@ -33,7 +33,14 @@ from .cartan import (
     intrinsic_dim,
     is_exceptional,
 )
-from .exact import HALF, I, compressed_in_line, in_complex_line, row_support
+from .exact import (
+    HALF,
+    I,
+    compressed_in_line,
+    in_complex_line,
+    row_support,
+    unit_monomial_ranks,
+)
 from .ktheory import k0_class_of_projection
 from .tro import (
     TroElement,
@@ -141,9 +148,28 @@ def grid_for(d: CartanDescriptor) -> Grid:
     return Grid(d, basis, basis, *_matrix_labels(d))
 
 
+def _unit_monomial_ranks(e: TroElement) -> Optional[tuple]:
+    # matrix blocks only: a one-term Clifford word is a monomial 1 x 2^N
+    # matrix, but it is not the element's matrix, and its class is not 1
+    return unit_monomial_ranks(e.blocks) if type(e) is TroElement else None
+
+
 def grid_gamma(g: Grid) -> frozenset:
-    """Classes of the grid's range projections, as rank vectors: gamma's oracle."""
-    return frozenset(k0_class_of_projection(range_projection(e)) for e in g.elements)
+    """Classes of the grid's range projections, as rank vectors: gamma's oracle.
+
+    An element with monomial matrix blocks whose entries have modulus 1 has
+    range projection e e*, the 0/1 diagonal projection onto its rows, so its
+    class is its entry count per block, read with no product
+    (``exact.unit_monomial_ranks`` holds the proof).  Every other element
+    (Clifford words, and matrices that fail that test) takes the products:
+    ``k0_class_of_projection(range_projection(e))``, which raises
+    ``ProjectionError`` when e e* is not a projection."""
+    classes = set()
+    for e in g.elements:
+        ranks = _unit_monomial_ranks(e)
+        classes.add(ranks if ranks is not None
+                    else k0_class_of_projection(range_projection(e)))
+    return frozenset(classes)
 
 
 # --- verification -------------------------------------------------------------
@@ -248,7 +274,9 @@ def _minimal(g: Grid, e: TroElement, tripotent: bool, by_row: dict) -> bool:
     rows are tested.  When each block of e is monomial, e e* e = e makes every
     nonzero entry of e of modulus 1, so p and q are the diagonal 0/1
     projections onto e's rows and columns, and p b q is b cut down to them
-    (``exact.compressed_in_line``).  Every other e (a Clifford word, or a
+    (``exact.compressed_in_line``).  verify_grid reads the tripotency of such
+    an e from its entries (``exact.unit_monomial_ranks``), so no product is
+    formed for it at all.  Every other e (a Clifford word, or a
     non-tripotent or non-monomial one) is tested on the products e b* e."""
     if tripotent and type(e) is TroElement:
         near = {k for key in row_support(e.blocks) for k in by_row.get(key, ())}
@@ -264,8 +292,13 @@ def verify_grid(g: Grid) -> GridReport:
     identities; failures are reported, never raised.  A spin grid's system
     relations were checked when its SpinSystem was constructed.  The checks
     use the products of the elements' type: blockwise matrix products, or
-    word products for a spin grid of Clifford words; minimality of a
-    monomial tripotent needs no product at all (see ``_minimal``)."""
+    word products for a spin grid of Clifford words.  An element with
+    monomial matrix blocks needs no product at all.  For it e e* is
+    diagonal with |x|^2 at the row of each entry x, so e e* e = e exactly
+    when every |x| = 1, which ``exact.unit_monomial_ranks`` reads from the
+    entries; its minimality is then decided by compression (see
+    ``_minimal``).  Every other element, a Clifford word or a matrix element
+    that fails that test, is checked by ``tro.is_tripotent``, e e* e = e."""
     # {e, Z, e} ranges over the factor, not the ambient TRO: Z over g.basis,
     # found by the rows where each b has a nonzero entry
     by_row: dict = {}
@@ -274,7 +307,7 @@ def verify_grid(g: Grid) -> GridReport:
             by_row.setdefault(key, []).append(k)
     checks = []
     for label, e in zip(g.labels, g.elements):
-        tripotent = is_tripotent(e)
+        tripotent = _unit_monomial_ranks(e) is not None or is_tripotent(e)
         checks.append(ElementCheck(label, tripotent,
                                    _minimal(g, e, tripotent, by_row),
                                    expect_minimal=label not in g.rank_two))

@@ -355,6 +355,33 @@ class TestBMatrix:
                         dense[rows.index(subset_j)][c] = sign
                     assert b_matrix(h, k, i) == mat(dense), (h, k, i)
 
+    def test_hodge_star_after_a_wedge(self):
+        # b(h,k,i) = (-1)^(k-1) ⋆(e_i ∧ ·) from Λ^(k-1) to Λ^(h-k), for each
+        # h <= 6, k and i, with e_i ∧ e_I = sign(i, I) e_(I ∪ i) and
+        # ⋆e_K = sign(K, K^c) e_(K^c), both signs by inversion counting.  The
+        # wedge and the star move each basis vector to one signed basis
+        # vector, so every rank-one frame element is a signed partial
+        # permutation
+        for h in range(1, 7):
+            def subsets(p):
+                return list(combinations(range(1, h + 1), p))
+
+            for k in range(1, h + 1):
+                src, mid, dst = subsets(k - 1), subsets(k), subsets(h - k)
+                star = [[0] * len(mid) for _ in dst]
+                for c, subset_k in enumerate(mid):
+                    rest = tuple(sorted(set(range(1, h + 1)) - set(subset_k)))
+                    star[dst.index(rest)][c] = reference_perm_sign(subset_k + rest)
+                for i in range(1, h + 1):
+                    wedge = [[0] * len(src) for _ in mid]
+                    for c, subset_i in enumerate(src):
+                        if i not in subset_i:
+                            wedge[mid.index(tuple(sorted(subset_i + (i,))))][c] = \
+                                reference_perm_sign((i,) + subset_i)
+                    sign = -1 if (k - 1) % 2 else 1
+                    assert b_matrix(h, k, i) == (mat(star) @ mat(wedge)).scale(sign), \
+                        (h, k, i)
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             b_matrix(3, 4, 1)

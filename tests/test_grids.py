@@ -1,5 +1,6 @@
 import dataclasses
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given
@@ -26,19 +27,25 @@ from kgrid.exact import (
     ZERO,
     Matrix,
     Scalar,
+    block_diagonal,
     compressed_in_line,
     identity,
     in_complex_line,
     kron,
+    mat,
+    mat_mul,
     matrix_unit,
     rank,
+    unit_monomial_ranks,
     zeros,
 )
 from kgrid.grids import (
     Grid,
     grid_for,
+    grid_gamma,
     verify_grid,
 )
+from kgrid.ktheory import k0_class_of_projection
 from kgrid.tro import (
     TroElement,
     element_span_dim,
@@ -46,6 +53,7 @@ from kgrid.tro import (
     jordan_triple,
     parse_space,
     range_projection,
+    ternary_product,
 )
 
 from .spin import reference_grid, to_matrix, word_matrices
@@ -439,6 +447,9 @@ class TestCompression:
         # every element takes the compression path: its blocks are monomial
         assert all(compressed_in_line(e.blocks, [b.blocks for b in g.basis])
                    is not None for e in g.elements)
+        # and its class is read from its entries: the same as the products'
+        assert grid_gamma(g) == frozenset(k0_class_of_projection(range_projection(e))
+                                          for e in g.elements)
 
     @pytest.mark.parametrize("d", [CD("I", 6, 6), CD("II", 8), CD("III", 8),
                                    CD("I", 1, 9)], ids=str)
@@ -446,8 +457,10 @@ class TestCompression:
         g = grid_for(d)
         calls = _count_mat_mul(monkeypatch)
         assert verify_grid(g).ok
-        # e e* e is two products per block; minimality makes none
-        assert len(calls) == 2 * len(g.ambient) * len(g.elements)
+        assert grid_gamma(g)
+        # every element is unit-monomial: tripotency and the classes are
+        # read from its entries, and minimality by compression makes none
+        assert len(calls) == 0
 
     @staticmethod
     def _doctored(d, label, blocks):
@@ -479,8 +492,8 @@ class TestCompression:
         checks = {c.label: c for c in report.element_checks}
         assert (checks["g[1,1]"].tripotent, checks["g[1,1]"].minimal) == (True, True)
         assert report.ok
-        # tripotency for all 4 elements, then e b* e for the one element and 4 b
-        assert len(calls) == 2 * 2 * 4 + 2 * 2 * 4
+        # e e* e and then e b* e for the 4 b, for the one non-monomial element
+        assert len(calls) == 2 * 2 * 1 + 2 * 2 * 4
         assert [c.minimal for c in report.element_checks] == full_product_verdicts(g)
 
     def test_non_tripotent_keeps_its_verdict(self):
@@ -525,6 +538,74 @@ class TestCompression:
                 for i in range(y.rows) for j in range(y.cols))))
         assert compressed_in_line(e.blocks, [w.blocks]) is \
             in_complex_line(e.blocks, tuple(cut))
+
+
+_UNIT = [Scalar(1), Scalar(-1), I, -I] + [Scalar(Fraction(a, 5), Fraction(b, 5))
+                                         for a in (3, -3) for b in (4, -4)] \
+    + [Scalar(Fraction(5, 13), Fraction(12, 13))]
+_NON_UNIT = [Scalar(2), HALF, Scalar(1, 1)]
+
+
+def _monomial(x: Matrix) -> bool:
+    # at most one nonzero entry in each row and in each column
+    nonzero = [(i, j) for i in range(x.rows) for j in range(x.cols)
+               if not x[i, j].is_zero()]
+    return (len({i for i, _ in nonzero}) == len(nonzero)
+            == len({j for _, j in nonzero}))
+
+
+@st.composite
+def _monomial_elements(draw, entries):
+    sp = draw(spaces)
+    blocks = []
+    for n, m in sp.summands:
+        k = draw(st.integers(0, min(n, m)))
+        rows = draw(st.permutations(range(n)))[:k]
+        cols = draw(st.permutations(range(m)))[:k]
+        dense = [ZERO] * (n * m)
+        for r, c in zip(rows, cols):
+            dense[r * m + c] = draw(st.sampled_from(entries))
+        blocks.append(Matrix(n, m, tuple(dense)))
+    return TroElement(sp, tuple(blocks))
+
+
+_ROTATION = mat([[Fraction(3, 5), Fraction(4, 5)], [Fraction(-4, 5), Fraction(3, 5)]])
+
+
+def _rotated(e: TroElement) -> TroElement:
+    # the unitary rotation on rows 1 and 2 of each block with two rows keeps
+    # e tripotent, and mixes its entries there into non-monomial blocks
+    return TroElement(e.space, tuple(
+        mat_mul(block_diagonal([_ROTATION, identity(x.rows - 2)] if x.rows > 2
+                               else [_ROTATION], x.rows, x.rows), x)
+        if x.rows > 1 else x for x in e.blocks))
+
+
+class TestUnitMonomialRanks:
+    """exact.unit_monomial_ranks, the product-free tripotency and class of
+    verify_grid and grid_gamma, against the products e e* e and e e*."""
+
+    @given(st.one_of(_monomial_elements(_UNIT), _monomial_elements(_UNIT + _NON_UNIT),
+                     _monomial_elements(_UNIT).map(_rotated),
+                     spaces.flatmap(elements_of),
+                     spaces.flatmap(lambda sp: elements_of(
+                         sp, st.sampled_from([ZERO] + _UNIT + _NON_UNIT)))))
+    def test_matches_the_products(self, e):
+        ranks = unit_monomial_ranks(e.blocks)
+        tripotent = ternary_product(e, e, e) == e
+        assert (ranks is not None) == (all(map(_monomial, e.blocks)) and tripotent)
+        if ranks is not None:
+            assert ranks == k0_class_of_projection(range_projection(e))
+
+    @pytest.mark.parametrize("dim,side", [(5, 4), (7, 8)])
+    def test_words_keep_the_products(self, dim, side):
+        # u0 = s_N is a one-term word, a monomial 1 x 2^N matrix with one
+        # unit entry; read as one, its class would be (1,), not the identity's
+        g = grid_for(CD("IV", dim))
+        gamma = grid_gamma(g)
+        assert (side,) in gamma and (1,) not in gamma
+        assert gamma == frozenset(k0_class_of_projection(range_projection(e))
+                                  for e in g.elements)
 
 
 def test_grid_for_dispatch():
