@@ -292,13 +292,14 @@ def verify_grid(g: Grid) -> GridReport:
     identities; failures are reported, never raised.  A spin grid's system
     relations were checked when its SpinSystem was constructed.  The checks
     use the products of the elements' type: blockwise matrix products, or
-    word products for a spin grid of Clifford words.  An element with
-    monomial matrix blocks needs no product at all.  For it e e* is
-    diagonal with |x|^2 at the row of each entry x, so e e* e = e exactly
-    when every |x| = 1, which ``exact.unit_monomial_ranks`` reads from the
-    entries; its minimality is then decided by compression (see
-    ``_minimal``).  Every other element, a Clifford word or a matrix element
-    that fails that test, is checked by ``tro.is_tripotent``, e e* e = e."""
+    word products for a spin grid of Clifford words.  An element whose
+    matrix blocks are monomial needs no product when its entries have
+    modulus 1: e e* is diagonal with |x|^2 at the row of each entry x, so
+    e e* e = e exactly when every |x| = 1, which
+    ``exact.unit_monomial_ranks`` reads from the entries, and its minimality
+    is decided by compression (see ``_minimal``).  Every other element, a
+    Clifford word or a matrix element that fails that test, is checked by
+    ``tro.is_tripotent``, e e* e = e, so its report is the products'."""
     # {e, Z, e} ranges over the factor, not the ambient TRO: Z over g.basis,
     # found by the rows where each b has a nonzero entry
     by_row: dict = {}
