@@ -75,7 +75,6 @@ from .cartan import (
     intrinsic_dim,
     is_exceptional,
     parse_triple_spec,
-    standard_spin_system,
 )
 from .grids import (
     Grid,

@@ -1,5 +1,6 @@
-"""Classical Cartan factor descriptors, their enveloping TROs, the standard
-spin systems, and the concrete embedding of factor elements into those TROs.
+"""Classical Cartan factor descriptors, their enveloping TROs, spin systems
+of Clifford words (the matrix realization in ``tests/spin.py`` is the tests'
+reference), and the concrete embedding of factor elements into those TROs.
 
 Factor kinds and parameters:
 
@@ -26,8 +27,7 @@ from math import comb
 from itertools import combinations
 from typing import Sequence
 
-from .exact import (HALF, SIGMA1, SIGMA2, SIGMA3, Matrix, ParseError, identity,
-                    kron_all, matrix_unit, span_coords, sparse_matrix)
+from .exact import HALF, Matrix, ParseError, matrix_unit, span_coords, sparse_matrix
 from .tro import (CliffordElement, TroElement, TroSpace, element_span_coords,
                   jordan_triple, ternary_product)
 
@@ -337,9 +337,6 @@ def hilbert_frame(h: int) -> tuple:
 
 # --- spin systems -------------------------------------------------------------
 
-_ID2 = identity(2)
-
-
 @dataclass(frozen=True, slots=True)
 class SpinSystem:
     """Self-adjoint elements s_i with (s_i s_j + s_j s_i)/2 = delta_ij * id,
@@ -374,48 +371,6 @@ class SpinSystem:
 
     def __len__(self) -> int:
         return len(self.symmetries)
-
-
-def _odd_symmetry_matrices(n: int) -> list:
-    """2n anticommuting self-adjoint involutions in M(2^n), as tensor words."""
-    mats = [kron_all([SIGMA1] + [_ID2] * (n - 1)),
-            kron_all([SIGMA2] + [_ID2] * (n - 1))]
-    for l in range(1, n):
-        prefix = [SIGMA3] * l
-        tail = [_ID2] * (n - l - 1)
-        mats.append(kron_all(prefix + [SIGMA1] + tail))
-        mats.append(kron_all(prefix + [SIGMA2] + tail))
-    return mats
-
-
-def standard_spin_system(d: CartanDescriptor) -> SpinSystem:
-    """The standard spin system spanning the spin factor inside its TRO, as
-    matrices: the realization in which the words of ``embedded_basis(d)``
-    are read (see ``tro.CliffordElement``).
-
-    Odd dimension 2n+1: 2n symmetries in M(2^n).  Even dimension 2n: 2n-1
-    symmetries in M(2^(n-1)) + M(2^(n-1)), the last one carrying opposite
-    signs in the two blocks.
-    """
-    if d.kind != "IV":
-        raise ValueError(f"spin system requested for {d}")
-    dim = d.params[0]
-    target = enveloping_tro(d)
-    if dim % 2 == 1:
-        n = (dim - 1) // 2
-        mats = _odd_symmetry_matrices(n)
-        ident = TroElement(target, (identity(2 ** n),))
-        syms = tuple(TroElement(target, (m,)) for m in mats)
-    else:
-        n = dim // 2
-        base = _odd_symmetry_matrices(n - 1)
-        ident_blk = identity(2 ** (n - 1))
-        ident = TroElement(target, (ident_blk, ident_blk))
-        syms = [TroElement(target, (m, m)) for m in base]
-        last = kron_all([SIGMA3] * (n - 1))
-        syms.append(TroElement(target, (last, -last)))
-        syms = tuple(syms)
-    return SpinSystem(ident, syms)
 
 
 # --- intrinsic coordinates and the embedding ----------------------------------
@@ -503,9 +458,9 @@ def embed(d: CartanDescriptor, x: Matrix) -> TroElement:
 
 def coords_of(d: CartanDescriptor, el: TroElement) -> Matrix:
     """Inverse of ``embed`` on its image; raises CoordinateError off the image,
-    which holds elements of the basis's type only: words for IV(d), so a
-    matrix element of ``standard_spin_system(d)`` is off it.  An element of
-    that type in another space raises SpaceMismatch."""
+    which holds elements of the basis's type only: words for IV(d), so an
+    element of the matrix realization in ``tests/spin.py`` is off it.  An
+    element of that type in another space raises SpaceMismatch."""
     basis = embedded_basis(d)
     if type(el) is not type(basis[0]):
         raise CoordinateError(f"the embedded copy of {d} holds "

@@ -11,7 +11,6 @@ immutable value types, so they can be shared freely and used as dict keys.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass
@@ -307,12 +306,6 @@ def matrix_unit(rows: int, cols: int, i: int, j: int) -> Matrix:
     return _new(rows, cols, {i: {j: (1, 0)}}, 1)
 
 
-# Pauli convention fixed once for the whole package:
-SIGMA1 = mat([[0, 1], [1, 0]])
-SIGMA2 = mat([[0, Scalar(0, -1)], [Scalar(0, 1), 0]])
-SIGMA3 = mat([[1, 0], [0, -1]])
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Exact matrix product, visiting only products of two nonzero entries."""
     if a.cols != b.rows:
@@ -390,13 +383,6 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
             num[i * b.rows + k] = {j * b.cols + l: _gmul(x, y)
                                    for j, x in arow.items() for l, y in brow.items()}
     return sparse_matrix(a.rows * b.rows, a.cols * b.cols, num, a.den * b.den)
-
-
-def kron_all(ms: Sequence[Matrix]) -> Matrix:
-    """Fold kron over a nonempty list; a single factor is returned as-is."""
-    if not ms:
-        raise ShapeError("kron_all() of no factors")
-    return functools.reduce(kron, ms)
 
 
 def block_diagonal(ms: Sequence[Matrix], rows: int, cols: int) -> Matrix:
@@ -581,10 +567,11 @@ def in_complex_line(e: tuple, w: tuple) -> bool:
     return True
 
 
-def compressed_in_line(e: tuple, ws: Iterable[tuple]) -> Optional[bool]:
+def compressed_in_line(e: tuple, ws: Iterable[tuple]) -> bool:
     """True iff each w of ws, its blocks cut down to the rows x columns where
-    the blocks e have a nonzero entry, is a complex multiple of e; None if
-    some block of e is not monomial (two nonzero entries in a row or column).
+    the blocks e have a nonzero entry, is a complex multiple of e.  Every
+    block of e must be monomial (at most one nonzero entry in each row and
+    column), as it is when unit_monomial_ranks(e) is not None.
 
     Decided like in_complex_line, on numerators with no division: let p and q
     be the numerators of e and w at e's first nonzero entry, in block b.
@@ -594,11 +581,7 @@ def compressed_in_line(e: tuple, ws: Iterable[tuple]) -> Optional[bool]:
     """
     entries = []  # (block, row, e's column there, e's numerator, e's columns)
     for blk, x in enumerate(e):
-        if any(len(row) > 1 for row in x.num.values()):
-            return None
         used = {j for row in x.num.values() for j in row}
-        if len(used) != len(x.num):
-            return None
         entries += [(blk, r, *next(iter(row.items())), used) for r, row in x.num.items()]
     if not entries:
         return True

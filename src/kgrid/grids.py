@@ -7,7 +7,7 @@ frames E_ij, E_ij - E_ji and E_ii, E_ij + E_ji, and the signed-incidence
 frame of a rank-one factor.  The IV(d) basis is the identity and the
 N = d - 1 generators s_1 ... s_N of the Clifford algebra that is its
 enveloping TRO, as words (``tro.CliffordElement``); the same formula on the
-matrices of ``cartan.standard_spin_system`` builds the matrix grid.  The
+matrix realization in ``tests/spin.py`` builds the tests' reference grid.  The
 spin grid is
 
     u1 = (id - s1)/2,   ut1 = -(id + s1)/2,
@@ -262,27 +262,24 @@ def _spin_identity_checks(g: Grid) -> tuple:
     return tuple(checks)
 
 
-def _minimal(g: Grid, e: TroElement, tripotent: bool, by_row: dict) -> bool:
+def _minimal(g: Grid, e: TroElement, unit_monomial: bool, by_row: dict) -> bool:
     """Whether {e, b, e} = e b* e lies in Ce for every b of g.basis.
 
-    A tripotent e with matrix blocks is decided by compression.  With p = ee*
-    and q = e*e, e b* e lies in Ce exactly when p b q does: if p b q = l e,
-    then e b* e = e (p b q)* e = conj(l) e, and if e b* e = m e, then
-    p b q = e (e b* e)* e = conj(m) e, both by e e* e = e.  p = ee* is zero
-    off the rows where e has a nonzero entry, so p b q = 0 for every b with
-    no nonzero entry in those rows: only the b that ``by_row`` lists for e's
-    rows are tested.  When each block of e is monomial, e e* e = e makes every
-    nonzero entry of e of modulus 1, so p and q are the diagonal 0/1
-    projections onto e's rows and columns, and p b q is b cut down to them
-    (``exact.compressed_in_line``).  verify_grid reads the tripotency of such
-    an e from its entries (``exact.unit_monomial_ranks``), so no product is
-    formed for it at all.  Every other e (a Clifford word, or a
-    non-tripotent or non-monomial one) is tested on the products e b* e."""
-    if tripotent and type(e) is TroElement:
+    A unit-monomial e, one whose matrix blocks are monomial with entries of
+    modulus 1 (``exact.unit_monomial_ranks``), is a tripotent and is decided
+    by compression.  With p = ee* and q = e*e, e b* e lies in Ce exactly when
+    p b q does: if p b q = l e, then e b* e = e (p b q)* e = conj(l) e, and
+    if e b* e = m e, then p b q = e (e b* e)* e = conj(m) e, both by
+    e e* e = e.  p = ee* is zero off the rows where e has a nonzero entry, so
+    p b q = 0 for every b with no nonzero entry in those rows: only the b
+    that ``by_row`` lists for e's rows are tested.  p and q are the diagonal
+    0/1 projections onto e's rows and columns, so p b q is b cut down to them
+    (``exact.compressed_in_line``), and no product is formed.  Every other e
+    (a Clifford word, or a non-tripotent or non-monomial one) is tested on
+    the products e b* e."""
+    if unit_monomial:
         near = {k for key in row_support(e.blocks) for k in by_row.get(key, ())}
-        verdict = compressed_in_line(e.blocks, (g.basis[k].blocks for k in near))
-        if verdict is not None:
-            return verdict
+        return compressed_in_line(e.blocks, (g.basis[k].blocks for k in near))
     return all(in_complex_line(e.blocks, e.sandwich(b.adjoint_blocks()))
                for b in g.basis)
 
@@ -308,9 +305,9 @@ def verify_grid(g: Grid) -> GridReport:
             by_row.setdefault(key, []).append(k)
     checks = []
     for label, e in zip(g.labels, g.elements):
-        tripotent = _unit_monomial_ranks(e) is not None or is_tripotent(e)
-        checks.append(ElementCheck(label, tripotent,
-                                   _minimal(g, e, tripotent, by_row),
+        unit_monomial = _unit_monomial_ranks(e) is not None
+        checks.append(ElementCheck(label, unit_monomial or is_tripotent(e),
+                                   _minimal(g, e, unit_monomial, by_row),
                                    expect_minimal=label not in g.rank_two))
     identity_checks = _spin_identity_checks(g) if g.kind == "spin" else ()
     return GridReport(

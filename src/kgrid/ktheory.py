@@ -53,9 +53,10 @@ def top_scalar(n: int) -> Scalar:
     With n = 2m + 1 that system is gamma_(2l+1) = s3^l (x) s1 (x) 1 and
     gamma_(2l+2) = s3^l (x) s2 (x) 1 on M(2^m), l = 0 .. m-1, equal on both
     blocks, then gamma_n = s3^m on block 0 and -s3^m on block 1
-    (``cartan.standard_spin_system``).  Since s3^2 = 1 and s1 s2 = i s3, each
-    pair multiplies to i s3 in tensor slot l, so gamma_1 ... gamma_(2m) is
-    i^m s3^m, and gamma_n brings it to i^m on block 0 and -i^m on block 1."""
+    (the matrix realization in ``tests/spin.py``).  Since s3^2 = 1 and
+    s1 s2 = i s3, each pair multiplies to i s3 in tensor slot l, so
+    gamma_1 ... gamma_(2m) is i^m s3^m, and gamma_n brings it to i^m on
+    block 0 and -i^m on block 1."""
     return (ONE, I, -ONE, -I)[(n - 1) // 2 % 4]
 
 

@@ -190,11 +190,11 @@ class CliffordElement(TroElement):
     blocks are one word (see kgrid.exact.word_mul): a 1 x 2^N matrix whose
     column A holds the coefficient of gamma_A.  That algebra is the TroSpace
     ``space``, the enveloping TRO of the spin factor IV(N + 1), with
-    gamma_1 ... gamma_N the symmetries of its standard spin system
-    (``cartan.standard_spin_system``) and gamma_A the product of the gamma_k
-    for the bits of A in increasing order.  For odd N it has two blocks, and
-    block 0 is the one on which the central word gamma_1 ... gamma_N acts as
-    i^((N - 1)/2) (see ``ktheory``).
+    gamma_1 ... gamma_N the symmetries of its standard spin system (the
+    matrix realization in ``tests/spin.py``) and gamma_A the product of the
+    gamma_k for the bits of A in increasing order.  For odd N it has two
+    blocks, and block 0 is the one on which the central word
+    gamma_1 ... gamma_N acts as i^((N - 1)/2) (see ``ktheory``).
 
     It is a ``TroElement`` with its own shape check and block kernels: its
     products and adjoints are ``word_mul`` and ``word_adjoint``.  Its

@@ -16,7 +16,6 @@ from kgrid.cartan import (
     b_matrix,
     canonicalize_spec,
     enveloping_tro,
-    standard_spin_system,
 )
 from kgrid.catalog import sweep
 from kgrid.exact import Matrix, Scalar, dagger, kron, rank
@@ -45,7 +44,7 @@ from kgrid.tro import (
     ternary_product,
 )
 
-from .spin import to_matrix, word_matrices
+from .spin import standard_spin_system, to_matrix, word_matrices
 from .test_exact import naive_rank
 
 

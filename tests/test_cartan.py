@@ -28,7 +28,6 @@ from kgrid.cartan import (
     intrinsic_dim,
     intrinsic_jordan,
     parse_triple_spec,
-    standard_spin_system,
 )
 from kgrid.catalog import catalog_descriptors
 from kgrid.exact import HALF, I, dagger, identity, mat, matrix_unit, rank, zeros
@@ -39,7 +38,7 @@ from kgrid.tro import (
     parse_space,
 )
 
-from .spin import to_matrix, word_matrices
+from .spin import standard_spin_system, to_matrix, word_matrices
 from .strategies import matrices
 
 

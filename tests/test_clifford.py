@@ -12,8 +12,7 @@ from fractions import Fraction
 import pytest
 
 from kgrid.cartan import (CartanDescriptor, CoordinateError, SpinSystem, coords_of, embed,
-                          embedded_basis, enveloping_tro, intrinsic_jordan,
-                          standard_spin_system)
+                          embedded_basis, enveloping_tro, intrinsic_jordan)
 from kgrid.cli import run
 from kgrid.exact import (I, Scalar, ShapeError, identity, mat, matrix_unit, word_adjoint,
                          word_mul)
@@ -23,7 +22,7 @@ from kgrid.ktheory import ProjectionError, k0_class_of_projection, top_scalar
 from kgrid.tro import (CliffordElement, SpaceMismatch, TroElement, TroSpace, apply_hom,
                        element_span_dim, lift_hom, ternary_product)
 
-from .spin import reference_grid, times, to_matrix, word_matrices
+from .spin import reference_grid, standard_spin_system, times, to_matrix, word_matrices
 
 
 def CD(kind, *params):

@@ -14,9 +14,6 @@ from kgrid.exact import (
     I,
     Matrix,
     ONE,
-    SIGMA1,
-    SIGMA2,
-    SIGMA3,
     Scalar,
     ShapeError,
     ZERO,
@@ -37,6 +34,7 @@ from kgrid.exact import (
     zeros,
 )
 
+from .spin import SIGMA1, SIGMA2, SIGMA3
 from .strategies import any_matrices, int_scalars, matrices, scalars
 
 

@@ -15,15 +15,11 @@ from kgrid.cartan import (
     canonicalize_factor,
     embedded_basis,
     intrinsic_dim,
-    standard_spin_system,
 )
 from kgrid.catalog import catalog_descriptors
 from kgrid.exact import (
     HALF,
     I,
-    SIGMA1,
-    SIGMA2,
-    SIGMA3,
     ZERO,
     Matrix,
     Scalar,
@@ -56,7 +52,15 @@ from kgrid.tro import (
     ternary_product,
 )
 
-from .spin import reference_grid, to_matrix, word_matrices
+from .spin import (
+    SIGMA1,
+    SIGMA2,
+    SIGMA3,
+    reference_grid,
+    standard_spin_system,
+    to_matrix,
+    word_matrices,
+)
 from .strategies import elements_of, scalars, small_fractions, spaces
 
 
@@ -444,9 +448,8 @@ class TestCompression:
         assert canonicalize_factor(d) == d
         report = verify_grid(g)
         assert [c.minimal for c in report.element_checks] == full_product_verdicts(g)
-        # every element takes the compression path: its blocks are monomial
-        assert all(compressed_in_line(e.blocks, [b.blocks for b in g.basis])
-                   is not None for e in g.elements)
+        # every element takes the compression path: it is unit-monomial
+        assert all(unit_monomial_ranks(e.blocks) is not None for e in g.elements)
         # and its class is read from its entries: the same as the products'
         assert grid_gamma(g) == frozenset(k0_class_of_projection(range_projection(e))
                                           for e in g.elements)
@@ -486,7 +489,7 @@ class TestCompression:
         blk = (_unit(2, 2, 1, 1) + _unit(2, 2, 1, 2) + _unit(2, 2, 2, 1)
                + _unit(2, 2, 2, 2)).scale(HALF)
         g = self._doctored(CD("I", 2, 2), "g[1,1]", (blk, blk))
-        assert compressed_in_line((blk, blk), [b.blocks for b in g.basis]) is None
+        assert unit_monomial_ranks((blk, blk)) is None
         calls = _count_mat_mul(monkeypatch)
         report = verify_grid(g)
         checks = {c.label: c for c in report.element_checks}
@@ -555,8 +558,8 @@ def _monomial(x: Matrix) -> bool:
 
 
 @st.composite
-def _monomial_elements(draw, entries):
-    sp = draw(spaces)
+def _monomial_elements(draw, entries, space=spaces):
+    sp = draw(space)
     blocks = []
     for n, m in sp.summands:
         k = draw(st.integers(0, min(n, m)))
@@ -596,6 +599,23 @@ class TestUnitMonomialRanks:
         assert (ranks is not None) == (all(map(_monomial, e.blocks)) and tripotent)
         if ranks is not None:
             assert ranks == k0_class_of_projection(range_projection(e))
+
+    @given(data=st.data())
+    def test_verify_grid_decides_like_the_products(self, data):
+        # one element of the I(2,3) grid replaced by a drawn element of its
+        # ambient M(2,3)+M(3,2), on either side of the product-free path
+        g = grid_for(CD("I", 2, 3))
+        sp = g.ambient
+        e = data.draw(st.one_of(_monomial_elements(_UNIT, st.just(sp)),
+                                _monomial_elements(_UNIT + _NON_UNIT, st.just(sp)),
+                                _monomial_elements(_UNIT, st.just(sp)).map(_rotated),
+                                elements_of(sp)))
+        elements = list(g.elements)
+        elements[data.draw(st.integers(0, len(elements) - 1))] = e
+        g = dataclasses.replace(g, elements=tuple(elements))
+        assert [(c.tripotent, c.minimal) for c in verify_grid(g).element_checks] == \
+            list(zip([ternary_product(x, x, x) == x for x in g.elements],
+                     full_product_verdicts(g)))
 
     @pytest.mark.parametrize("dim,side", [(5, 4), (7, 8)])
     def test_words_keep_the_products(self, dim, side):

@@ -20,7 +20,6 @@ from kgrid.cartan import (
     canonicalize_spec,
     enveloping_tro,
     parse_triple_spec,
-    standard_spin_system,
 )
 from kgrid.catalog import catalog_descriptors, catalog_multisets
 import kgrid
@@ -49,7 +48,7 @@ from kgrid.invariant import (
 from kgrid.ktheory import DoubleScaledGroup
 from kgrid.tro import range_projection
 
-from .spin import to_matrix, word_matrices
+from .spin import standard_spin_system, to_matrix, word_matrices
 
 
 def CD(kind, *params):

@@ -8,9 +8,6 @@ from kgrid.exact import (
     HALF,
     I,
     ParseError,
-    SIGMA1,
-    SIGMA2,
-    SIGMA3,
     ShapeError,
     identity,
     mat,
@@ -40,6 +37,7 @@ from kgrid.tro import (
     zero_element,
 )
 
+from .spin import SIGMA1, SIGMA2, SIGMA3
 from .strategies import matrices, space_with_elements, spaces
 from .test_exact import entry_mix, r_combine, r_flat, r_rank, r_scale, ref_of
 
