@@ -28,8 +28,8 @@ from itertools import combinations
 from typing import Sequence
 
 from .exact import HALF, Matrix, ParseError, matrix_unit, span_coords, sparse_matrix
-from .tro import (CliffordElement, TroElement, TroSpace, element_span_coords,
-                  jordan_triple, ternary_product)
+from .tro import (CliffordElement, TroElement, TroSpace, clifford_summands,
+                  element_span_coords, jordan_triple, ternary_product)
 
 
 class UnsupportedFactorError(ValueError):
@@ -274,12 +274,7 @@ def enveloping_tro(d: CartanDescriptor) -> TroSpace:
     if d.kind in ("II", "III"):
         n = d.params[0]
         return TroSpace(((n, n),))
-    dim = d.params[0]
-    if dim % 2 == 0:
-        half = 2 ** (dim // 2 - 1)
-        return TroSpace(((half, half), (half, half)))
-    side = 2 ** ((dim - 1) // 2)
-    return TroSpace(((side, side),))
+    return TroSpace(clifford_summands(d.params[0] - 1))
 
 
 # --- rank-one machinery -------------------------------------------------------
@@ -365,44 +360,45 @@ class SpinSystem:
                 if not ok:
                     raise ValueError(f"anticommutator relation fails for ({i},{j})")
 
-    @property
-    def space(self) -> TroSpace:
-        return self.identity.space
-
     def __len__(self) -> int:
         return len(self.symmetries)
 
 
 # --- intrinsic coordinates and the embedding ----------------------------------
 
-def intrinsic_basis(d: CartanDescriptor) -> tuple:
-    """Basis of the intrinsic coordinate space.
-
-    Coordinate conventions: I(n,m) takes an n x m matrix; II(n) a skew and
-    III(n) a symmetric n x n matrix; IV(d) a row vector of length d of
-    coefficients over the spin basis (identity direction first).
-    """
+def coordinate_positions(d: CartanDescriptor) -> tuple:
+    """The (row, column) of each intrinsic coordinate, in basis order: every
+    entry of I(n,m) row by row, the upper triangle of II(n) without the
+    diagonal and of III(n) with it, and the d entries of IV(d)'s single row."""
     if d.kind == "I":
         n, m = d.params
-        return tuple(matrix_unit(n, m, i, j) for i in range(n) for j in range(m))
-    if d.kind == "II":
+        return tuple((i, j) for i in range(n) for j in range(m))
+    if d.kind in ("II", "III"):
         n = d.params[0]
-        return tuple(matrix_unit(n, n, i, j) - matrix_unit(n, n, j, i)
-                     for i in range(n) for j in range(i + 1, n))
-    if d.kind == "III":
-        n = d.params[0]
-        out = []
-        for i in range(n):
-            for j in range(i, n):
-                if i == j:
-                    out.append(matrix_unit(n, n, i, i))
-                else:
-                    out.append(matrix_unit(n, n, i, j) + matrix_unit(n, n, j, i))
-        return tuple(out)
+        first = 1 if d.kind == "II" else 0
+        return tuple((i, j) for i in range(n) for j in range(i + first, n))
     if d.kind == "IV":
-        dim = d.params[0]
-        return tuple(matrix_unit(1, dim, 0, j) for j in range(dim))
+        return tuple((0, j) for j in range(d.params[0]))
     raise ExceptionalFactorError(f"{d}: no coordinate model is implemented")
+
+
+def intrinsic_basis(d: CartanDescriptor) -> tuple:
+    """Basis of the intrinsic coordinate space: E_ij at each of the
+    ``coordinate_positions``, minus E_ji for II and plus E_ji off the diagonal
+    for III.  Coordinate conventions: I(n,m) takes an n x m matrix; II(n) a
+    skew and III(n) a symmetric n x n matrix; IV(d) a row vector of length d
+    of coefficients over the spin basis (identity direction first)."""
+    positions = coordinate_positions(d)  # first: it refuses V and VI
+    rows, cols = (1 if d.kind == "IV" else d.params[0]), d.params[-1]
+
+    def unit(i: int, j: int) -> Matrix:
+        return matrix_unit(rows, cols, i, j)
+    if d.kind == "II":
+        return tuple(unit(i, j) - unit(j, i) for i, j in positions)
+    if d.kind == "III":
+        return tuple(unit(i, j) + unit(j, i) if i != j else unit(i, j)
+                     for i, j in positions)
+    return tuple(unit(i, j) for i, j in positions)
 
 
 @lru_cache(maxsize=None)

@@ -28,6 +28,7 @@ from typing import Optional
 from .cartan import (
     CartanDescriptor,
     ExceptionalFactorError,
+    coordinate_positions,
     embedded_basis,
     enveloping_tro,
     intrinsic_dim,
@@ -113,20 +114,13 @@ def _spin_grid(d: CartanDescriptor, basis: tuple) -> Grid:
 
 def _matrix_labels(d: CartanDescriptor) -> tuple:
     # (labels, rank-two labels), in the order of intrinsic_basis: g[k] along a
-    # single row or column, else g[i,j] over the whole matrix (I), or its
-    # upper triangle, diagonal kept for III and left out for II; the
+    # single row or column, else g[i,j] at each coordinate position; the
     # off-diagonal III elements E_ij + E_ji have range projection E_ii + E_jj
-    if d.kind == "I":
-        n, m = d.params
-        if min(n, m) == 1:
-            return tuple(f"g[{k}]" for k in range(1, n * m + 1)), frozenset()
-        pairs = [(i, j) for i in range(n) for j in range(m)]
-    else:
-        n = d.params[0]
-        first = 0 if d.kind == "III" else 1
-        pairs = [(i, j) for i in range(n) for j in range(i + first, n)]
-    labels = tuple(f"g[{i + 1},{j + 1}]" for i, j in pairs)
-    rank_two = frozenset(label for label, (i, j) in zip(labels, pairs)
+    positions = coordinate_positions(d)
+    if d.kind == "I" and min(d.params) == 1:
+        return tuple(f"g[{k}]" for k in range(1, len(positions) + 1)), frozenset()
+    labels = tuple(f"g[{i + 1},{j + 1}]" for i, j in positions)
+    rank_two = frozenset(label for label, (i, j) in zip(labels, positions)
                          if d.kind == "III" and i != j)
     return labels, rank_two
 

@@ -8,6 +8,15 @@ Grid classes come from one per-family formula, checked in the tests against
 the spin grid's element u0 to the wrong parity; ``published_gamma`` keeps
 their values for a discrepancy flag.  The grids' convention is the one under
 which the coincidence IV(4) = I(2,2) has equal invariants on both sides.
+
+The block lemma.  A factor block is a connected component of the
+gamma-support graph, whose edges link two summands when some class is
+nonzero on both.  An isomorphism of invariants permutes the summands,
+keeping caps and carrying classes onto classes, so it carries blocks onto
+blocks: two invariants are isomorphic exactly when their blocks match in
+pairs.  Each canonical factor's invariant is one block, so the invariant
+classifies finite multisets of factors exactly when it separates single
+canonical factors.
 """
 
 from __future__ import annotations
@@ -156,13 +165,13 @@ def _store(inv: KGridInvariant, group: DoubleScaledGroup, blocks: tuple,
 def _blocks(group: DoubleScaledGroup, gamma) -> tuple:
     """The factor blocks of dense grid classes, ordered by their first summand.
 
-    A block is a connected component of the gamma-support graph, in which two
-    summands are linked when some class is nonzero on both; each factor's
-    classes connect exactly its own summands.  A block is (columns, caps,
-    classes): its summand indices ascending, their (left, right) caps, and the
-    classes supported on it restricted to those columns.  A zero class lies
-    in no block.  Only a ``KGridInvariant`` built from a dense ``gamma`` runs
-    this union-find, once; assembly places each factor's own block instead.
+    A block is a connected component of the gamma-support graph (see the
+    module docstring); each factor's classes connect exactly its own
+    summands.  A block is (columns, caps, classes): its summand indices
+    ascending, their (left, right) caps, and the classes supported on it
+    restricted to those columns.  A zero class lies in no block.  Only a
+    ``KGridInvariant`` built from a dense ``gamma`` runs this union-find,
+    once; assembly places each factor's own block instead.
     """
     k = group.k
     root = list(range(k))
@@ -198,16 +207,16 @@ def _blocks(group: DoubleScaledGroup, gamma) -> tuple:
 def _shared(part):
     """The first-seen object equal to a block's caps tuple or class set, so
     that blocks of equal factors share them, in invariants built from dense
-    classes as in assembled ones (which share ``_factor_block``'s)."""
+    classes as in assembled ones (which share the blocks of ``_factor_parts``)."""
     return part
 
 
 @lru_cache(maxsize=None)
 def _factor_parts(f: CartanDescriptor) -> tuple:
     """What assembly takes from one canonical factor, built once: its own
-    block (see ``_factor_block``), its left and right caps, its sorted cap
-    pairs, and the sorted nonzero entries of each of its classes, sorted
-    (its share of ``_quick_key``)."""
+    block (all its summands, their caps and its grid classes), its left and
+    right caps, its sorted cap pairs, and the sorted nonzero entries of each
+    of its classes, sorted (its share of ``_quick_key``)."""
     caps = enveloping_tro(f).summands
     classes = gamma(f)
     return ((tuple(range(len(caps))), caps, classes),
@@ -221,12 +230,6 @@ def _nonzero_entries(classes) -> list:
 
 
 _BLOCK, _LEFT, _RIGHT, _PAIRS, _CLASSES = map(itemgetter, range(5))
-
-
-def _factor_block(f: CartanDescriptor) -> tuple:
-    """The single block of a canonical factor's own invariant: all its
-    summands, their caps and its grid classes."""
-    return _factor_parts(f)[0]
 
 
 @lru_cache(maxsize=None)
@@ -300,7 +303,8 @@ def _match_block(a: tuple, b: tuple) -> Optional[tuple]:
     """A cap-preserving map p of block a's columns onto block b's that carries
     a's classes onto b's (position i of a goes to position p[i] of b), or
     None.  Only columns with equal caps are exchanged; in a factor's block at
-    most two columns share a cap pair, so at most two maps are tried."""
+    most two columns share a cap pair, so at most two maps are tried.  Its
+    callers pass blocks with equal cap multisets; others get None."""
     (_, caps_a, classes_a), (_, caps_b, classes_b) = a, b
     if caps_a == caps_b and classes_a == classes_b:
         return tuple(range(len(caps_a)))
@@ -454,11 +458,11 @@ def _candidates(caps: list) -> list:
 def _block_factors(caps: tuple, classes: frozenset) -> tuple:
     """The canonical factors whose own block a block with these caps and
     classes matches, at whatever columns it sits.  Assembled blocks share
-    ``_factor_block``'s objects, so a hit hashes a short caps tuple and a
-    frozenset whose hash Python keeps."""
+    the objects of ``_factor_parts``' blocks, so a hit hashes a short caps
+    tuple and a frozenset whose hash Python keeps."""
     block = ((), caps, classes)
     return tuple(f for f in _candidates(sorted(caps))
-                 if _match_block(block, _factor_block(f)) is not None)
+                 if _match_block(block, _BLOCK(_factor_parts(f))) is not None)
 
 
 def recover_factors(inv: KGridInvariant) -> TripleSpec:

@@ -177,9 +177,9 @@ class TroElement:
         return tuple(mul(mul(x, m), x) for x, m in zip(self.blocks, mids))
 
 
-def _clifford_summands(n: int) -> tuple:
-    # the blocks of the Clifford algebra on n generators: M(2^(n/2)) for
-    # even n, two copies of M(2^((n-1)/2)) for odd n
+def clifford_summands(n: int) -> tuple:
+    """The blocks of the Clifford algebra on n generators: M(2^(n/2)) for
+    even n, two copies of M(2^((n-1)/2)) for odd n."""
     side = 1 << (n // 2)
     return ((side, side),) * (1 + n % 2)
 
@@ -204,7 +204,7 @@ class CliffordElement(TroElement):
         if len(self.blocks) != 1:
             raise ShapeError(f"a Clifford element is one word, not {len(self.blocks)} blocks")
         n = self.word.cols.bit_length() - 1
-        if self.word.shape != (1, 1 << n) or self.space.summands != _clifford_summands(n):
+        if self.word.shape != (1, 1 << n) or self.space.summands != clifford_summands(n):
             raise ShapeError(f"a {self.word.rows}x{self.word.cols} word is not "
                              f"an element of {self.space}")
 

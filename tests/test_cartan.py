@@ -285,6 +285,16 @@ class TestEnveloping:
         assert enveloping_tro(CD("IV", 5)) == parse_space("M(4,4)")
         assert enveloping_tro(CD("IV", 6)) == parse_space("M(4,4)+M(4,4)")
         assert enveloping_tro(CD("IV", 9)) == parse_space("M(16,16)")
+        # the closed form, stated only here: 2^(d/2-1) twice for even d,
+        # 2^((d-1)/2) once for odd d
+        for d in range(4, 65):
+            if d % 2 == 0:
+                side = 2 ** (d // 2 - 1)
+                expected = ((side, side), (side, side))
+            else:
+                side = 2 ** ((d - 1) // 2)
+                expected = ((side, side),)
+            assert enveloping_tro(CD("IV", d)).summands == expected, d
 
     def test_exceptional_rejected(self):
         with pytest.raises(ExceptionalFactorError):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from kgrid import catalog
+from kgrid import catalog, cli
 from kgrid.cartan import canonicalize_spec, parse_triple_spec
 from kgrid.cli import run
 from kgrid.invariant import Verdict, k_grid_invariant, recover_factors
@@ -91,6 +92,22 @@ class TestVerifyCommand:
             "note": "trivial invariant; no grid model",
             "ok": True,
         }
+
+
+    def test_failure_lines(self, capsys, monkeypatch):
+        # I(3,3) with g[1,2] replaced by a copy of g[1,1] spans only 8
+        real = cli.grid_for
+
+        def short_grid(d):
+            g = real(d)
+            elements = list(g.elements)
+            elements[g.labels.index("g[1,2]")] = g.by_label("g[1,1]")
+            return dataclasses.replace(g, elements=tuple(elements))
+        monkeypatch.setattr(cli, "grid_for", short_grid)
+        code, out, _ = invoke(capsys, "verify", "I(3,3)")
+        assert code == 1
+        assert "I(3,3): FAIL (9 grid elements, span 8/9)" in out.splitlines()
+        assert "  failure: span is 8, expected 9" in out.splitlines()
 
 
 class TestErrorExits:

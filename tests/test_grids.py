@@ -252,6 +252,14 @@ class TestVerifyGrid:
         assert report.ok  # u0 is exempt from the minimality requirement
         assert all(c.minimal for c in report.element_checks if c.label != "u0")
 
+    def test_span_failure_reported(self):
+        # g[1,2] replaced by a copy of g[1,1]: every element still passes
+        g = grid_for(CD("I", 3, 3))
+        elements = list(g.elements)
+        elements[g.labels.index("g[1,2]")] = g.by_label("g[1,1]")
+        report = verify_grid(dataclasses.replace(g, elements=tuple(elements)))
+        assert report.failures() == ["span is 8, expected 9"]
+
     def test_extra_element_rejected(self):
         # a grid used to verify ok past its labels, leaving extra elements unchecked
         g = grid_for(CD("III", 3))
@@ -482,6 +490,26 @@ class TestCompression:
         assert (checks["g[1,1]"].tripotent, checks["g[1,1]"].minimal) == (True, False)
         assert [c.minimal for c in verify_grid(g).element_checks] == \
             full_product_verdicts(g)
+
+    @pytest.mark.parametrize("first,second", [(1, 2), (2, 1)])
+    def test_entry_ratio_differs(self, first, second):
+        # b = first E11 + second E22 has the support of e = E11 + E22 in both
+        # blocks of I(3,3), so only the ratio of its entries keeps it off Ce
+        e = _unit(3, 3, 1, 1) + _unit(3, 3, 2, 2)
+        b = _unit(3, 3, 1, 1).scale(first) + _unit(3, 3, 2, 2).scale(second)
+        assert compressed_in_line((e, e), [(b, b)]) is False
+        # b lies in e's rows and columns: it is its own cut-down
+        assert in_complex_line((e, e), (b, b)) is False
+
+    def test_entry_ratio_decides_minimality(self):
+        e = _unit(3, 3, 1, 1) + _unit(3, 3, 2, 2)
+        b = _unit(3, 3, 1, 1) + _unit(3, 3, 2, 2).scale(2)
+        g = self._doctored(CD("I", 3, 3), "g[1,1]", (e, e))
+        g = dataclasses.replace(g, basis=(TroElement(g.ambient, (b, b)),))
+        report = verify_grid(g)
+        checks = {c.label: c for c in report.element_checks}
+        assert (checks["g[1,1]"].tripotent, checks["g[1,1]"].minimal) == (True, False)
+        assert [c.minimal for c in report.element_checks] == full_product_verdicts(g)
 
     def test_non_monomial_tripotent_falls_back(self, monkeypatch):
         # the rank-one projection (E11 + E12 + E21 + E22)/2 of I(2,2) is a

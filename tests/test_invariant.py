@@ -19,6 +19,7 @@ from kgrid.cartan import (
     canonicalize_factor,
     canonicalize_spec,
     enveloping_tro,
+    intrinsic_dim,
     parse_triple_spec,
 )
 from kgrid.catalog import catalog_descriptors, catalog_multisets
@@ -41,7 +42,7 @@ from kgrid.invariant import (
 from kgrid.invariant import (
     _block_factors,
     _candidates,
-    _factor_block,
+    _factor_parts,
     _match_block,
     _quick_key,
 )
@@ -462,7 +463,7 @@ class TestRecovery:
             f = parse_triple_spec(row["factor"]).factors[0]
             inv = k_grid_invariant(TripleSpec((f,)))
             dense = KGridInvariant(inv.group, inv.gamma, inv.exceptional_count)
-            assert dense.blocks == (_factor_block(f),), f
+            assert dense.blocks == (_factor_parts(f)[0],), f
 
 
 class TestShuffledSummands:
@@ -589,7 +590,7 @@ def reference_recover(group, gamma, exceptional_count):
     factors = []
     for block in reference_blocks(group, gamma):
         matches = [f for f in _candidates(sorted(block[1]))
-                   if _match_block(block, _factor_block(f)) is not None]
+                   if _match_block(block, _factor_parts(f)[0]) is not None]
         if len(matches) != 1:
             return UnknownFactorError
         factors.append(matches[0])
@@ -630,7 +631,7 @@ class TestStoredBlocks:
     def test_assembled_blocks_share_the_factor_block(self):
         inv = k_grid_invariant(spec("I(1,3)+IV(6)+I(1,3)"))
         for block, f in zip(inv.blocks, canonicalize_spec(spec("I(1,3)+IV(6)+I(1,3)")).factors):
-            assert block[1] is _factor_block(f)[1] and block[2] is _factor_block(f)[2]
+            assert block[1] is _factor_parts(f)[0][1] and block[2] is _factor_parts(f)[0][2]
 
     def test_gamma_is_not_kept(self):
         inv = k_grid_invariant(spec("I(2,3)+III(4)"))
@@ -927,3 +928,70 @@ def test_four_thousand_factors_classify_and_recover_within_budget():
     assert elapsed < 1.0 and peak < 50 * 2**20, (elapsed, peak)
     assert verdict.status == "ISOMORPHIC"
     assert recovered_spec == canonicalize_spec(s)
+
+
+# --- the block lemma past the catalog ----------------------------------------------
+
+def factors_up_to_dim_3000() -> list:
+    """Every canonical factor of intrinsic dim <= 3000, with I(1,h) only for
+    h <= 200, and the canonical forms of IV(4..399)."""
+    raw = [CD("I", 1, h) for h in range(1, 201)]
+    raw += [CD("I", n, m) for n in range(2, 55) for m in range(n, 3000 // n + 1)]
+    raw += [CD("II", n) for n in range(5, 78)] + [CD("III", n) for n in range(2, 78)]
+    raw += [CD("IV", d) for d in range(4, 400)]
+    return sorted({canonicalize_factor(d) for d in raw if intrinsic_dim(d) <= 3000})
+
+
+def cap_sharing_groups() -> list:
+    """The groups of two or more canonical factors, with parameters up to 40,
+    whose enveloping TROs have the same caps; no family has two members with
+    the same caps, so each group spans families."""
+    factors = [CD("I", n, m) for n in range(1, 41) for m in range(n, 41)]
+    factors += [CD("II", n) for n in range(5, 41)] + [CD("III", n) for n in range(2, 41)]
+    factors += [CD("IV", d) for d in range(5, 41)]
+    groups: dict = {}
+    for f in factors:
+        groups.setdefault(tuple(sorted(enveloping_tro(f).summands)), []).append(f)
+    return [g for g in groups.values() if len(g) > 1]
+
+
+class TestBlockLemma:
+    """The two inputs of the block lemma (module docstring of kgrid.invariant)
+    far past the catalog, and classification where only the classes can
+    tell factors apart: factors of different families with the same caps."""
+
+    def test_each_factor_is_one_block_separated_and_recovered(self):
+        factors = factors_up_to_dim_3000()
+        assert len(factors) == 10018
+        keys = set()
+        for f in factors:
+            inv = k_grid_invariant(TripleSpec((f,)))
+            dense = KGridInvariant(inv.group, inv.gamma)
+            assert dense.blocks == inv.blocks and len(inv.blocks) == 1, f
+            keys.add(_quick_key(inv))
+            assert recover_factors(dense) == TripleSpec((f,)), f
+        assert len(keys) == len(factors)
+
+    def test_cap_sharing_multisets_classify_by_canonical_form(self):
+        groups = cap_sharing_groups()
+        assert len(groups) == 41
+        assert [CD("II", 16), CD("III", 16), CD("IV", 9)] in groups
+        assert [CD("I", 16, 16), CD("IV", 10)] in groups
+        rng = random.Random(18)
+        outcomes = set()
+        for _ in range(2000):
+            slots = [rng.choice(groups) for _ in range(rng.randint(2, 4))]
+            s = TripleSpec(tuple(rng.choice(g) for g in slots))
+            t = TripleSpec(tuple(rng.choice(g) for g in slots))  # same caps as s
+            same = canonicalize_spec(s) == canonicalize_spec(t)
+            assert (classify(s, t).status == "ISOMORPHIC") is same, (s, t)
+            outcomes.add(same)
+            a = k_grid_invariant(s)
+            b = shuffled(a, rng)
+            verdict = classify_invariants(a, b)
+            assert verdict.status == "ISOMORPHIC", s
+            assert_witness(a, b, verdict.witness)
+            assert invariants_isomorphic(permuted(a, verdict.witness), b) == \
+                tuple(range(a.group.k))
+            assert recover_factors(b) == canonicalize_spec(s)
+        assert outcomes == {True, False}
