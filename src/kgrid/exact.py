@@ -2,8 +2,8 @@
 of Gaussian-integer numerators over one common denominator, rank and span by
 one fraction-free elimination, Kronecker products and block-diagonal sums,
 and the product and adjoint of Clifford words.
-No other module reads the sparse format; span and line tests and the ranks of
-unit-monomial elements take block tuples.
+No other module reads the sparse format; span and compression tests and the
+ranks of unit-monomial elements take block tuples.
 
 Everything here is exact; no floating point is ever involved.  Matrices are
 immutable value types, so they can be shared freely and used as dict keys.
@@ -537,47 +537,19 @@ def span_coords(vs: Sequence[Union[Matrix, tuple]],
     return coords
 
 
-def in_complex_line(e: tuple, w: tuple) -> bool:
-    """True iff the blocks w are a complex multiple of the blocks e.
-
-    Decided on Gaussian-integer numerators, with no division: let p and q be
-    the numerators of e and w at e's first nonzero entry, in block b.  Then
-    w = (q/p) e iff every block of w has the nonzero positions of e's and, at
-    each, p W dw_b de = q E de_b dw, where W and E are the entries' numerators,
-    dw and de their blocks' denominators and dw_b, de_b those of block b.
-    """
-    b = next((b for b, x in enumerate(e) if x.num), None)
-    if b is None:
-        return all(y.is_zero() for y in w)
-    i, row = next(iter(e[b].num.items()))
-    j, p = next(iter(row.items()))
-    q = w[b].num.get(i, {}).get(j)
-    if q is None:
-        return all(y.is_zero() for y in w)
-    for x, y in zip(e, w):
-        if x.num.keys() != y.num.keys():
-            return False
-        a = _gmul(p, (w[b].den * x.den, 0))
-        c = _gmul(q, (e[b].den * y.den, 0))
-        for r, xrow in x.num.items():
-            yrow = y.num[r]
-            if xrow.keys() != yrow.keys() or any(
-                    _gmul(a, yrow[k]) != _gmul(c, v) for k, v in xrow.items()):
-                return False
-    return True
-
-
 def compressed_in_line(e: tuple, ws: Iterable[tuple]) -> bool:
     """True iff each w of ws, its blocks cut down to the rows x columns where
     the blocks e have a nonzero entry, is a complex multiple of e.  Every
     block of e must be monomial (at most one nonzero entry in each row and
     column), as it is when unit_monomial_ranks(e) is not None.
 
-    Decided like in_complex_line, on numerators with no division: let p and q
-    be the numerators of e and w at e's first nonzero entry, in block b.
-    Each row r of a monomial block holds one entry of e, at column s(r), and
-    w's cut-down row r must be zero off s(r) and have p W dw_b de = q E de_b dw
-    at it, with the names of in_complex_line.
+    Decided on Gaussian-integer numerators, with no division: let p and q be
+    the numerators of e and w at e's first nonzero entry, in block b, so a
+    multiple must be w = (q/p) e.  Each row r of a monomial block holds one
+    entry of e, at column s(r), with numerator E.  w's cut-down row r must be
+    zero off s(r), and its numerator W at s(r) must have p W dw_b de =
+    q E de_b dw, where de and dw are the denominators of that block of e and
+    of w, and de_b and dw_b those of block b.
     """
     entries = []  # (block, row, e's column there, e's numerator, e's columns)
     for blk, x in enumerate(e):

@@ -38,8 +38,8 @@ from .exact import (
     HALF,
     I,
     compressed_in_line,
-    in_complex_line,
     row_support,
+    span_dim,
     unit_monomial_ranks,
 )
 from .ktheory import k0_class_of_projection
@@ -256,7 +256,8 @@ def _spin_identity_checks(g: Grid) -> tuple:
     return tuple(checks)
 
 
-def _minimal(g: Grid, e: TroElement, unit_monomial: bool, by_row: dict) -> bool:
+def _minimal(g: Grid, e: TroElement, unit_monomial: bool, by_row: dict,
+             mids: Optional[list]) -> bool:
     """Whether {e, b, e} = e b* e lies in Ce for every b of g.basis.
 
     A unit-monomial e, one whose matrix blocks are monomial with entries of
@@ -269,13 +270,14 @@ def _minimal(g: Grid, e: TroElement, unit_monomial: bool, by_row: dict) -> bool:
     that ``by_row`` lists for e's rows are tested.  p and q are the diagonal
     0/1 projections onto e's rows and columns, so p b q is b cut down to them
     (``exact.compressed_in_line``), and no product is formed.  Every other e
-    (a Clifford word, or a non-tripotent or non-monomial one) is tested on
-    the products e b* e."""
+    (a Clifford word, or a non-tripotent or non-monomial one) takes its
+    products e b* e, b* from mids, in one span: each lies in Ce exactly when
+    they span at most one dimension with e, as e != 0 spans one and e = 0
+    makes every product 0."""
     if unit_monomial:
         near = {k for key in row_support(e.blocks) for k in by_row.get(key, ())}
         return compressed_in_line(e.blocks, (g.basis[k].blocks for k in near))
-    return all(in_complex_line(e.blocks, e.sandwich(b.adjoint_blocks()))
-               for b in g.basis)
+    return span_dim([e.blocks, *map(e.sandwich, mids)]) <= 1
 
 
 def verify_grid(g: Grid) -> GridReport:
@@ -297,12 +299,12 @@ def verify_grid(g: Grid) -> GridReport:
     for k, b in enumerate(g.basis):
         for key in row_support(b.blocks):
             by_row.setdefault(key, []).append(k)
-    checks = []
-    for label, e in zip(g.labels, g.elements):
-        unit_monomial = _unit_monomial_ranks(e) is not None
-        checks.append(ElementCheck(label, unit_monomial or is_tripotent(e),
-                                   _minimal(g, e, unit_monomial, by_row),
-                                   expect_minimal=label not in g.rank_two))
+    unit_monomial = [_unit_monomial_ranks(e) is not None for e in g.elements]
+    mids = None if all(unit_monomial) else [b.adjoint_blocks() for b in g.basis]
+    checks = [ElementCheck(label, unit or is_tripotent(e),
+                           _minimal(g, e, unit, by_row, mids),
+                           expect_minimal=label not in g.rank_two)
+              for label, e, unit in zip(g.labels, g.elements, unit_monomial)]
     identity_checks = _spin_identity_checks(g) if g.kind == "spin" else ()
     return GridReport(
         kind=g.kind,

@@ -305,6 +305,25 @@ class TestSweepCommand:
         assert code == 1 and payload["ok"] is False
         assert len(payload["mismatches"] + payload["recovery_failures"]) == 1
 
+    def test_merged_near_collision_exits_one(self, capsys, monkeypatch):
+        # the one near-collision at 2 factors, classified as isomorphic
+        real = catalog.classify
+        pair = {"II(5)+III(6)", "II(6)+III(5)"}
+
+        def merges_pair(a, b):
+            if {str(a), str(b)} == pair:
+                return Verdict("ISOMORPHIC", None, None, "")
+            return real(a, b)
+
+        monkeypatch.setattr(catalog, "classify", merges_pair)
+        line = "MISMATCH (should differ): II(5)+III(6) vs II(6)+III(5)"
+        code, out, _ = invoke(capsys, "sweep", "--max-factors", "2")
+        assert code == 1 and out.startswith(line + "\n")
+        code, out, _ = invoke(capsys, "sweep", "--max-factors", "2", "--json")
+        payload = json.loads(out)
+        assert code == 1 and payload["ok"] is False
+        assert payload["mismatches"] == [line]
+
 
 class TestLargeParameters:
     # grid classes come from the family formula, so parameters far past any

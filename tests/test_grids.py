@@ -26,12 +26,12 @@ from kgrid.exact import (
     block_diagonal,
     compressed_in_line,
     identity,
-    in_complex_line,
     kron,
     mat,
     mat_mul,
     matrix_unit,
     rank,
+    span_dim,
     unit_monomial_ranks,
     zeros,
 )
@@ -222,6 +222,14 @@ class TestSpinGrids:
             assert [to_matrix(words, e) for e in grid_for(d).elements] == \
                 list(reference_grid(d).elements)
 
+    @pytest.mark.parametrize("dim", range(4, 10))
+    def test_verdicts_match_full_products(self, dim):
+        # every spin element takes the product path: one span per element
+        for path in self.PATHS:
+            g = path(CD("IV", dim))
+            assert [c.minimal for c in verify_grid(g).element_checks] == \
+                full_product_verdicts(g)
+
 
 class TestVerifyGrid:
     @pytest.mark.parametrize(
@@ -382,16 +390,22 @@ _MULTIPLIERS = {
 }
 
 
+def _span_in_line(e: TroElement, w: TroElement) -> bool:
+    """The span criterion of the minimality check: w lies in Ce exactly
+    when adding it to e leaves the span's dimension unchanged."""
+    return span_dim([e.blocks, w.blocks]) == span_dim([e.blocks])
+
+
 class TestLineTest:
-    """exact.in_complex_line, the numerator line test of the minimality
-    check, against the reference."""
+    """The span criterion of the minimality check's product path against the
+    reference line test."""
 
     @pytest.mark.parametrize("kind", sorted(_MULTIPLIERS))
     @given(data=st.data())
     def test_multiples(self, kind, data):
         e = data.draw(_line_elements)
         w = e.scale(data.draw(_MULTIPLIERS[kind]))
-        assert in_complex_line(e.blocks, w.blocks) is True
+        assert _span_in_line(e, w) is True
         assert reference_in_complex_line(e, w) is True
 
     @pytest.mark.parametrize("change", ["perturbed", "added", "dropped"])
@@ -411,19 +425,21 @@ class TestLineTest:
             delta = data.draw(scalars.filter(lambda s: not s.is_zero()))
             value = _entries(w.blocks[b])[k] + delta
         w = _with_entry(w, b, k, value)
-        assert in_complex_line(e.blocks, w.blocks) == reference_in_complex_line(e, w)
+        assert _span_in_line(e, w) == reference_in_complex_line(e, w)
 
     @given(_line_elements)
     def test_zero(self, e):
         w = e.scale(ZERO)
-        assert in_complex_line(e.blocks, w.blocks) is True
-        assert in_complex_line(w.blocks, e.blocks) is e.is_zero()
+        assert _span_in_line(e, w) is True
+        assert reference_in_complex_line(e, w) is True
+        assert _span_in_line(w, e) is e.is_zero()
         assert reference_in_complex_line(w, e) is e.is_zero()
 
 
 def full_product_verdicts(g: Grid) -> list:
-    """Minimality of each element of g by the products e b* e themselves."""
-    return [all(in_complex_line(e.blocks, e.sandwich(b.adjoint_blocks()))
+    """Minimality of each element of g by the products e b* e themselves,
+    each tested by the reference line test."""
+    return [all(reference_in_complex_line(e, ternary_product(e, b, e))
                 for b in g.basis) for e in g.elements]
 
 
@@ -499,7 +515,9 @@ class TestCompression:
         b = _unit(3, 3, 1, 1).scale(first) + _unit(3, 3, 2, 2).scale(second)
         assert compressed_in_line((e, e), [(b, b)]) is False
         # b lies in e's rows and columns: it is its own cut-down
-        assert in_complex_line((e, e), (b, b)) is False
+        space = grid_for(CD("I", 3, 3)).ambient
+        assert reference_in_complex_line(TroElement(space, (e, e)),
+                                         TroElement(space, (b, b))) is False
 
     def test_entry_ratio_decides_minimality(self):
         e = _unit(3, 3, 1, 1) + _unit(3, 3, 2, 2)
@@ -525,6 +543,32 @@ class TestCompression:
         assert report.ok
         # e e* e and then e b* e for the 4 b, for the one non-monomial element
         assert len(calls) == 2 * 2 * 1 + 2 * 2 * 4
+        assert [c.minimal for c in report.element_checks] == full_product_verdicts(g)
+
+    def test_basis_adjoints_once(self, monkeypatch):
+        # g[1,2] and g[2,1] of I(2,2) replaced by the non-monomial rank-one
+        # tripotents P = (E11 + E12 + E21 + E22)/2 and Q = (E11 + E12 - E21
+        # - E22)/2: the 4 basis adjoints are formed once per grid, not once
+        # per element, and each element's tripotency takes one more
+        plus = (_unit(2, 2, 1, 1) + _unit(2, 2, 1, 2) + _unit(2, 2, 2, 1)
+                + _unit(2, 2, 2, 2)).scale(HALF)
+        minus = (_unit(2, 2, 1, 1) + _unit(2, 2, 1, 2) - _unit(2, 2, 2, 1)
+                 - _unit(2, 2, 2, 2)).scale(HALF)
+        g = self._doctored(CD("I", 2, 2), "g[1,2]", (plus, plus))
+        elements = list(g.elements)
+        elements[g.labels.index("g[2,1]")] = TroElement(g.ambient,
+                                                        (minus, minus.transpose()))
+        g = dataclasses.replace(g, elements=tuple(elements))
+        calls = []
+        real = TroElement.adjoint_blocks
+
+        def counted(self):
+            calls.append(1)
+            return real(self)
+        monkeypatch.setattr(TroElement, "adjoint_blocks", counted)
+        report = verify_grid(g)
+        assert report.ok
+        assert len(calls) == 4 + 2
         assert [c.minimal for c in report.element_checks] == full_product_verdicts(g)
 
     def test_non_tripotent_keeps_its_verdict(self):
@@ -568,7 +612,7 @@ class TestCompression:
                 y[i, j] if i in rows and j in cols else ZERO
                 for i in range(y.rows) for j in range(y.cols))))
         assert compressed_in_line(e.blocks, [w.blocks]) is \
-            in_complex_line(e.blocks, tuple(cut))
+            reference_in_complex_line(e, TroElement(sp, tuple(cut)))
 
 
 _UNIT = [Scalar(1), Scalar(-1), I, -I] + [Scalar(Fraction(a, 5), Fraction(b, 5))
