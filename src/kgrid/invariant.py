@@ -119,6 +119,9 @@ class KGridInvariant:
         for cls in gamma:
             if type(cls) is not tuple:
                 raise ValueError(f"grid classes must be tuples, got {cls!r}")
+            for v in cls:
+                if type(v) is not int:
+                    raise ValueError(f"grid class entries must be ints, got {v!r}")
         if set(map(len, gamma)) - {group.k}:
             raise ValueError(f"every grid class needs {group.k} entries, "
                              "one per summand")
@@ -271,8 +274,10 @@ def k_grid_invariant(s: TripleSpec) -> KGridInvariant:
 
 # --- isomorphism of invariants -----------------------------------------------------
 
+@lru_cache(maxsize=4096)
 def _sorted_key(pairs, classes) -> tuple:
-    """Permutation-invariant data: the sorted cap pairs and sorted classes."""
+    """Permutation-invariant data: the sorted cap pairs and sorted classes,
+    kept per (caps, classes) in a bounded memo."""
     return (tuple(sorted(pairs)), tuple(sorted(tuple(sorted(c)) for c in classes)))
 
 
@@ -299,13 +304,24 @@ def _quick_key(inv: KGridInvariant) -> tuple:
     return key
 
 
-def _match_block(a: tuple, b: tuple) -> Optional[tuple]:
+@lru_cache(maxsize=4096)
+def _match_block(caps_a: tuple, classes_a: frozenset, caps_b: tuple,
+                 classes_b: frozenset) -> Optional[tuple]:
     """A cap-preserving map p of block a's columns onto block b's that carries
     a's classes onto b's (position i of a goes to position p[i] of b), or
-    None.  Only columns with equal caps are exchanged; in a factor's block at
-    most two columns share a cap pair, so at most two maps are tried.  Its
-    callers pass blocks with equal cap multisets; others get None."""
-    (_, caps_a, classes_a), (_, caps_b, classes_b) = a, b
+    None.  A block enters by its caps and classes only: its columns play no
+    part in a match.  Its callers pass blocks with equal cap multisets;
+    others get None.
+
+    The cost: the maps that exchange only columns with equal caps are tried
+    in turn, so the search is factorial in the number of equal-cap columns
+    of one block.  In a factor's block at most two columns share a cap
+    pair, so at most two maps are tried; a raw ``KGridInvariant`` can hold
+    a wide block of equal caps (8 such columns took 0.2 s).  The answers
+    are kept in a bounded memo keyed by the four parts, so the search runs
+    once per distinct pair of blocks while it stays there; blocks of equal
+    factors share their parts (``_shared``), so a hit compares identical
+    objects."""
     if caps_a == caps_b and classes_a == classes_b:
         return tuple(range(len(caps_a)))
     slots: dict = {}
@@ -332,9 +348,11 @@ def invariants_isomorphic(a: KGridInvariant,
     Returns pi with summand i of `a` matched to summand pi[i] of `b`, or None.
     Equal invariants get the identity.  Otherwise the stored factor blocks
     of `a` are matched to those of `b` as a multiset, each pair by a
-    cap-preserving map of its columns.  The summands may come in any order;
-    on invariants assembled from factors the cost is polynomial in the number
-    of summands.
+    cap-preserving map of its columns (``_match_block``).  The summands may
+    come in any order; on invariants assembled from factors the cost is
+    polynomial in the number of summands.  A raw invariant's block of many
+    equal-cap columns costs factorial time in that number, once per distinct
+    pair of blocks: the block matcher is memoized by value.
     """
     if _quick_key(a) != _quick_key(b):
         return None
@@ -344,16 +362,16 @@ def invariants_isomorphic(a: KGridInvariant,
     for block in b.blocks:
         unmatched.setdefault(_sorted_key(*block[1:]), []).append(block)
     perm = [0] * a.group.k
-    for block in a.blocks:
-        bucket = unmatched.get(_sorted_key(*block[1:]), [])
+    for columns, caps, classes in a.blocks:
+        bucket = unmatched.get(_sorted_key(caps, classes), [])
         for n, other in enumerate(bucket):
-            p = _match_block(block, other)
+            p = _match_block(caps, classes, other[1], other[2])
             if p is not None:
                 break
         else:
             return None
         del bucket[n]  # block isomorphism is transitive: any match will do
-        for i, j in zip(block[0], p):
+        for i, j in zip(columns, p):
             perm[i] = other[0][j]
     return tuple(perm)
 
@@ -460,9 +478,9 @@ def _block_factors(caps: tuple, classes: frozenset) -> tuple:
     classes matches, at whatever columns it sits.  Assembled blocks share
     the objects of ``_factor_parts``' blocks, so a hit hashes a short caps
     tuple and a frozenset whose hash Python keeps."""
-    block = ((), caps, classes)
     return tuple(f for f in _candidates(sorted(caps))
-                 if _match_block(block, _BLOCK(_factor_parts(f))) is not None)
+                 if _match_block(caps, classes, *_BLOCK(_factor_parts(f))[1:])
+                 is not None)
 
 
 def recover_factors(inv: KGridInvariant) -> TripleSpec:

@@ -689,6 +689,20 @@ class TestUnitMonomialRanks:
             list(zip([ternary_product(x, x, x) == x for x in g.elements],
                      full_product_verdicts(g)))
 
+    def test_products_spanning_a_plane_are_not_minimal(self):
+        # e = (x, y) with x and y of rank one: each e b* e is (a x, c y), and
+        # a : c changes with b, so e and its products span two dimensions;
+        # x is not monomial, so e takes the product path
+        g = grid_for(CD("I", 2, 3))
+        e = TroElement(g.ambient, (mat([[1, 1, 0], [0, 0, 0]]),
+                                   mat([[0, 0], [0, 1], [0, 0]])))
+        assert unit_monomial_ranks(e.blocks) is None
+        assert span_dim([e.blocks] + [ternary_product(e, b, e).blocks
+                                      for b in g.basis]) == 2
+        g = dataclasses.replace(g, elements=(e,) + g.elements[1:])
+        assert not verify_grid(g).element_checks[0].minimal
+        assert full_product_verdicts(g)[0] is False
+
     @pytest.mark.parametrize("dim,side", [(5, 4), (7, 8)])
     def test_words_keep_the_products(self, dim, side):
         # u0 = s_N is a one-term word, a monomial 1 x 2^N matrix with one

@@ -45,6 +45,7 @@ from kgrid.invariant import (
     _factor_parts,
     _match_block,
     _quick_key,
+    _sorted_key,
 )
 from kgrid.ktheory import DoubleScaledGroup
 from kgrid.tro import range_projection
@@ -583,14 +584,16 @@ def compact_key(key) -> tuple:
 
 
 def reference_recover(group, gamma, exceptional_count):
-    """recover_factors on the dense gamma, block by reference block; returns
-    the canonical multiset or the exception type."""
+    """recover_factors on the dense gamma, block by reference block and by
+    the unmemoized block search; returns the canonical multiset or the
+    exception type."""
     if exceptional_count or group.k == 0 or (0,) * group.k in gamma:
         return UnknownFactorError
     factors = []
     for block in reference_blocks(group, gamma):
         matches = [f for f in _candidates(sorted(block[1]))
-                   if _match_block(block, _factor_parts(f)[0]) is not None]
+                   if _match_block.__wrapped__(*block[1:], *_factor_parts(f)[0][1:])
+                   is not None]
         if len(matches) != 1:
             return UnknownFactorError
         factors.append(matches[0])
@@ -858,10 +861,69 @@ class TestRecoveryMemo:
             "kgrid.invariant._canonical": None,
             "kgrid.invariant._invariant_of_canonical": None,
             "kgrid.invariant._block_factors": 4096,
+            "kgrid.invariant._match_block": 4096,
             "kgrid.invariant._shared": 4096,
+            "kgrid.invariant._sorted_key": 4096,
             "kgrid.invariant._identity_verdict": 256,
         }
         assert not hasattr(_quick_key, "cache_info")
+
+
+# --- block matching memo -----------------------------------------------------------
+
+MEMO_FACTORS = (CD("I", 1, 4), CD("IV", 7), CD("III", 3))
+MEMO_PADDING = (CD("III", 2), CD("III", 4), CD("III", 5), CD("IV", 5))
+
+
+class TestBlockMatchMemo:
+    """``_match_block`` and ``_sorted_key`` are memoized by the value of
+    their parts; the memo answers as the search does."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_answers_are_the_searchs(self, seed, monkeypatch):
+        # copies of a small factor, padded, against shuffled copies of
+        # themselves, plus a shuffled near collision; then the same pairs
+        # with every memo of the block path replaced by its own search
+        rng = random.Random(seed)
+        pairs = []
+        for factor in MEMO_FACTORS:
+            s = TripleSpec((factor,) * rng.randint(2, 4) + tuple(rng.sample(MEMO_PADDING, 2)))
+            a = k_grid_invariant(s)
+            pairs += [(a, shuffled(a, rng)), (shuffled(a, rng), shuffled(a, rng))]
+        pairs.append((shuffled(k_grid_invariant(spec("II(5)+III(6)")), rng),
+                      shuffled(k_grid_invariant(spec("II(6)+III(5)")), rng)))
+        _match_block.cache_clear()
+        _sorted_key.cache_clear()
+        memoized = [(invariants_isomorphic(a, b), recovered(b)) for a, b in pairs]
+        for name in ("_match_block", "_sorted_key", "_block_factors"):
+            monkeypatch.setattr(invariant, name, getattr(invariant, name).__wrapped__)
+        assert memoized == [(invariants_isomorphic(a, b), recovered(b)) for a, b in pairs]
+        assert memoized[-1][0] is None
+        for (a, b), (perm, _) in zip(pairs[:-1], memoized):
+            assert_witness(a, b, perm)
+
+    def test_second_comparison_misses_nothing(self):
+        a = k_grid_invariant(TripleSpec((CD("I", 1, 4),) * 3 + (CD("III", 3),)))
+        rng = random.Random(26)
+        b, c = shuffled(a, rng), shuffled(a, rng)
+        assert b != c
+        perm = invariants_isomorphic(b, c)
+        assert_witness(b, c, perm)
+        misses = _match_block.cache_info().misses, _sorted_key.cache_info().misses
+        assert invariants_isomorphic(b, c) == perm
+        assert (_match_block.cache_info().misses, _sorted_key.cache_info().misses) == misses
+
+    def test_equal_parts_that_are_other_objects_hit(self):
+        (_, caps, classes), = k_grid_invariant(spec("I(1,4)")).blocks
+        parts = (caps, classes, caps[::-1], frozenset(c[::-1] for c in classes))
+        assert _match_block(*parts) == (3, 2, 1, 0)
+        copies = tuple(type(p)(list(p)) for p in parts)
+        assert copies == parts
+        assert not any(c is p for c, p in zip(copies, parts))
+        before = _match_block.cache_info()
+        assert _match_block(*copies) == (3, 2, 1, 0)
+        after = _match_block.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 # --- recovery oracle and scaling ---------------------------------------------------

@@ -18,7 +18,7 @@ from kgrid.cartan import (
 from kgrid.cli import run
 from kgrid.exact import (ONE, ZERO, Matrix, ShapeError, identity, mat, matrix_unit,
                          trace, zeros)
-from kgrid.invariant import _match_block
+from kgrid.invariant import KGridInvariant, _match_block
 from kgrid.ktheory import DoubleScaledGroup
 from kgrid.tro import CliffordElement, TroElement, TroHom, TroSpace
 
@@ -74,9 +74,15 @@ _REFUSALS = [
     ("exceptional-jordan", lambda: intrinsic_jordan(
         EXCEPTIONAL_16, zeros(1, 1), zeros(1, 1), zeros(1, 1)),
      ExceptionalFactorError, "no coordinate model"),
-    ("block-caps-differ", lambda: _match_block(((0,), ((1, 1),), frozenset({(1,)})),
-                                               ((0,), ((2, 2),), frozenset({(1,)}))),
+    ("block-caps-differ", lambda: _match_block(((1, 1),), frozenset({(1,)}),
+                                               ((2, 2),), frozenset({(1,)})),
      None, None),
+    ("class-entry-float", lambda: KGridInvariant(DoubleScaledGroup((1, 2), (2, 1)),
+                                                 frozenset({(1.5, 0)})),
+     ValueError, "grid class entries must be ints, got 1.5"),
+    ("class-entry-bool", lambda: KGridInvariant(DoubleScaledGroup((1, 2), (2, 1)),
+                                                frozenset({(0, True)})),
+     ValueError, "grid class entries must be ints, got True"),
     ("lift-not-json", lambda tmp: _lift(tmp, "[[1,]]"), 64,
      "parse error at position 4: {path}: Expecting value"),
     ("lift-float-cell", lambda tmp: _lift(tmp, "[[1.5]]"), 1,
