@@ -317,7 +317,7 @@ def _match_block(caps_a: tuple, classes_a: frozenset, caps_b: tuple,
     in turn, so the search is factorial in the number of equal-cap columns
     of one block.  In a factor's block at most two columns share a cap
     pair, so at most two maps are tried; a raw ``KGridInvariant`` can hold
-    a wide block of equal caps (8 such columns took 0.2 s).  The answers
+    a wide block of equal caps (8 such columns took up to 0.3 s).  The answers
     are kept in a bounded memo keyed by the four parts, so the search runs
     once per distinct pair of blocks while it stays there; blocks of equal
     factors share their parts (``_shared``), so a hit compares identical

@@ -10,7 +10,7 @@ tests only, so that a kill does not depend on a draw).  The runner copies
 its named ids against the copy, one pytest process at a time.  An entry is
 killed when every named id fails.  The runner prints killed or survived for
 each entry, with the first failing assertion of a killed one or the ids
-that passed, and exits 1 when any mutation survives.
+that did not fail, and exits 1 when any mutation survives.
 
 ``tests/test_mutants.py`` guards the table in tier-1 without running a
 mutant: every ``before`` text occurs exactly once, and every named id is
@@ -40,6 +40,8 @@ class Mutant(NamedTuple):
     after: str
     tests: tuple
 
+
+_MEMO_TESTS = "tests/test_invariant.py::TestBlockMatchMemo::"
 
 MUTANTS = (
     # the mutations recorded by earlier changes
@@ -108,9 +110,8 @@ MUTANTS = (
     Mutant("match-block-memo-wrong-pair", "kgrid/invariant.py",
            "p = _match_block(caps, classes, other[1], other[2])",
            "p = _match_block(caps, classes, caps, classes)",
-           tuple(f"tests/test_invariant.py::TestBlockMatchMemo::test_answers_are_the_searchs[{s}]"
-                 for s in range(6))
-           + ("tests/test_invariant.py::TestBlockMatchMemo::test_second_comparison_misses_nothing",)),
+           tuple(f"{_MEMO_TESTS}test_answers_are_the_searchs[{s}]" for s in range(6))
+           + (f"{_MEMO_TESTS}test_second_comparison_misses_nothing",)),
 )
 
 
@@ -136,10 +137,10 @@ def _pytest(args: list, src: Path) -> subprocess.CompletedProcess:
         cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
 
 
-def collected_ids(src: Path = SRC) -> set:
+def collected_ids() -> set:
     """The node ids pytest collects from the files the table names."""
     files = sorted({t.split("::")[0] for m in MUTANTS for t in m.tests})
-    out = _pytest(["--collect-only", "-q", *files], src).stdout
+    out = _pytest(["--collect-only", "-q", *files], SRC).stdout
     return {line for line in out.splitlines() if "::" in line}
 
 
@@ -157,7 +158,7 @@ def run(mutant: Mutant, workdir: Path) -> tuple:
     failed = {line.split()[1] for line in lines if line.startswith(("FAILED ", "ERROR "))}
     passed = [t for t in mutant.tests if t not in failed]
     if passed:
-        return False, "passed: " + ", ".join(passed)
+        return False, "did not fail: " + ", ".join(passed)
     return True, next((line.strip() for line in lines if re.match(r"E\s", line)),
                       f"pytest exit {proc.returncode}")
 
