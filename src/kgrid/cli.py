@@ -227,14 +227,11 @@ def _cmd_lift(args: argparse.Namespace) -> int:
     target = parse_space(args.target)
     try:
         hom = lift_hom(alpha, source, target)
-    except LiftError as exc:
-        payload = {"ok": False, "error": str(exc),
-                   "summand": exc.summand, "side": exc.side,
-                   "needed": exc.needed, "cap": exc.cap}
-        _emit(args, payload, f"not liftable: {exc}")
-        return EXIT_NEGATIVE
     except ValueError as exc:
-        _emit(args, {"ok": False, "error": str(exc)}, f"not liftable: {exc}")
+        payload = {"ok": False, "error": str(exc)}
+        if isinstance(exc, LiftError):
+            payload.update(summand=exc.summand, side=exc.side, needed=exc.needed, cap=exc.cap)
+        _emit(args, payload, f"not liftable: {exc}")
         return EXIT_NEGATIVE
     payload = {"ok": True, "mult": [list(r) for r in hom.mult],
                "source": source.to_text(), "target": target.to_text()}
@@ -334,15 +331,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except BrokenPipeError:  # an OSError, but no negative result
         return EXIT_BROKEN_PIPE
-    except ParseError as exc:
-        print(f"kgrid: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except UnsupportedFactorError as exc:
-        print(f"kgrid: {exc}", file=sys.stderr)
-        return EXIT_RANGE
     except (ValueError, OSError) as exc:
         print(f"kgrid: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
+        if isinstance(exc, ParseError):
+            return EXIT_PARSE
+        return EXIT_RANGE if isinstance(exc, UnsupportedFactorError) else EXIT_NEGATIVE
 
 
 def main() -> None:

@@ -435,10 +435,10 @@ def _bareiss(rows: list, limit: int) -> tuple:
     order: a nonzero row pivots on its least column below ``limit``, cleared
     from every later row.  Returns the (col, row) pivots and the nonzero rows
     left with no column below ``limit``, in input order.  Columns from
-    ``limit`` on never pivot: span_coords puts one tag column per stacked
-    vector there, so a row left over carries a relation between its vector
-    and the pivot rows before it, and a vector in the span of earlier ones
-    gets coefficient 0.  A row a step skips is owed p_new / p_old, which
+    ``limit`` on never pivot: span_coords (rank passes none) puts one tag
+    column per stacked vector there, so a row left over carries a relation
+    between its vector and the pivot rows before it, and a vector in the
+    span of earlier ones gets 0.  A row a step skips is owed p_new / p_old, which
     telescopes, so each row keeps the pivot it is current at and is updated
     only when used.  Every division is exact (Sylvester's identity), which
     keeps coefficient growth polynomial."""
@@ -516,15 +516,27 @@ def span_coords(vs: Sequence[Union[Matrix, tuple]],
     when its row ends with no entry left, and then its tags r_j and r != 0
     are a relation sum(r_j N_j) + r N = 0 over the independent vectors, so
     c_j = -r_j d_j / (r d) for the denominators d_j of vs[j] and d of target.
+
+    The rows are first reduced cut down to their leading columns L, the
+    union of each vector's first k nonzero columns, and the relation found
+    there is checked on every column; the uncut rows are reduced only when
+    it fails.  A relation that holds is the uncut answer: a vector
+    independent of earlier ones on L is independent on every column, so the
+    relation lies on the uncut rows' greedy basis (the vectors not in the
+    span of earlier ones), and a solution on that basis is unique.
     """
     k = len(vs)
     rows, dens, size = _stacked([*vs, target], target)
-    for j, row in enumerate(rows):
-        row[size + j] = (1, 0)
-    rest = _bareiss(rows, size)[1]
-    rel = rest[-1] if rest else {}
-    if size + k not in rel:  # the target's row pivoted: it is off the span
-        return None
+    lead = {c for row in rows[:k] for c in sorted(row)[:k]}
+    stack = _new(k + 1, size, {j: row for j, row in enumerate(rows) if row}, 1)
+    for cut in ([{c: row[c] for c in lead if c in row} for row in rows], rows):
+        rest = _bareiss([{**row, size + j: (1, 0)} for j, row in enumerate(cut)], size)[1]
+        rel = rest[-1] if rest else {}
+        if size + k not in rel:  # the target's row pivoted: it is off the span
+            return None
+        tags = _new(1, k + 1, {0: {c - size: t for c, t in rel.items()}}, 1)
+        if not mat_mul(tags, stack).num:  # the relation holds on every column
+            break
     # -r_j d_j / (r d) = -r_j d_j conj(r) / (|r|^2 d)
     rr, ri = rel[size + k]
     n = (rr * rr + ri * ri) * dens[k]

@@ -146,19 +146,20 @@ def dsg_isomorphic(a: DoubleScaledGroup,
     Returns pi with (left_a[i], right_a[i]) == (left_b[pi[i]], right_b[pi[i]]);
     existence is equivalent to multiset equality of the (left, right) pairs.
     The smallest available target index is chosen at each step, so the result
-    is deterministic.
+    is deterministic.  Each pair's target indices are kept in descending
+    order and taken from the end, so the matching takes linear time.
     """
     if a.k != b.k:
         return None
     available: dict = {}
-    for j in range(b.k):
+    for j in reversed(range(b.k)):
         available.setdefault((b.left_caps[j], b.right_caps[j]), []).append(j)
     perm = []
     for i in range(a.k):
         bucket = available.get((a.left_caps[i], a.right_caps[i]))
         if not bucket:
             return None
-        perm.append(bucket.pop(0))
+        perm.append(bucket.pop())
     return tuple(perm)
 
 

@@ -75,8 +75,7 @@ class TroSpace:
     def to_text(self) -> str:
         return "+".join(f"M({n},{m})" for n, m in self.summands)
 
-    def __str__(self) -> str:
-        return self.to_text()
+    __str__ = to_text
 
 
 _SUMMAND = re.compile(r"\s*M\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)\s*")
@@ -330,11 +329,6 @@ def compose_homs(g: TroHom, h: TroHom) -> TroHom:
     """Multiplicities multiply: mult(g∘h) = mult(g) · mult(h)."""
     if h.target != g.source:
         raise SpaceMismatch(f"cannot compose: {h.target} feeds into {g.source}")
-    q = len(g.target.summands)
-    p = len(h.source.summands)
-    mid = len(g.source.summands)
-    prod = tuple(
-        tuple(sum(g.mult[k][j] * h.mult[j][i] for j in range(mid)) for i in range(p))
-        for k in range(q)
-    )
+    prod = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in zip(*h.mult))
+                 for row in g.mult)
     return TroHom(h.source, g.target, prod)

@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
 
 
 _MEMO_TESTS = "tests/test_invariant.py::TestBlockMatchMemo::"
+_LEADING_TESTS = "tests/test_exact.py::TestLeadingColumns::"
 
 MUTANTS = (
     # the mutations recorded by earlier changes
@@ -112,6 +113,16 @@ MUTANTS = (
            "p = _match_block(caps, classes, caps, classes)",
            tuple(f"{_MEMO_TESTS}test_answers_are_the_searchs[{s}]" for s in range(6))
            + (f"{_MEMO_TESTS}test_second_comparison_misses_nothing",)),
+    # span solving on leading columns, and coordinates read at leads
+    Mutant("span-coords-relation-unchecked", "kgrid/exact.py",
+           "if not mat_mul(tags, stack).num:", "if True:",
+           (f"{_LEADING_TESTS}test_equal_on_leading_columns",
+            f"{_LEADING_TESTS}test_in_span_on_leading_columns_only",
+            f"{_LEADING_TESTS}test_sparse_words")),
+    Mutant("span-coords-one-leading-column", "kgrid/exact.py",
+           "lead = {c for row in rows[:k] for c in sorted(row)[:k]}",
+           "lead = {c for row in rows[:k] for c in sorted(row)[:1]}",
+           ("tests/test_exact.py::TestKernelAgainstReference::test_span_coords_seeded",)),
 )
 
 

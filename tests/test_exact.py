@@ -515,9 +515,11 @@ class TestKernelAgainstReference:
         assert span_coords(vs, mat([[3, 1]])) == [Scalar(-1, -2), Scalar(1, 1)]
         assert relations == [{2: (-5, 0), 3: (3, -1), 4: (-1, 2)}]
 
-    def test_span_coords_seeded(self):
+    def test_span_coords_seeded(self, eliminations):
         # dense-algebra-shaped cases: 1-3 blocks up to 6x6, denominators 1-3,
-        # 2-5 vectors of which about half are combinations of earlier ones
+        # 2-5 vectors of which about half are combinations of earlier ones;
+        # a target in the span, as in the dense-algebra workload, is decided
+        # by one elimination, on the leading columns
         rng = random.Random(1604)
 
         def entry():
@@ -548,7 +550,10 @@ class TestKernelAgainstReference:
             flats = [[x for b in r for x in r_flat(b)] for r in refs]
             tflat = [x for b in rtarget for x in r_flat(b)]
             ranks = [r_rank(flats[:j]) for j in range(len(flats) + 1)]
+            del eliminations[:]
             got = span_coords([element(r) for r in refs], element(rtarget))
+            # an off-span target may be refused only by the uncut rows
+            assert len(eliminations) == 1 if in_span else len(eliminations) <= 2
             assert (got is not None) == (r_rank(flats + [tflat]) == ranks[-1])
             if got is None:
                 continue
@@ -562,6 +567,124 @@ class TestKernelAgainstReference:
         target = basis[0].scale(Scalar(Fraction(3, 7), 1)) + basis[1].scale(Fraction(-5, 4))
         assert span_coords(basis, target) == [Scalar(Fraction(3, 7), 1), Scalar(Fraction(-5, 4))]
         assert span_coords(basis, matrix_unit(2, 2, 0, 0)) is None
+
+
+def span_against_reference(vs, target, positions):
+    """span_coords(vs, target), checked against division-based elimination on
+    the entries at ``positions``, the (block, row, column) triples outside
+    which every vector and the target vanish: it is solvable exactly when the
+    target leaves the rank unchanged, its coefficients rebuild the target,
+    and a vector in the span of earlier ones gets 0."""
+    def flat(v):
+        blocks = (v,) if isinstance(v, Matrix) else v
+        return [(blocks[b][i, j].re, blocks[b][i, j].im) for b, i, j in positions]
+
+    flats, tflat = [flat(v) for v in vs], flat(target)
+    ranks = [r_rank(flats[:j]) for j in range(len(flats) + 1)]
+    got = span_coords(vs, target)
+    assert (got is not None) == (r_rank(flats + [tflat]) == ranks[-1])
+    if got is not None:
+        rebuilt = [(Fraction(0), Fraction(0))] * len(positions)
+        for c, f in zip(got, flats):
+            rebuilt = [r_add_scalar(x, r_mul_scalar((c.re, c.im), y)) for x, y in zip(rebuilt, f)]
+        assert rebuilt == tflat
+        for j, c in enumerate(got):
+            if ranks[j + 1] == ranks[j]:  # vs[j] is in the span of earlier ones
+                assert c == ZERO
+    return got
+
+
+def everywhere(rows, cols):
+    return [(0, i, j) for i in range(rows) for j in range(cols)]
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The row counts of the _bareiss calls made while a test runs."""
+    calls = []
+    bareiss = exact._bareiss
+
+    def recording(rows, limit):
+        calls.append(len(rows))
+        return bareiss(rows, limit)
+
+    monkeypatch.setattr(exact, "_bareiss", recording)
+    return calls
+
+
+class TestLeadingColumns:
+    """span_coords reduces the rows cut down to each vector's first k nonzero
+    columns, then checks the relation on the rest: inputs on which that cut
+    decides wrongly, each against the dense reference."""
+
+    def test_equal_on_leading_columns(self, eliminations):
+        # both vectors are (1, 2) on their first two columns, so the cut sees
+        # one vector; the relation target = 2 v0 fails on column 4, and the
+        # uncut rows decide
+        vs = [mat([[1, 2, 0, 0, 1]]), mat([[1, 2, 0, 0, 2]])]
+        target = mat([[2, 4, 0, 0, 3]])
+        assert span_against_reference(vs, target, everywhere(1, 5)) == [ONE, ONE]
+        assert eliminations == [3, 3]
+
+    def test_relation_on_fewer_vectors_holds(self, eliminations):
+        # the cut sees only v0, and target = 2 v0 holds on every column: the
+        # uncut answer, unique on the independent vectors, is the same
+        vs = [mat([[1, 2, 0, 0, 1]]), mat([[1, 2, 0, 0, 2]])]
+        target = mat([[2, 4, 0, 0, 2]])
+        assert span_against_reference(vs, target, everywhere(1, 5)) == [Scalar(2), ZERO]
+        assert eliminations == [3]
+
+    def test_in_span_on_leading_columns_only(self, eliminations):
+        # the target is v0 + v1 on the leading columns 0-2, off the span on 4
+        vs = [mat([[1, 2, 0, 0, 1]]), mat([[0, 1, 3, 0, 0]])]
+        target = mat([[1, 3, 3, 0, 7]])
+        assert span_against_reference(vs, target, everywhere(1, 5)) is None
+        assert eliminations == [3, 3]
+
+    def test_off_span_on_leading_columns(self, eliminations):
+        vs = [mat([[1, 0, 0, 1]]), mat([[1, 1, 0, 1]])]
+        assert span_against_reference(vs, mat([[0, 0, 1, 0]]), everywhere(1, 4)) is None
+        assert span_against_reference(vs, mat([[0, 0, 0, 1]]), everywhere(1, 4)) is None
+        assert eliminations == [3, 3, 3]
+
+    def test_dependent_and_zero_vectors(self):
+        a = mat([[1, 0, HALF], [0, I, 0]])
+        b = mat([[0, 2, 0], [1, 0, Scalar(1, 1)]])
+        z = zeros(2, 3)
+        vs = [z, a, a.scale(2), z, b, a + b, b.scale(I)]
+        target = a.scale(3) + b.scale(I)
+        assert span_against_reference(vs, target, everywhere(2, 3)) == \
+            [ZERO, Scalar(3), ZERO, ZERO, I, ZERO, ZERO]
+        assert span_against_reference(vs, z, everywhere(2, 3)) == [ZERO] * 7
+        assert span_against_reference([z, z], matrix_unit(2, 3, 1, 2), everywhere(2, 3)) is None
+        assert span_against_reference([z, a], a.scale(HALF), everywhere(2, 3)) == [ZERO, HALF]
+
+    def test_sparse_words(self, eliminations):
+        # words of 2^41 columns: the first two vectors share their first two
+        # columns, and the masks run to the top bit
+        cols, top = 1 << 41, (1 << 41) - 1
+
+        def word(entries):
+            out = zeros(1, cols)
+            for mask, c in entries.items():
+                out = out + matrix_unit(1, cols, 0, mask).scale(c)
+            return out
+
+        w0 = word({3: 1, 5: I, 1 << 40: 2})
+        w1 = word({3: 1, 5: I, 1 << 40: 1, top: -1})
+        w2 = word({6: HALF, top: Scalar(1, -1)})
+        positions = [(0, 0, m) for m in (3, 5, 6, 1 << 40, top, 7)]
+        vs = [w0, w1, w0.scale(3), w2]
+        target = w0.scale(Scalar(2, 1)) + w1.scale(Fraction(-1, 3)) + w2
+        assert span_against_reference(vs, target, positions) == \
+            [Scalar(2, 1), Scalar(Fraction(-1, 3)), ZERO, ONE]
+        assert span_against_reference(vs, target + word({7: 1}), positions) is None
+        assert span_against_reference(vs, w0 + word({top: 1}), positions) is None
+        assert span_against_reference([w0, w1], w0 + w1.scale(I), positions) == [ONE, I]
+        assert span_against_reference([w0, w2], w0.scale(I), positions) == [I, ZERO]
+        # the uncut rows are reduced for the target off the span on column 7
+        # and for w0 and w1, which are equal on their two leading columns
+        assert eliminations == [5, 5, 5, 5, 3, 3, 3]
 
 
 class TestNormalization:

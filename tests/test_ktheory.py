@@ -1,3 +1,5 @@
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -167,6 +169,55 @@ class TestDoubleScaledGroups:
     def test_self_iso(self):
         g = double_scaled_group(parse_space("M(1,2)+M(2,1)"))
         assert dsg_isomorphic(g, g) == (0, 1)
+
+    @staticmethod
+    def reference_match(a_pairs, b_pairs):
+        # each summand of a takes the first unused summand of b with its caps
+        if len(a_pairs) != len(b_pairs):
+            return None
+        used = [False] * len(b_pairs)
+        perm = []
+        for pair in a_pairs:
+            j = next((j for j, q in enumerate(b_pairs) if q == pair and not used[j]), None)
+            if j is None:
+                return None
+            used[j] = True
+            perm.append(j)
+        return tuple(perm)
+
+    def test_seeded_against_the_first_unused_rule(self):
+        rng = random.Random(27)
+
+        def group(pairs):
+            return DoubleScaledGroup(tuple(p for p, _ in pairs), tuple(q for _, q in pairs))
+
+        for _ in range(3000):
+            a_pairs = [(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(rng.randint(0, 9))]
+            b_pairs = a_pairs[:]
+            rng.shuffle(b_pairs)
+            if b_pairs and rng.random() < 0.3:  # usually no longer a match
+                b_pairs[rng.randrange(len(b_pairs))] = (rng.randint(1, 3), rng.randint(1, 3))
+            if rng.random() < 0.1:
+                b_pairs.append((1, 1))
+            a, b = group(a_pairs), group(b_pairs)
+            assert dsg_isomorphic(a, b) == self.reference_match(a_pairs, b_pairs)
+
+    def test_many_equal_summands(self):
+        # each bucket hands out its indices in order, so the matching of k
+        # equal summands takes linear time: 4k of them take about 4 times as
+        # long as k, where handing out the front of a list would take 16 times
+        def seconds(k):
+            a = DoubleScaledGroup((2,) * k, (3,) * k)
+            b = DoubleScaledGroup((2,) * k, (3,) * (k - 1) + (4,))
+            best = float("inf")
+            for _ in range(3):
+                start = time.perf_counter()
+                assert dsg_isomorphic(a, a) == tuple(range(k))
+                assert dsg_isomorphic(a, b) is None
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        assert seconds(200000) < 8 * seconds(50000)
 
     def test_scale_membership(self):
         g = double_scaled_group(parse_space("M(1,2)+M(2,1)"))
