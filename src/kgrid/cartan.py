@@ -27,7 +27,7 @@ from math import comb
 from itertools import combinations
 from typing import Sequence
 
-from .exact import HALF, Matrix, ParseError, matrix_unit, span_coords, sparse_matrix
+from .exact import Matrix, ParseError, mat_jordan, matrix_unit, span_coords, sparse_matrix
 from .tro import (CliffordElement, TroElement, TroSpace, clifford_summands,
                   element_span_coords, jordan_triple, ternary_product)
 
@@ -474,7 +474,7 @@ def intrinsic_jordan(d: CartanDescriptor, x: Matrix, y: Matrix, z: Matrix) -> Ma
     spin factor it is pulled back through the embedding.
     """
     if d.kind in ("I", "II", "III"):
-        return ((x @ y.dagger() @ z) + (z @ y.dagger() @ x)).scale(HALF)
+        return mat_jordan(x, y, z)
     if d.kind == "IV":
         return coords_of(d, jordan_triple(embed(d, x), embed(d, y), embed(d, z)))
     raise ExceptionalFactorError(f"{d}: no coordinate model is implemented")

@@ -152,6 +152,7 @@ class Matrix:
         """Build from a dense row-major tuple of rows * cols Scalars."""
         if len(entries) != rows * cols:
             raise ShapeError(f"{rows}x{cols} needs {rows * cols} entries, got {len(entries)}")
+        _check_shape(rows, cols)
         nonzero = [(idx, _gauss(s)) for idx, s in enumerate(entries) if s.re or s.im]
         # the lcm of least denominators leaves no common factor to divide out
         den = math.lcm(*(d for _, (_, _, d) in nonzero))
@@ -160,13 +161,7 @@ class Matrix:
             i, j = divmod(idx, cols)
             v = (re * (den // d), im * (den // d))
             num.setdefault(i, {})[j] = _SMALL.get(v, v)
-        self._fill(rows, cols, num, den)
-
-    def _fill(self, rows: int, cols: int, num: dict, den: int) -> "Matrix":
-        if rows < 1 or cols < 1:
-            raise ShapeError(f"degenerate shape {rows}x{cols}")
         self.rows, self.cols, self.num, self.den = rows, cols, num, den
-        return self
 
     def __getitem__(self, ij: tuple) -> Scalar:
         i, j = ij
@@ -250,8 +245,16 @@ class Matrix:
 _REPR_SLOTS = 256  # Matrix.__repr__ writes out every entry up to this size
 
 
-def _new(rows: int, cols: int, num: dict, den: int) -> Matrix:  # normalized data
-    return Matrix.__new__(Matrix)._fill(rows, cols, num, den)
+def _check_shape(rows: int, cols: int) -> None:  # for shapes from outside exact
+    if rows < 1 or cols < 1:
+        raise ShapeError(f"degenerate shape {rows}x{cols}")
+
+
+def _new(rows: int, cols: int, num: dict, den: int) -> Matrix:
+    # normalized data, in a shape that _check_shape passes
+    m = object.__new__(Matrix)
+    m.rows, m.cols, m.num, m.den = rows, cols, num, den
+    return m
 
 
 def sparse_matrix(rows: int, cols: int, num: dict, den: int) -> Matrix:
@@ -292,10 +295,12 @@ def mat(rows: Sequence[Sequence[EntryLike]]) -> Matrix:
 
 
 def zeros(rows: int, cols: int) -> Matrix:
+    _check_shape(rows, cols)
     return _new(rows, cols, {}, 1)
 
 
 def identity(n: int) -> Matrix:
+    _check_shape(n, n)
     return _new(n, n, {i: {i: (1, 0)} for i in range(n)}, 1)
 
 
@@ -306,22 +311,53 @@ def matrix_unit(rows: int, cols: int, i: int, j: int) -> Matrix:
     return _new(rows, cols, {i: {j: (1, 0)}}, 1)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact matrix product, visiting only products of two nonzero entries."""
-    if a.cols != b.rows:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    num = {}
-    for i, arow in a.num.items():
-        acc: dict = {}
+_NO_ROW: dict = {}  # an absent row; never written
+
+
+def _mat_products(anum: dict, bnum: dict, num: dict) -> dict:
+    """Add the numerators of the product of the row maps anum and bnum into
+    the row map num and return it, visiting only products of two nonzero
+    entries; num holds no zero value and no empty row, before and after."""
+    for i, arow in anum.items():
+        acc = num.get(i, {})
         for k, (ar, ai) in arow.items():
-            for j, (br, bi) in b.num.get(k, {}).items():
+            for j, (br, bi) in bnum.get(k, _NO_ROW).items():
                 old = acc.get(j, (0, 0))
                 acc[j] = (old[0] + ar * br - ai * bi, old[1] + ar * bi + ai * br)
         if (0, 0) in acc.values():
             acc = {j: v for j, v in acc.items() if v != (0, 0)}
         if acc:
             num[i] = acc
-    return sparse_matrix(a.rows, b.cols, num, a.den * b.den)
+        else:
+            num.pop(i, None)
+    return num
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Exact matrix product, visiting only products of two nonzero entries."""
+    if a.cols != b.rows:
+        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
+    return sparse_matrix(a.rows, b.cols, _mat_products(a.num, b.num, {}), a.den * b.den)
+
+
+def _jordan(products, adjoint, a: Matrix, b: Matrix, c: Matrix) -> Matrix:
+    """{a,b,c} = (a b* c + c b* a) / 2 in one block format, given its product
+    loop and adjoint.  b* is formed once, and both products are accumulated
+    as numerators over their common denominator a.den b.den c.den, which is
+    normalized once, over twice that."""
+    bs = adjoint(b).num
+    num: dict = {}
+    products(products(a.num, bs, {}), c.num, num)
+    products(products(c.num, bs, {}), a.num, num)
+    return sparse_matrix(a.rows, a.cols, num, 2 * a.den * b.den * c.den)
+
+
+def mat_jordan(a: Matrix, b: Matrix, c: Matrix) -> Matrix:
+    """The Jordan triple product {a,b,c} = (a b* c + c b* a) / 2 of three
+    matrices of one shape."""
+    if not a.shape == b.shape == c.shape:
+        raise ShapeError(f"Jordan product of unequal shapes {a.shape}, {b.shape}, {c.shape}")
+    return _jordan(_mat_products, dagger, a, b, c)
 
 
 def _word_check(a: Matrix, b: Matrix) -> None:
@@ -329,16 +365,13 @@ def _word_check(a: Matrix, b: Matrix) -> None:
         raise ShapeError(f"words are 1 x 2^N rows of one N, not {a.shape}, {b.shape}")
 
 
-def word_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Product in the complex Clifford algebra on N generators, whose elements
-    are words: 1 x 2^N matrices with the coefficient of gamma_A in column A,
-    bit k of the mask A standing for gamma_(k+1).  On basis words,
-    gamma_A gamma_B = (-1)^#{(p, q): p in A, q in B, p > q} gamma_(A xor B):
-    each generator of A passes those of B below it, and gamma_k^2 = 1."""
-    _word_check(a, b)
-    brow = list(b.num.get(0, {}).items())
-    acc: dict = {}
-    for x, (ar, ai) in a.num.get(0, {}).items():
+def _word_products(anum: dict, bnum: dict, num: dict) -> dict:
+    """Add the numerators of the word product (see word_mul) of the row maps
+    anum and bnum into row 0 of num and return num, which holds no zero
+    value and no empty row, before and after."""
+    brow = list(bnum.get(0, _NO_ROW).items())
+    acc = num.get(0, {})
+    for x, (ar, ai) in anum.get(0, _NO_ROW).items():
         # bit q of odd is set when an odd number of bits of x lie above q, so
         # the sign of gamma_x gamma_y is (-1)^(the number of bits of y in odd)
         odd, rest = 0, x
@@ -358,7 +391,29 @@ def word_mul(a: Matrix, b: Matrix) -> Matrix:
             acc[z] = (re, im)
     if (0, 0) in acc.values():
         acc = {z: v for z, v in acc.items() if v != (0, 0)}
-    return sparse_matrix(1, a.cols, {0: acc} if acc else {}, a.den * b.den)
+    if acc:
+        num[0] = acc
+    else:
+        num.pop(0, None)
+    return num
+
+
+def word_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Product in the complex Clifford algebra on N generators, whose elements
+    are words: 1 x 2^N matrices with the coefficient of gamma_A in column A,
+    bit k of the mask A standing for gamma_(k+1).  On basis words,
+    gamma_A gamma_B = (-1)^#{(p, q): p in A, q in B, p > q} gamma_(A xor B):
+    each generator of A passes those of B below it, and gamma_k^2 = 1."""
+    _word_check(a, b)
+    return sparse_matrix(1, a.cols, _word_products(a.num, b.num, {}), a.den * b.den)
+
+
+def word_jordan(a: Matrix, b: Matrix, c: Matrix) -> Matrix:
+    """The Jordan triple product {a,b,c} = (a b* c + c b* a) / 2 of three
+    words of one N, with word products and adjoints."""
+    _word_check(a, b)
+    _word_check(a, c)
+    return _jordan(_word_products, word_adjoint, a, b, c)
 
 
 def word_adjoint(a: Matrix) -> Matrix:
@@ -519,11 +574,14 @@ def span_coords(vs: Sequence[Union[Matrix, tuple]],
 
     The rows are first reduced cut down to their leading columns L, the
     union of each vector's first k nonzero columns, and the relation found
-    there is checked on every column; the uncut rows are reduced only when
-    it fails.  A relation that holds is the uncut answer: a vector
-    independent of earlier ones on L is independent on every column, so the
-    relation lies on the uncut rows' greedy basis (the vectors not in the
-    span of earlier ones), and a solution on that basis is unique.
+    there is checked on every column.  A relation that holds is the uncut
+    answer: a vector independent of earlier ones on L is independent on
+    every column, so the relation lies on the uncut rows' greedy basis (the
+    vectors not in the span of earlier ones), and a solution on that basis
+    is unique.  A relation that fails refuses the target when no vector's
+    row is left over on L: the k vectors are then independent on L, so the
+    relation is the only solution there, and any solution on every column
+    would be one on L.  Otherwise the uncut rows are reduced.
     """
     k = len(vs)
     rows, dens, size = _stacked([*vs, target], target)
@@ -537,6 +595,8 @@ def span_coords(vs: Sequence[Union[Matrix, tuple]],
         tags = _new(1, k + 1, {0: {c - size: t for c, t in rel.items()}}, 1)
         if not mat_mul(tags, stack).num:  # the relation holds on every column
             break
+        if len(rest) == 1:  # only the target's row is left: no other relation
+            return None
     # -r_j d_j / (r d) = -r_j d_j conj(r) / (|r|^2 d)
     rr, ri = rel[size + k]
     n = (rr * rr + ri * ri) * dens[k]

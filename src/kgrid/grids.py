@@ -48,8 +48,8 @@ from .tro import (
     TroSpace,
     element_span_dim,
     is_tripotent,
+    jordan_triple,
     range_projection,
-    ternary_product,
 )
 
 _GRID_KIND = {"I": "rectangular", "II": "symplectic", "III": "hermitian",
@@ -233,12 +233,11 @@ class GridReport:
 
 
 def _spin_identity_checks(g: Grid) -> tuple:
-    # {a,b,c} = -u/2 is checked as a b* c + c b* a = -u, with no halving
-    u = {label: el for label, el in zip(g.labels, g.elements)}
+    u = dict(zip(g.labels, g.elements))
+    minus_half = {label: el.scale(-HALF) for label, el in u.items()}
 
     def holds(a: str, b: str, c: str, k: str) -> bool:
-        x, y, z = u[a], u[b], u[c]
-        return ternary_product(x, y, z) + ternary_product(z, y, x) == -u[k]
+        return jordan_triple(u[a], u[b], u[c]) == minus_half[k]
 
     pair_top = len(g.elements) // 2
     checks = []

@@ -16,16 +16,17 @@ from typing import Optional, Sequence
 
 from .exact import (
     EntryLike,
-    HALF,
     Matrix,
     ParseError,
     ShapeError,
     block_diagonal,
     dagger,
+    mat_jordan,
     mat_mul,
     span_coords,
     span_dim,
     word_adjoint,
+    word_jordan,
     word_mul,
     zeros,
 )
@@ -123,8 +124,9 @@ class TroElement:
     """An element of a TroSpace: one matrix per summand, shapes matching.
 
     Every operation below builds its result as ``type(self)`` and multiplies
-    blocks with ``block_mul`` and ``block_adjoint``, so a subclass with its
-    own block kernels (``CliffordElement``) shares all of it."""
+    blocks with ``block_mul``, ``block_adjoint`` and ``block_jordan``, so a
+    subclass with its own block kernels (``CliffordElement``) shares all of
+    it."""
 
     space: TroSpace
     blocks: tuple
@@ -146,6 +148,7 @@ class TroElement:
         return mat_mul(a, b)
 
     block_adjoint = staticmethod(dagger)
+    block_jordan = staticmethod(mat_jordan)
 
     def __add__(self, other: "TroElement") -> "TroElement":
         _require_same_space(self, other)
@@ -196,7 +199,8 @@ class CliffordElement(TroElement):
     gamma_1 ... gamma_N acts as i^((N - 1)/2) (see ``ktheory``).
 
     It is a ``TroElement`` with its own shape check and block kernels: its
-    products and adjoints are ``word_mul`` and ``word_adjoint``.  Its
+    products, adjoints and Jordan products are ``word_mul``,
+    ``word_adjoint`` and ``word_jordan``.  Its
     space has square blocks, so its range projections stay in it."""
 
     def __post_init__(self) -> None:
@@ -209,6 +213,7 @@ class CliffordElement(TroElement):
 
     block_mul = staticmethod(word_mul)
     block_adjoint = staticmethod(word_adjoint)
+    block_jordan = staticmethod(word_jordan)
 
     @property
     def word(self) -> Matrix:
@@ -238,8 +243,10 @@ def ternary_product(x: TroElement, y: TroElement, z: TroElement) -> TroElement:
 
 
 def jordan_triple(a: TroElement, b: TroElement, c: TroElement) -> TroElement:
-    """{a,b,c} = (a b* c + c b* a) / 2."""
-    return (ternary_product(a, b, c) + ternary_product(c, b, a)).scale(HALF)
+    """{a,b,c} = (a b* c + c b* a) / 2, blockwise with the Jordan kernel of
+    the elements' type."""
+    _require_same_space(a, b, c)
+    return type(a)(a.space, tuple(map(a.block_jordan, a.blocks, b.blocks, c.blocks)))
 
 
 def is_tripotent(e: TroElement) -> bool:

@@ -42,6 +42,8 @@ class Mutant(NamedTuple):
 
 
 _MEMO_TESTS = "tests/test_invariant.py::TestBlockMatchMemo::"
+_JORDAN_TESTS = ("tests/test_tro.py::TestTripleProducts::test_jordan_tripotent",
+                 "tests/test_grids.py::TestSpinGrids::test_grid_identities_dim5")
 _LEADING_TESTS = "tests/test_exact.py::TestLeadingColumns::"
 
 MUTANTS = (
@@ -119,10 +121,25 @@ MUTANTS = (
            (f"{_LEADING_TESTS}test_equal_on_leading_columns",
             f"{_LEADING_TESTS}test_in_span_on_leading_columns_only",
             f"{_LEADING_TESTS}test_sparse_words")),
+    Mutant("span-coords-refuses-with-a-vector-left", "kgrid/exact.py",
+           "if len(rest) == 1:", "if rest:",
+           (f"{_LEADING_TESTS}test_equal_on_leading_columns",
+            f"{_LEADING_TESTS}test_sparse_words")),
     Mutant("span-coords-one-leading-column", "kgrid/exact.py",
            "lead = {c for row in rows[:k] for c in sorted(row)[:k]}",
            "lead = {c for row in rows[:k] for c in sorted(row)[:1]}",
            ("tests/test_exact.py::TestKernelAgainstReference::test_span_coords_seeded",)),
+    # the Jordan kernel of both block formats, exact._jordan
+    Mutant("jordan-halving-dropped", "kgrid/exact.py",
+           "return sparse_matrix(a.rows, a.cols, num, 2 * a.den * b.den * c.den)",
+           "return sparse_matrix(a.rows, a.cols, num, a.den * b.den * c.den)",
+           _JORDAN_TESTS),
+    Mutant("jordan-b-without-adjoint", "kgrid/exact.py",
+           "bs = adjoint(b).num", "bs = b.num",
+           _JORDAN_TESTS),
+    Mutant("jordan-cba-dropped", "kgrid/exact.py",
+           "    products(products(c.num, bs, {}), a.num, num)\n", "",
+           _JORDAN_TESTS),
 )
 
 

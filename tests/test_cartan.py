@@ -535,6 +535,14 @@ class TestJordanPreservation:
         pulled = coords_of(d, product)
         assert embed(d, pulled) == product
 
+    @pytest.mark.parametrize("d", [CD("I", 2, 3), CD("I", 1, 4), CD("II", 5), CD("III", 3)],
+                             ids=str)
+    @given(data=st.data())
+    def test_against_the_product_formula(self, d, data):
+        x, y, z = (data.draw(_coordinates(d)) for _ in range(3))
+        assert intrinsic_jordan(d, x, y, z) == \
+            ((x @ y.dagger() @ z) + (z @ y.dagger() @ x)).scale(HALF)
+
     def test_intrinsic_products_close_for_matrix_factors(self):
         d = CD("II", 5)
         basis = intrinsic_basis(d)

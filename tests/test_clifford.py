@@ -10,19 +10,22 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kgrid.cartan import (CartanDescriptor, CoordinateError, SpinSystem, coords_of, embed,
                           embedded_basis, enveloping_tro, intrinsic_jordan)
 from kgrid.cli import run
-from kgrid.exact import (I, Scalar, ShapeError, identity, mat, matrix_unit, word_adjoint,
-                         word_mul)
+from kgrid.exact import (HALF, I, Scalar, ShapeError, identity, mat, matrix_unit,
+                         word_adjoint, word_jordan, word_mul)
 from kgrid.grids import grid_for, grid_gamma, verify_grid
 from kgrid.invariant import gamma_report
 from kgrid.ktheory import ProjectionError, k0_class_of_projection, top_scalar
 from kgrid.tro import (CliffordElement, SpaceMismatch, TroElement, TroSpace, apply_hom,
-                       element_span_dim, lift_hom, ternary_product)
+                       element_span_dim, jordan_triple, lift_hom, ternary_product)
 
 from .spin import reference_grid, standard_spin_system, times, to_matrix, word_matrices
+from .strategies import scalars
 
 
 def CD(kind, *params):
@@ -64,7 +67,29 @@ def _random_word(rng: random.Random, n: int) -> CliffordElement:
     return CliffordElement(space, (word,))
 
 
+def words(n: int):
+    """Elements of the Clifford algebra on n generators: words of 0-4 terms
+    with coefficients over denominators up to 3."""
+    space = enveloping_tro(CD("IV", n + 1))
+    terms = st.lists(st.tuples(st.integers(0, 2 ** n - 1), scalars), max_size=4)
+
+    def word(ts):
+        out = matrix_unit(1, 2 ** n, 0, 0).scale(0)
+        for mask, c in ts:
+            out = out + matrix_unit(1, 2 ** n, 0, mask).scale(c)
+        return CliffordElement(space, (out,))
+
+    return terms.map(word)
+
+
 class TestWordKernels:
+    @given(st.integers(3, 6).flatmap(lambda n: st.tuples(words(n), words(n), words(n))))
+    def test_jordan_against_two_products(self, abc):
+        a, b, c = abc
+        for x, y, z in ((a, b, c), (a, b, a), (b, b, b)):
+            assert jordan_triple(x, y, z) == \
+                (ternary_product(x, y, z) + ternary_product(z, y, x)).scale(HALF)
+
     @pytest.mark.parametrize("dim", range(4, 10))
     def test_words_map_to_matrices(self, dim):
         # gamma_A -> the ordered product of the symmetries of A turns the word
@@ -92,6 +117,10 @@ class TestWordKernels:
             word_mul(matrix_unit(1, 8, 0, 0), matrix_unit(1, 4, 0, 0))
         with pytest.raises(ShapeError):
             word_adjoint(matrix_unit(1, 6, 0, 0))
+        w8, w4 = matrix_unit(1, 8, 0, 1), matrix_unit(1, 4, 0, 1)
+        for args in ((w8, w8, w4), (w8, w4, w8), (w4, w8, w8)):
+            with pytest.raises(ShapeError):
+                word_jordan(*args)
         with pytest.raises(ShapeError):
             CliffordElement(enveloping_tro(CD("IV", 5)), (matrix_unit(1, 8, 0, 0),))
 

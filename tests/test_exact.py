@@ -23,6 +23,7 @@ from kgrid.exact import (
     identity,
     kron,
     mat,
+    mat_jordan,
     mat_mul,
     matrix_from_strings,
     matrix_to_strings,
@@ -125,6 +126,13 @@ class TestMatMul:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             mat_mul(zeros(2, 3), zeros(2, 3))
+
+    def test_jordan_shape_mismatch(self):
+        a = matrix_unit(2, 3, 0, 1)
+        for args in ((a, matrix_unit(3, 2, 1, 0), a), (a, a, matrix_unit(2, 2, 0, 0)),
+                     (matrix_unit(1, 3, 0, 1), a, a), (identity(2), identity(2), a)):
+            with pytest.raises(ShapeError, match="unequal shapes"):
+                mat_jordan(*args)
 
     @given(any_matrices(2, 2), any_matrices(2, 2))
     def test_matches_dense_definition(self, a, b):
@@ -409,6 +417,13 @@ class TestKernelAgainstReference:
         (a, ra), (b, rb) = pairs
         assert ref_of(mat_mul(a, b)) == r_matmul(ra, rb)
 
+    @given(shapes.flatmap(lambda s: st.tuples(*(dense_pairs(*s) for _ in range(3)))))
+    def test_mat_jordan(self, pairs):
+        (a, ra), (b, rb), (c, rc) = pairs
+        rbs = r_dagger(rb)
+        twice = r_combine(r_matmul(r_matmul(ra, rbs), rc), r_matmul(r_matmul(rc, rbs), ra), 1)
+        assert ref_of(mat_jordan(a, b, c)) == r_scale((Fraction(1, 2), Fraction(0)), twice)
+
     @given(shapes.flatmap(lambda s: st.tuples(dense_pairs(*s), dense_pairs(*s))))
     def test_add_sub_neg(self, pairs):
         (a, ra), (b, rb) = pairs
@@ -518,8 +533,9 @@ class TestKernelAgainstReference:
     def test_span_coords_seeded(self, eliminations):
         # dense-algebra-shaped cases: 1-3 blocks up to 6x6, denominators 1-3,
         # 2-5 vectors of which about half are combinations of earlier ones;
-        # a target in the span, as in the dense-algebra workload, is decided
-        # by one elimination, on the leading columns
+        # every target, in the span as in the dense-algebra workload or off
+        # it, is decided by one elimination, on the leading columns, where
+        # the independent dense vectors stay independent
         rng = random.Random(1604)
 
         def entry():
@@ -552,8 +568,7 @@ class TestKernelAgainstReference:
             ranks = [r_rank(flats[:j]) for j in range(len(flats) + 1)]
             del eliminations[:]
             got = span_coords([element(r) for r in refs], element(rtarget))
-            # an off-span target may be refused only by the uncut rows
-            assert len(eliminations) == 1 if in_span else len(eliminations) <= 2
+            assert len(eliminations) == 1
             assert (got is not None) == (r_rank(flats + [tflat]) == ranks[-1])
             if got is None:
                 continue
@@ -635,17 +650,22 @@ class TestLeadingColumns:
         assert eliminations == [3]
 
     def test_in_span_on_leading_columns_only(self, eliminations):
-        # the target is v0 + v1 on the leading columns 0-2, off the span on 4
+        # the target is v0 + v1 on the leading columns 0-2, off the span on 4;
+        # v0 and v1 are independent on 0-2, so that relation was the only
+        # candidate and the uncut rows are not reduced
         vs = [mat([[1, 2, 0, 0, 1]]), mat([[0, 1, 3, 0, 0]])]
         target = mat([[1, 3, 3, 0, 7]])
         assert span_against_reference(vs, target, everywhere(1, 5)) is None
-        assert eliminations == [3, 3]
+        assert eliminations == [3]
 
     def test_off_span_on_leading_columns(self, eliminations):
+        # the first target is 0 on the leading columns 0, 1 and 3, where the
+        # vectors are independent, so its relation 0 fails and refuses it;
+        # the second pivots there
         vs = [mat([[1, 0, 0, 1]]), mat([[1, 1, 0, 1]])]
         assert span_against_reference(vs, mat([[0, 0, 1, 0]]), everywhere(1, 4)) is None
         assert span_against_reference(vs, mat([[0, 0, 0, 1]]), everywhere(1, 4)) is None
-        assert eliminations == [3, 3, 3]
+        assert eliminations == [3, 3]
 
     def test_dependent_and_zero_vectors(self):
         a = mat([[1, 0, HALF], [0, I, 0]])

@@ -52,6 +52,11 @@ def unit_elem(i, j) -> TroElement:
     return m2_elem(matrix_unit(2, 2, i, j))
 
 
+def two_products(a, b, c):
+    """The reference {a,b,c}: two ternary products, summed and halved."""
+    return (ternary_product(a, b, c) + ternary_product(c, b, a)).scale(HALF)
+
+
 class TestSpaces:
     def test_text_roundtrip(self):
         t = parse_space("M(1,2) + M(2,1)")
@@ -119,8 +124,9 @@ class TestTripleProducts:
         assert got == m2_elem(identity(2).scale(I))
 
     def test_jordan_tripotent(self):
-        e11 = unit_elem(0, 0)
-        assert jordan_triple(e11, e11, e11) == e11
+        # a projection, and a partial isometry, which is not self-adjoint
+        for e in (unit_elem(0, 0), unit_elem(0, 1)):
+            assert jordan_triple(e, e, e) == e
 
     def test_jordan_orthogonal_units(self):
         assert jordan_triple(unit_elem(0, 0), unit_elem(0, 0), unit_elem(1, 1)).is_zero()
@@ -129,6 +135,18 @@ class TestTripleProducts:
         other = zero_element(parse_space("M(2,2)+M(1,1)"))
         with pytest.raises(SpaceMismatch):
             ternary_product(unit_elem(0, 0), unit_elem(0, 0), other)
+        for args in ((other, unit_elem(0, 0), unit_elem(0, 0)),
+                     (unit_elem(0, 0), other, unit_elem(0, 0)),
+                     (unit_elem(0, 0), unit_elem(0, 0), other)):
+            with pytest.raises(SpaceMismatch):
+                jordan_triple(*args)
+
+    @given(space_with_elements(3))
+    def test_jordan_against_two_products(self, els):
+        # 1-3 blocks with entries over denominators up to 3
+        a, b, c = els
+        assert jordan_triple(a, b, c) == two_products(a, b, c)
+        assert jordan_triple(a, b, a) == two_products(a, b, a)
 
     @given(space_with_elements(3))
     def test_jordan_outer_symmetry(self, els):
