@@ -281,7 +281,7 @@ def enveloping_tro(d: CartanDescriptor) -> TroSpace:
 
 def _perm_sign(subset_i: tuple, i: int) -> int:
     """The sign of the permutation (sorted I, i, sorted J) of (1..n), for I
-    = subset_i (sorted, without i) and J the rest of {1..n} minus {i}.
+    = subset_i (sorted, without i) and J the numbers of 1..n in neither I nor {i}.
 
     Both runs are sorted, so its inversions are counted without a pass over
     pairs.  The t-th element a of I (from t = 0) stands before exactly the

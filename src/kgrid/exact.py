@@ -224,6 +224,7 @@ class Matrix:
                                            for i, row in self.num.items()}, self.den)
 
     def dagger(self) -> "Matrix":
+        """Conjugate transpose."""
         num: dict = {}
         for i, row in self.num.items():
             for j, (re, im) in row.items():
@@ -374,11 +375,11 @@ def _word_products(anum: dict, bnum: dict, num: dict) -> dict:
     for x, (ar, ai) in anum.get(0, _NO_ROW).items():
         # bit q of odd is set when an odd number of bits of x lie above q, so
         # the sign of gamma_x gamma_y is (-1)^(the number of bits of y in odd)
-        odd, rest = 0, x
-        while rest:
-            low = rest & -rest
+        odd, bits = 0, x
+        while bits:
+            low = bits & -bits
             odd ^= low - 1
-            rest ^= low
+            bits ^= low
         for y, (br, bi) in brow:
             if (y & odd).bit_count() & 1:
                 re, im = ai * bi - ar * br, -ar * bi - ai * br
@@ -425,9 +426,7 @@ def word_adjoint(a: Matrix) -> Matrix:
                             for i, row in a.num.items()}, a.den)
 
 
-def dagger(a: Matrix) -> Matrix:
-    """Conjugate transpose."""
-    return a.dagger()
+dagger = Matrix.dagger
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -485,39 +484,33 @@ def _eliminate(row: dict, at: tuple, pivot_row: dict, c: int, p: tuple) -> dict:
     return {j: (a // ar, b // ar) for j, (a, b) in acc.items() if a or b}
 
 
-def _bareiss(rows: list, limit: int) -> tuple:
+def _bareiss(rows: list) -> list:
     """Fraction-free (Bareiss) elimination of sparse rows {col: (re, im)}, in
-    order: a nonzero row pivots on its least column below ``limit``, cleared
-    from every later row.  Returns the (col, row) pivots and the nonzero rows
-    left with no column below ``limit``, in input order.  Columns from
-    ``limit`` on never pivot: span_coords (rank passes none) puts one tag
-    column per stacked vector there, so a row left over carries a relation
-    between its vector and the pivot rows before it, and a vector in the
-    span of earlier ones gets 0.  A row a step skips is owed p_new / p_old, which
-    telescopes, so each row keeps the pivot it is current at and is updated
-    only when used.  Every division is exact (Sylvester's identity), which
-    keeps coefficient growth polynomial."""
-    prev, pivots, rest = (1, 0), [], []
+    order: a nonzero row pivots on its least column, cleared from every later
+    row.  Returns the (col, row) pivots.  A row a step skips is owed
+    p_new / p_old, which telescopes, so each row keeps the pivot it is
+    current at and is updated only when used.  Every division is exact
+    (Sylvester's identity), which keeps coefficient growth polynomial."""
+    prev, pivots = (1, 0), []
     work = [(row, prev) for row in rows]
     for t, (row, at) in enumerate(work):
+        if not row:
+            continue
         if at != prev:
             row = {j: _gdiv(_gmul(v, prev), at) for j, v in row.items()}
-        c = min((j for j in row if j < limit), default=None)
-        if c is None:
-            rest += [row] if row else []
-            continue
+        c = min(row)
         p = row[c]
         for u in range(t + 1, len(work)):
             if c in work[u][0]:
                 work[u] = (_eliminate(*work[u], row, c, p), p)
         pivots.append((c, row))
         prev = p
-    return pivots, rest
+    return pivots
 
 
 def rank(a: Matrix) -> int:
     """Exact rank: the pivot count of the fraction-free sweep on the numerators."""
-    return len(_bareiss(list(a.num.values()), a.cols)[0])
+    return len(_bareiss(list(a.num.values())))
 
 
 def _shape(v: Union[Matrix, tuple]) -> tuple:  # the block shapes
@@ -567,10 +560,14 @@ def span_coords(vs: Sequence[Union[Matrix, tuple]],
 
     The vectors and the target are reduced as stacked rows, one numerator
     row N_j per vs[j] and N last for the target, each with a tag (1, 0) in
-    its own column after the entries.  The target lies in the span exactly
-    when its row ends with no entry left, and then its tags r_j and r != 0
-    are a relation sum(r_j N_j) + r N = 0 over the independent vectors, so
-    c_j = -r_j d_j / (r d) for the denominators d_j of vs[j] and d of target.
+    its own column after the entries, in reverse order: the target's in
+    column size, vs[j]'s in column size + k - j.  A vector's row with no
+    entry left pivots on its own tag, its least column, which no later row
+    holds, so that step clears nothing.  The target's row pivots on its tag
+    exactly when the target lies in the span, and then its tags r_j and
+    r != 0 are a relation sum(r_j N_j) + r N = 0 over the independent
+    vectors, so c_j = -r_j d_j / (r d) for the denominators d_j of vs[j] and
+    d of target.
 
     The rows are first reduced cut down to their leading columns L, the
     union of each vector's first k nonzero columns, and the relation found
@@ -578,31 +575,31 @@ def span_coords(vs: Sequence[Union[Matrix, tuple]],
     answer: a vector independent of earlier ones on L is independent on
     every column, so the relation lies on the uncut rows' greedy basis (the
     vectors not in the span of earlier ones), and a solution on that basis
-    is unique.  A relation that fails refuses the target when no vector's
-    row is left over on L: the k vectors are then independent on L, so the
+    is unique.  A relation that fails refuses the target when every vector
+    pivots on an entry of L: the k vectors are then independent on L, so the
     relation is the only solution there, and any solution on every column
     would be one on L.  Otherwise the uncut rows are reduced.
     """
     k = len(vs)
     rows, dens, size = _stacked([*vs, target], target)
     lead = {c for row in rows[:k] for c in sorted(row)[:k]}
-    stack = _new(k + 1, size, {j: row for j, row in enumerate(rows) if row}, 1)
+    stack = _new(k + 1, size, {k - j: row for j, row in enumerate(rows) if row}, 1)
     for cut in ([{c: row[c] for c in lead if c in row} for row in rows], rows):
-        rest = _bareiss([{**row, size + j: (1, 0)} for j, row in enumerate(cut)], size)[1]
-        rel = rest[-1] if rest else {}
-        if size + k not in rel:  # the target's row pivoted: it is off the span
+        pivots = _bareiss([{**row, size + k - j: (1, 0)} for j, row in enumerate(cut)])
+        col, rel = pivots[-1]
+        if col != size:  # the target's row pivoted on an entry: it is off the span
             return None
         tags = _new(1, k + 1, {0: {c - size: t for c, t in rel.items()}}, 1)
         if not mat_mul(tags, stack).num:  # the relation holds on every column
             break
-        if len(rest) == 1:  # only the target's row is left: no other relation
+        if all(c < size for c, _ in pivots[:k]):  # no other relation
             return None
     # -r_j d_j / (r d) = -r_j d_j conj(r) / (|r|^2 d)
-    rr, ri = rel[size + k]
+    rr, ri = rel[size]
     n = (rr * rr + ri * ri) * dens[k]
     coords = []
     for j in range(k):
-        xr, xi = rel.get(size + j, (0, 0))
+        xr, xi = rel.get(size + k - j, (0, 0))
         f = -dens[j]
         coords.append(Scalar(Fraction(f * (xr * rr + xi * ri), n),
                              Fraction(f * (xi * rr - xr * ri), n)) if xr or xi else ZERO)

@@ -122,7 +122,7 @@ MUTANTS = (
             f"{_LEADING_TESTS}test_in_span_on_leading_columns_only",
             f"{_LEADING_TESTS}test_sparse_words")),
     Mutant("span-coords-refuses-with-a-vector-left", "kgrid/exact.py",
-           "if len(rest) == 1:", "if rest:",
+           "if all(c < size for c, _ in pivots[:k]):", "if True:",
            (f"{_LEADING_TESTS}test_equal_on_leading_columns",
             f"{_LEADING_TESTS}test_sparse_words")),
     Mutant("span-coords-one-leading-column", "kgrid/exact.py",

@@ -520,23 +520,33 @@ class TestKernelAgainstReference:
         relations = []
         bareiss = exact._bareiss
 
-        def recording(rows, limit):
-            out = bareiss(rows, limit)
-            relations.append(out[1][-1])
+        def recording(rows):
+            out = bareiss(rows)
+            relations.append(out[-1][1])
             return out
 
         monkeypatch.setattr(exact, "_bareiss", recording)
         vs = [mat([[I, 1]]), mat([[1, 2]])]
         assert span_coords(vs, mat([[3, 1]])) == [Scalar(-1, -2), Scalar(1, 1)]
-        assert relations == [{2: (-5, 0), 3: (3, -1), 4: (-1, 2)}]
+        assert relations == [{2: (-1, 2), 3: (3, -1), 4: (-5, 0)}]
 
-    def test_span_coords_seeded(self, eliminations):
+    def test_span_coords_seeded(self, eliminations, monkeypatch):
         # dense-algebra-shaped cases: 1-3 blocks up to 6x6, denominators 1-3,
         # 2-5 vectors of which about half are combinations of earlier ones;
         # every target, in the span as in the dense-algebra workload or off
         # it, is decided by one elimination, on the leading columns, where
-        # the independent dense vectors stay independent
+        # the independent dense vectors stay independent.  Every cleared
+        # column is an entry column: a row that pivots on its tag clears
+        # nothing
         rng = random.Random(1604)
+        cleared = []
+        step = exact._eliminate
+
+        def recording(row, at, pivot_row, c, p):
+            cleared.append(c)
+            return step(row, at, pivot_row, c, p)
+
+        monkeypatch.setattr(exact, "_eliminate", recording)
 
         def entry():
             return Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
@@ -566,9 +576,10 @@ class TestKernelAgainstReference:
             flats = [[x for b in r for x in r_flat(b)] for r in refs]
             tflat = [x for b in rtarget for x in r_flat(b)]
             ranks = [r_rank(flats[:j]) for j in range(len(flats) + 1)]
-            del eliminations[:]
+            del eliminations[:], cleared[:]
             got = span_coords([element(r) for r in refs], element(rtarget))
             assert len(eliminations) == 1
+            assert cleared and max(cleared) < sum(n * m for n, m in shapes)
             assert (got is not None) == (r_rank(flats + [tflat]) == ranks[-1])
             if got is None:
                 continue
@@ -619,9 +630,9 @@ def eliminations(monkeypatch):
     calls = []
     bareiss = exact._bareiss
 
-    def recording(rows, limit):
+    def recording(rows):
         calls.append(len(rows))
-        return bareiss(rows, limit)
+        return bareiss(rows)
 
     monkeypatch.setattr(exact, "_bareiss", recording)
     return calls
