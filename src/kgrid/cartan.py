@@ -443,13 +443,18 @@ def embed(d: CartanDescriptor, x: Matrix) -> TroElement:
     space (see ``intrinsic_basis`` for the conventions).  For IV(d) the image
     is a ``CliffordElement`` word, not a matrix element."""
     basis = intrinsic_basis(d)
-    if x.shape != basis[0].shape:
-        raise CoordinateError(f"{d} expects a {basis[0].rows}x{basis[0].cols} "
-                              f"coordinate matrix, got {x.shape}")
-    coeffs = span_coords(basis, x)
-    if coeffs is None:
-        raise CoordinateError(f"coordinates are not in the coordinate space of {d}")
+    coeffs = span_coords(basis, x) if x.shape == basis[0].shape else None
+    _check_coordinates(d, x, basis[0].shape, coeffs is not None)
     return _combine(embedded_basis(d), coeffs)
+
+
+def _check_coordinates(d: CartanDescriptor, x: Matrix, shape: tuple, on_space: bool) -> None:
+    """Raise ``embed``'s CoordinateError for x of another shape or off the space."""
+    if x.shape != shape:
+        raise CoordinateError(f"{d} expects a {shape[0]}x{shape[1]} "
+                              f"coordinate matrix, got {x.shape}")
+    if not on_space:
+        raise CoordinateError(f"coordinates are not in the coordinate space of {d}")
 
 
 def coords_of(d: CartanDescriptor, el: TroElement) -> Matrix:
@@ -471,9 +476,14 @@ def intrinsic_jordan(d: CartanDescriptor, x: Matrix, y: Matrix, z: Matrix) -> Ma
     """The factor's own triple product in intrinsic coordinates.
 
     For the matrix factors this is (x y* z + z y* x)/2 on coordinates; for the
-    spin factor it is pulled back through the embedding.
+    spin factor it is pulled back through the embedding.  Coordinates off the
+    space raise ``embed``'s CoordinateError: on I, II and III their shape
+    decides it, and their transpose on II (skew) and III (symmetric).
     """
     if d.kind in ("I", "II", "III"):
+        for v in (x, y, z):
+            _check_coordinates(d, v, (d.params[0], d.params[-1]), d.kind == "I"
+                               or v.transpose() == (-v if d.kind == "II" else v))
         return mat_jordan(x, y, z)
     if d.kind == "IV":
         return coords_of(d, jordan_triple(embed(d, x), embed(d, y), embed(d, z)))

@@ -8,7 +8,7 @@ from itertools import combinations, combinations_with_replacement
 from typing import Iterator, NamedTuple
 
 from .cartan import CartanDescriptor, TripleSpec, canonicalize_spec
-from .invariant import _quick_key, classify, k_grid_invariant, recover_factors
+from .invariant import classify, k_grid_invariant, recover_factors
 
 
 def catalog_descriptors() -> tuple:
@@ -33,15 +33,15 @@ class Sweep(NamedTuple):
     classes: dict  # canonical form -> its catalog multisets, in order
     mismatches: list  # one printable line per wrong verdict
     recovery_failures: list  # canonical forms not recovered
-    near_collisions: list  # distinct classes sharing a `_quick_key`
+    near_collisions: list  # distinct classes sharing a key (`KGridInvariant._key`)
 
 
 def sweep(max_factors: int = 3) -> Sweep:
     """Check that the K-grid invariant classifies every catalog multiset of up
     to `max_factors` factors: each is ISOMORPHIC to its canonical form, every
     near-collision (a pair that only block matching can separate; other pairs
-    differ in `_quick_key`) is NOT_ISOMORPHIC, and `recover_factors` inverts
-    the invariant on every class."""
+    differ in their keys, `KGridInvariant._key`) is NOT_ISOMORPHIC, and
+    `recover_factors` inverts the invariant on every class."""
     specs = list(catalog_multisets(max_factors))
     classes: dict = {}
     for s in specs:
@@ -51,7 +51,7 @@ def sweep(max_factors: int = 3) -> Sweep:
                   if classify(s, canon).status != "ISOMORPHIC"]
     by_key: dict = {}
     for canon in classes:
-        by_key.setdefault(_quick_key(k_grid_invariant(canon)), []).append(canon)
+        by_key.setdefault(k_grid_invariant(canon)._key, []).append(canon)
     near_collisions = []
     for bucket in by_key.values():
         for a, b in combinations(bucket, 2):

@@ -16,8 +16,8 @@ spin grid is
 for k = 1..floor((N-1)/2), plus u0 = s_N exactly when N is even.  The u0
 parity is forced: without it the grid would span only N of the N+1 factor
 dimensions when N is even, and with it the last symmetry would be counted
-twice when N is odd.  Span dimension is machine-checked below, so the
-convention is verified rather than assumed.
+twice when N is odd.  Span dimension and element count are checked below,
+so the convention is verified rather than assumed, at both parities.
 """
 
 from __future__ import annotations
@@ -209,6 +209,8 @@ class GridReport:
                 out.append(f"{c.label}: not minimal")
         if not self.span_ok:
             out.append(f"span is {self.span_found}, expected {self.span_expected}")
+        elif len(self.element_checks) > self.span_found:
+            out.append(f"{len(self.element_checks)} elements span {self.span_found} dimensions")
         out.extend(name for name, ok in self.identity_checks if not ok)
         return out
 

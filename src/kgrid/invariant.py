@@ -103,16 +103,16 @@ class KGridInvariant:
     built from a dense ``gamma`` splits it into blocks once, here.  Equal
     gammas give equal blocks either way, so equality and hashing mean what
     they meant on the dense set.  ``gamma`` rebuilds the dense set on every
-    read and is not kept.  ``_key`` holds ``_quick_key`` once it is first
-    read; it takes no part in equality, hashing or ``repr``.
+    read and is not kept.  ``_key``, set when the invariant is built, merges
+    its blocks' ``_sorted_key`` (see ``_merged_key``); it takes no part in
+    equality, hashing or ``repr``.
     """
 
     group: DoubleScaledGroup
     blocks: tuple
     zero_class: bool
     exceptional_count: int
-    _key: Optional[tuple] = field(default=None, compare=False, hash=False,
-                                  repr=False)
+    _key: tuple = field(compare=False, hash=False, repr=False)
 
     def __init__(self, group: DoubleScaledGroup, gamma: frozenset,
                  exceptional_count: int = 0) -> None:
@@ -125,8 +125,9 @@ class KGridInvariant:
         if set(map(len, gamma)) - {group.k}:
             raise ValueError(f"every grid class needs {group.k} entries, "
                              "one per summand")
-        _store(self, group, _blocks(group, gamma), (0,) * group.k in gamma,
-               exceptional_count)
+        blocks, zero_class = _blocks(group, gamma), (0,) * group.k in gamma
+        _store(self, group, blocks, zero_class, exceptional_count,
+               _merged_key((_sorted_key(*block[1:]) for block in blocks), zero_class))
 
     @property
     def gamma(self) -> frozenset:
@@ -150,8 +151,7 @@ class KGridInvariant:
 
 
 def _store(inv: KGridInvariant, group: DoubleScaledGroup, blocks: tuple,
-           zero_class: bool, exceptional_count: int,
-           key: Optional[tuple] = None) -> KGridInvariant:
+           zero_class: bool, exceptional_count: int, key: tuple) -> KGridInvariant:
     """Set the fields of a frozen invariant."""
     if type(exceptional_count) is not int or exceptional_count < 0:
         raise ValueError("exceptional_count must be a non-negative int, "
@@ -218,21 +218,15 @@ def _shared(part):
 def _factor_parts(f: CartanDescriptor) -> tuple:
     """What assembly takes from one canonical factor, built once: its own
     block (all its summands, their caps and its grid classes), its left and
-    right caps, its sorted cap pairs, and the sorted nonzero entries of each
-    of its classes, sorted (its share of ``_quick_key``)."""
+    right caps, and its block's ``_sorted_key`` (its share of the key)."""
     caps = enveloping_tro(f).summands
     classes = gamma(f)
     return ((tuple(range(len(caps))), caps, classes),
             tuple(n for n, _ in caps), tuple(m for _, m in caps),
-            tuple(sorted(caps)), tuple(sorted(_nonzero_entries(classes))))
+            _sorted_key(caps, classes))
 
 
-def _nonzero_entries(classes) -> list:
-    """The sorted nonzero entries of each class: its part of ``_quick_key``."""
-    return [tuple(sorted(filter(None, c))) for c in classes]
-
-
-_BLOCK, _LEFT, _RIGHT, _PAIRS, _CLASSES = map(itemgetter, range(5))
+_BLOCK, _LEFT, _RIGHT, _KEY = map(itemgetter, range(4))
 
 
 @lru_cache(maxsize=None)
@@ -248,9 +242,9 @@ def _invariant_of_canonical(*factors: CartanDescriptor) -> KGridInvariant:
     arguments, they are themselves the cache key.
 
     A miss concatenates the factors' ``_factor_parts``: the caps go to the
-    group as they are, each factor's block is placed at its offset, and
-    ``_quick_key`` is set here by sorting the joined runs, each already
-    sorted.  V and VI sort after every other kind and have no parts.
+    group as they are, each factor's block is placed at its offset, and the
+    key merges the factors' shares, runs that are each already sorted.  V
+    and VI sort after every other kind and have no parts.
     """
     parts = list(map(_factor_parts, factors[:bisect_left(factors, EXCEPTIONAL_16)]))
     blocks, offset = [], 0
@@ -260,10 +254,8 @@ def _invariant_of_canonical(*factors: CartanDescriptor) -> KGridInvariant:
         offset = end
     group = DoubleScaledGroup(tuple(chain.from_iterable(map(_LEFT, parts))),
                               tuple(chain.from_iterable(map(_RIGHT, parts))))
-    key = (tuple(sorted(chain.from_iterable(map(_PAIRS, parts)))),
-           tuple(sorted(chain.from_iterable(map(_CLASSES, parts)))))
     return _store(object.__new__(KGridInvariant), group, tuple(blocks), False,
-                  len(factors) - len(blocks), key)
+                  len(factors) - len(blocks), _merged_key(map(_KEY, parts), False))
 
 
 def k_grid_invariant(s: TripleSpec) -> KGridInvariant:
@@ -275,33 +267,27 @@ def k_grid_invariant(s: TripleSpec) -> KGridInvariant:
 # --- isomorphism of invariants -----------------------------------------------------
 
 @lru_cache(maxsize=4096)
-def _sorted_key(pairs, classes) -> tuple:
-    """Permutation-invariant data: the sorted cap pairs and sorted classes,
-    kept per (caps, classes) in a bounded memo."""
-    return (tuple(sorted(pairs)), tuple(sorted(tuple(sorted(c)) for c in classes)))
+def _sorted_key(caps, classes) -> tuple:
+    """A block's permutation-invariant data: its sorted cap pairs, and the
+    sorted tuple of each class's sorted nonzero entries, kept per (caps,
+    classes) in a bounded memo.  Blocks with equal sorted caps have equal
+    width, and for a fixed width dropping the zeros is a bijection on sorted
+    classes, so two such keys are equal exactly when the keys that keep the
+    zeros are."""
+    return (tuple(sorted(caps)), tuple(sorted(tuple(sorted(filter(None, c)))
+                                              for c in classes)))
 
 
-def _quick_key(inv: KGridInvariant) -> tuple:
-    """Unequal keys mean non-isomorphic; unequal first entries, unequal groups.
-
-    The sorted cap pairs, and the sorted tuple of each class's sorted nonzero
-    entries, kept on the invariant.  An assembled invariant gets it at
-    assembly, from its factors' parts; one built from dense classes builds
-    it here on first read, from its blocks.  For a fixed k (the number of
-    cap pairs) dropping the zeros is a bijection on sorted dense classes, so
-    two keys are equal exactly when the keys of the dense gammas (each class
-    padded with zeros to length k, then sorted) are; the cost is linear in
-    the stored blocks, not in k per class.
-    """
-    key = inv._key
-    if key is None:
-        classes = [()] if inv.zero_class else []
-        for _, _, block_classes in inv.blocks:
-            classes += _nonzero_entries(block_classes)
-        key = (tuple(sorted(zip(inv.group.left_caps, inv.group.right_caps))),
-               tuple(sorted(classes)))
-        object.__setattr__(inv, "_key", key)
-    return key
+def _merged_key(keys, zero_class: bool) -> tuple:
+    """An invariant's key: its blocks' ``_sorted_key`` merged, plus () for a
+    zero class; unequal keys mean non-isomorphic, unequal first entries
+    unequal groups.  Every summand lies in one block, so two keys are equal
+    exactly when the keys of the dense gammas (each class zero-padded) are."""
+    caps, classes = [], [()] * zero_class
+    for block_caps, block_classes in keys:
+        caps += block_caps
+        classes += block_classes
+    return tuple(sorted(caps)), tuple(sorted(classes))
 
 
 @lru_cache(maxsize=4096)
@@ -354,7 +340,7 @@ def invariants_isomorphic(a: KGridInvariant,
     equal-cap columns costs factorial time in that number, once per distinct
     pair of blocks: the block matcher is memoized by value.
     """
-    if _quick_key(a) != _quick_key(b):
+    if a._key != b._key:
         return None
     if a == b:
         return tuple(range(a.group.k))
@@ -436,7 +422,7 @@ def classify_invariants(a: KGridInvariant, b: KGridInvariant) -> Verdict:
         return _identity_verdict(a.group.k, a.exceptional_count > 0)
     perm = invariants_isomorphic(a, b)
     if perm is None:
-        return _CAPS_DIFFER if _quick_key(a)[0] != _quick_key(b)[0] else _GAMMA_DIFFER
+        return _CAPS_DIFFER if a._key[0] != b._key[0] else _GAMMA_DIFFER
     if a.exceptional_count != b.exceptional_count:
         return Verdict("NOT_ISOMORPHIC", None, "exceptional_count",
                        f"exceptional factor counts differ "

@@ -129,6 +129,21 @@ MUTANTS = (
            "lead = {c for row in rows[:k] for c in sorted(row)[:k]}",
            "lead = {c for row in rows[:k] for c in sorted(row)[:1]}",
            ("tests/test_exact.py::TestKernelAgainstReference::test_span_coords_seeded",)),
+    # one key rule for blocks and invariants, set when the invariant is built
+    Mutant("sorted-key-keeps-zeros", "kgrid/invariant.py",
+           "tuple(sorted(filter(None, c)))", "tuple(sorted(c))",
+           ("tests/test_invariant.py::TestKeyRule::test_key_is_set_at_construction",)),
+    Mutant("merged-key-drops-zero-class", "kgrid/invariant.py",
+           "caps, classes = [], [()] * zero_class", "caps, classes = [], []",
+           ("tests/test_invariant.py::TestKeyRule::test_key_is_set_at_construction",)),
+    # coordinates off the factor, and a spanning set with a surplus element
+    Mutant("intrinsic-jordan-unchecked", "kgrid/cartan.py",
+           "for v in (x, y, z):", "for v in ():",
+           tuple(f"tests/test_refusals.py::test_refusal[jordan-{name}]"
+                 for name in ("off-shape-on-i", "identity-on-ii", "unit-on-iii"))),
+    Mutant("surplus-element-unreported", "kgrid/grids.py",
+           "elif len(self.element_checks) > self.span_found:", "elif False:",
+           ("tests/test_grids.py::TestVerifyGrid::test_surplus_element_reported",)),
     # the Jordan kernel of both block formats, exact._jordan
     Mutant("jordan-halving-dropped", "kgrid/exact.py",
            "return sparse_matrix(a.rows, a.cols, num, 2 * a.den * b.den * c.den)",

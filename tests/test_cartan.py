@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kgrid import cartan
 from kgrid.cartan import (
     CartanDescriptor,
     CoordinateError,
@@ -542,6 +543,17 @@ class TestJordanPreservation:
         x, y, z = (data.draw(_coordinates(d)) for _ in range(3))
         assert intrinsic_jordan(d, x, y, z) == \
             ((x @ y.dagger() @ z) + (z @ y.dagger() @ x)).scale(HALF)
+
+    def test_coordinates_checked_without_a_span(self, monkeypatch):
+        # the coordinate space of I, II and III is read from the shape and
+        # the transpose: embed's span solving is not called
+        def refuse(*args):
+            raise AssertionError("a span was solved")
+        monkeypatch.setattr(cartan, "span_coords", refuse)
+        for d in (CD("I", 2, 3), CD("I", 1, 4), CD("II", 5), CD("III", 3)):
+            x, y, z = intrinsic_basis(d)[:3]
+            assert intrinsic_jordan(d, x, y, z) == \
+                ((x @ y.dagger() @ z) + (z @ y.dagger() @ x)).scale(HALF)
 
     def test_intrinsic_products_close_for_matrix_factors(self):
         d = CD("II", 5)

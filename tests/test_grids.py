@@ -268,6 +268,16 @@ class TestVerifyGrid:
         report = verify_grid(dataclasses.replace(g, elements=tuple(elements)))
         assert report.failures() == ["span is 8, expected 9"]
 
+    def test_surplus_element_reported(self):
+        # IV(6) with s5 appended as u0, the wrong parity: each of the 7
+        # elements is a tripotent, the span is 6 of 6 and the identities hold
+        g = grid_for(CD("IV", 6))
+        wrong = dataclasses.replace(g, elements=g.elements + (g.basis[-1],),
+                                    labels=g.labels + ("u0",), rank_two=frozenset({"u0"}))
+        report = verify_grid(wrong)
+        assert report.span_ok and all(ok for _, ok in report.identity_checks)
+        assert report.failures() == ["7 elements span 6 dimensions"]
+
     def test_extra_element_rejected(self):
         # a grid used to verify ok past its labels, leaving extra elements unchecked
         g = grid_for(CD("III", 3))

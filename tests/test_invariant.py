@@ -44,7 +44,6 @@ from kgrid.invariant import (
     _candidates,
     _factor_parts,
     _match_block,
-    _quick_key,
     _sorted_key,
 )
 from kgrid.ktheory import DoubleScaledGroup
@@ -613,7 +612,7 @@ def assert_matches_dense(inv):
     assert inv.blocks == tuple(reference_blocks(inv.group, inv.gamma)) == dense.blocks
     assert inv == dense and hash(inv) == hash(dense)
     # each invariant keeps its own key, built from its blocks
-    assert _quick_key(inv) == _quick_key(dense) == \
+    assert inv._key == dense._key == \
         compact_key(reference_quick_key(inv.group, inv.gamma))
 
 
@@ -668,7 +667,7 @@ class TestAssemblyOracle:
             inv = k_grid_invariant(s)
             dense = KGridInvariant(inv.group, inv.gamma, inv.exceptional_count)
             assert inv == dense and hash(inv) == hash(dense), s
-            assert inv._key == _quick_key(dense), s
+            assert inv._key == dense._key, s
 
     def test_catalog_multisets_up_to_three(self):
         rng = random.Random(21)
@@ -777,7 +776,7 @@ class TestCallerBuilt:
         assert inv.gamma == gamma
         assert inv.zero_class == ((0,) * group.k in gamma)
         assert inv.blocks == tuple(reference_blocks(group, gamma))
-        assert _quick_key(inv) == compact_key(reference_quick_key(group, gamma))
+        assert inv._key == compact_key(reference_quick_key(group, gamma))
         assert recovered(inv) == reference_recover(group, gamma, 0)
         assert recovered(inv) == reference_recover(group, gamma, 0)  # memo hit
         assert recovered(KGridInvariant(group, gamma, 1)) is UnknownFactorError
@@ -786,7 +785,7 @@ class TestCallerBuilt:
     def test_key_equality_is_dense_key_equality(self, pair):
         (group_a, gamma_a), (group_b, gamma_b) = pair
         a, b = KGridInvariant(group_a, gamma_a), KGridInvariant(group_b, gamma_b)
-        assert (_quick_key(a) == _quick_key(b)) == \
+        assert (a._key == b._key) == \
             (reference_quick_key(group_a, gamma_a) == reference_quick_key(group_b, gamma_b))
 
     @given(raw_invariants(), st.data())
@@ -799,6 +798,94 @@ class TestCallerBuilt:
         assert (a == b) == (gamma == other)
         if a == b:
             assert hash(a) == hash(b)
+
+
+# --- one key rule -------------------------------------------------------------------
+
+def reference_sorted_key(caps, classes) -> tuple:
+    """The block key that keeps the zeros: sorted cap pairs, sorted sorted classes."""
+    return (tuple(sorted(caps)), tuple(sorted(tuple(sorted(c)) for c in classes)))
+
+
+def seeded_raw(rng, k):
+    """(group, gamma) on k summands with caps of two values, so that blocks
+    share caps, entries in -1..2, many of them zero, and the zero class
+    about half the time."""
+    caps = [rng.choice(((1, 1), (2, 2))) for _ in range(k)]
+    group = DoubleScaledGroup(tuple(n for n, _ in caps), tuple(m for _, m in caps))
+    gamma = {tuple(rng.choice((0, 0, 1, 2, -1)) for _ in range(k))
+             for _ in range(rng.randint(0, 5))}
+    if rng.random() < 0.5:
+        gamma.add((0,) * k)
+    return group, frozenset(gamma)
+
+
+class TestKeyRule:
+    # one rule keys blocks and invariants: an invariant's key merges its
+    # blocks' keys, plus () for a zero class, and is set when it is built
+
+    def test_key_is_set_at_construction(self):
+        rng = random.Random(30)
+        zero_classes = 0
+        for _ in range(500):
+            group, gamma = seeded_raw(rng, rng.randint(0, 6))
+            inv = KGridInvariant(group, gamma)
+            assert inv._key == compact_key(reference_quick_key(group, gamma)), gamma
+            zero_classes += inv.zero_class
+        assert 0 < zero_classes < 500
+
+    def test_block_keys_are_equal_as_the_zero_keeping_keys(self):
+        # blocks of equal sorted caps and up to 7 columns: the second one's
+        # caps permuted, and its classes each permuted, one entry changed,
+        # or drawn afresh
+        rng = random.Random(31)
+
+        def classes(width):
+            return frozenset(tuple(rng.choice((0, 0, 1, 2, -1)) for _ in range(width))
+                             for _ in range(rng.randint(0, 4)))
+        outcomes = set()
+        for _ in range(3000):
+            width = rng.randint(1, 7)
+            caps = tuple(rng.choice(((1, 1), (2, 2), (1, 2))) for _ in range(width))
+            a = classes(width)
+            edit = rng.choice(["permute", "change", "fresh"])
+            if edit == "permute":
+                b = frozenset(tuple(rng.sample(c, width)) for c in a)
+            elif edit == "change" and a:
+                old, i = rng.choice(sorted(a)), rng.randrange(width)
+                b = a - {old} | {old[:i] + (rng.choice((0, 1, -1)),) + old[i + 1:]}
+            else:
+                b = classes(width)
+            other = tuple(rng.sample(caps, width))
+            same = _sorted_key(caps, a) == _sorted_key(other, b)
+            assert same == (reference_sorted_key(caps, a) == reference_sorted_key(other, b))
+            outcomes.add(same)
+        assert outcomes == {True, False}
+
+    def test_buckets_are_the_zero_keeping_rules(self, monkeypatch):
+        # shuffled raw invariants, some with a class dropped or an entry
+        # changed first, or drawn afresh: bucketing blocks by the
+        # zero-keeping key gives the same verdicts and witnesses
+        rng = random.Random(32)
+        pairs = []
+        for _ in range(2000):
+            group, gamma = seeded_raw(rng, rng.randint(1, 6))
+            a = KGridInvariant(group, gamma, rng.choice((0, 0, 0, 1)))
+            edit = rng.choice(["none", "none", "drop", "change", "fresh"])
+            if edit == "fresh":
+                group, gamma = seeded_raw(rng, group.k)
+            elif edit == "drop" and gamma:
+                gamma = gamma - {rng.choice(sorted(gamma))}
+            elif edit == "change" and gamma:
+                old, i = rng.choice(sorted(gamma)), rng.randrange(group.k)
+                gamma = gamma - {old} | {old[:i] + (rng.choice((0, 1, 2)),) + old[i + 1:]}
+            pairs.append((a, shuffled(KGridInvariant(group, gamma, a.exceptional_count), rng)))
+        verdicts = [classify_invariants(a, b) for a, b in pairs]
+        monkeypatch.setattr(invariant, "_sorted_key", reference_sorted_key)
+        assert verdicts == [classify_invariants(a, b) for a, b in pairs]
+        assert {v.status for v in verdicts} == {"ISOMORPHIC", "NOT_ISOMORPHIC",
+                                               "INDETERMINATE"}
+        assert {v.distinguishing for v in verdicts} >= {"caps", "gamma"}
 
 
 # --- recovery memo ------------------------------------------------------------------
@@ -866,7 +953,6 @@ class TestRecoveryMemo:
             "kgrid.invariant._sorted_key": 4096,
             "kgrid.invariant._identity_verdict": 256,
         }
-        assert not hasattr(_quick_key, "cache_info")
 
 
 # --- block matching memo -----------------------------------------------------------
@@ -1030,7 +1116,7 @@ class TestBlockLemma:
             inv = k_grid_invariant(TripleSpec((f,)))
             dense = KGridInvariant(inv.group, inv.gamma)
             assert dense.blocks == inv.blocks and len(inv.blocks) == 1, f
-            keys.add(_quick_key(inv))
+            keys.add(inv._key)
             assert recover_factors(dense) == TripleSpec((f,)), f
         assert len(keys) == len(factors)
 

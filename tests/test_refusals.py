@@ -71,6 +71,15 @@ _REFUSALS = [
      "symmetry 0 lives in a different space"),
     ("off-the-embedded-copy", _off_the_embedded_copy, CoordinateError,
      r"not in the embedded copy of IV\(5\)"),
+    ("jordan-off-shape-on-i", lambda: intrinsic_jordan(
+        CartanDescriptor("I", (2, 3)), *[matrix_unit(3, 2, 0, 0)] * 3),
+     CoordinateError, r"I\(2,3\) expects a 2x3 coordinate matrix, got \(3, 2\)"),
+    ("jordan-identity-on-ii", lambda: intrinsic_jordan(
+        CartanDescriptor("II", (5,)), *[identity(5)] * 3),
+     CoordinateError, r"not in the coordinate space of II\(5\)"),
+    ("jordan-unit-on-iii", lambda: intrinsic_jordan(
+        CartanDescriptor("III", (3,)), zeros(3, 3), zeros(3, 3), matrix_unit(3, 3, 0, 1)),
+     CoordinateError, r"not in the coordinate space of III\(3\)"),
     ("exceptional-jordan", lambda: intrinsic_jordan(
         EXCEPTIONAL_16, zeros(1, 1), zeros(1, 1), zeros(1, 1)),
      ExceptionalFactorError, "no coordinate model"),
