@@ -64,6 +64,10 @@ COMMANDS = (
         # rank-one, symplectic, hermitian and rectangular grids past the catalog
         ["verify", "--json", "I(1,8)+I(8,1)+I(1,9)+II(8)+III(8)+III(10)+I(6,6)"],
         ["verify", "I(20,20)"],
+        # rank-one caps and classes past h = 9, and table rows past 7
+        ["invariant", "I(1,40)+I(12,1)"],
+        ["invariant", "I(1,40)+I(12,1)", "--json"],
+        ["table", "--hilbert-max", "12", "--json"],
     ]
 )
 
