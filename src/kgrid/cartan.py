@@ -19,12 +19,10 @@ handled by canonicalization.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Sequence
 
 from .exact import Matrix, ParseError, mat_jordan, matrix_unit, span_coords, sparse_matrix
@@ -258,6 +256,11 @@ def intrinsic_dim(d: CartanDescriptor) -> int:
     return 16 if d.kind == "V" else 27
 
 
+def binomial_row(h: int) -> tuple:
+    """C(h,0), ..., C(h,h), each from the one before: C(h,t) = C(h,t-1)(h-t+1)/t."""
+    return tuple(accumulate(range(1, h + 1), lambda c, t: c * (h - t + 1) // t, initial=1))
+
+
 def enveloping_tro(d: CartanDescriptor) -> TroSpace:
     """The universal enveloping TRO of a non-exceptional factor."""
     if is_exceptional(d):
@@ -266,10 +269,9 @@ def enveloping_tro(d: CartanDescriptor) -> TroSpace:
         )
     if d.kind == "I":
         n, m = d.params
-        if min(n, m) == 1:
-            h = n * m
-            return TroSpace(tuple((comb(h, k), comb(h, k - 1))
-                                  for k in range(1, h + 1)))
+        if min(n, m) == 1:  # caps (C(h,k), C(h,k-1)) for k = 1..h
+            row = binomial_row(n * m)
+            return TroSpace(tuple(zip(row[1:], row)))
         return TroSpace(((n, m), (m, n)))
     if d.kind in ("II", "III"):
         n = d.params[0]
@@ -279,22 +281,35 @@ def enveloping_tro(d: CartanDescriptor) -> TroSpace:
 
 # --- rank-one machinery -------------------------------------------------------
 
-def _perm_sign(subset_i: tuple, i: int) -> int:
-    """The sign of the permutation (sorted I, i, sorted J) of (1..n), for I
-    = subset_i (sorted, without i) and J the numbers of 1..n in neither I nor {i}.
+def _lex_index(h: int, size: int) -> dict:
+    """The size-subsets of {1..h} as bit masks (bit j - 1 stands for j), each
+    mapped to its index in lexicographic order."""
+    return {sum(1 << p for p in c): r for r, c in enumerate(combinations(range(h), size))}
 
-    Both runs are sorted, so its inversions are counted without a pass over
-    pairs.  The t-th element a of I (from t = 0) stands before exactly the
-    a - 1 - t smaller numbers outside I, all of them i or in J; then i
-    stands before the i - 1 - #{a in I : a < i} elements of J below it.
-    """
-    k = len(subset_i)
-    inv = sum(subset_i) - k * (k + 1) // 2 + i - 1 - bisect_left(subset_i, i)
-    return -1 if inv % 2 else 1
+
+def _frame_level(h: int, k: int) -> list:
+    """Block k of every frame element, [b(h,k,1), ..., b(h,k,h)], from one pass
+    over the (k-1)-subsets I of {1..h}.  A sign is the parity of the inversions
+    of (sorted I, i, sorted J): the t-th element a of I (from t = 0) precedes
+    a - 1 - t smaller numbers, sum(I) - (k-1)k/2 in all, and sum(I) is as odd
+    as I's count of odd numbers; then i precedes i - 1 - #{a in I : a < i} in J."""
+    cols, rows = _lex_index(h, k - 1), _lex_index(h, h - k)
+    full = (1 << h) - 1
+    odd = sum(1 << p for p in range(0, h, 2))  # the masks of 1, 3, 5, ...
+    num: list = [{} for _ in range(h)]
+    for c, mask in enumerate(cols):
+        inv_i = (mask & odd).bit_count() - (k - 1) * k // 2  # inversions led by I's elements
+        for i in range(1, h + 1):
+            bit = 1 << (i - 1)
+            if not mask & bit:
+                inv = inv_i + i - 1 - (mask & (bit - 1)).bit_count()
+                num[i - 1][rows[full ^ mask ^ bit]] = {c: (-1 if inv % 2 else 1, 0)}
+    return [sparse_matrix(len(rows), len(cols), entries, 1) for entries in num]
 
 
 def b_matrix(n: int, k: int, i: int) -> Matrix:
-    """The signed incidence matrix mapping (k-1)-subsets to (n-k)-subsets.
+    """The signed incidence matrix mapping (k-1)-subsets to (n-k)-subsets:
+    block k of g_i in ``hilbert_frame(n)``, built from that one level.
 
     Rows are indexed by the (n-k)-subsets J of {1..n}, columns by the
     (k-1)-subsets I, both in lexicographic order.  The (J, I) entry is the
@@ -304,19 +319,7 @@ def b_matrix(n: int, k: int, i: int) -> Matrix:
     """
     if not (1 <= k <= n) or not (1 <= i <= n):
         raise ValueError(f"b_matrix indices out of range: n={n}, k={k}, i={i}")
-    row_subsets = list(combinations(range(1, n + 1), n - k))
-    col_subsets = list(combinations(range(1, n + 1), k - 1))
-    row_index = {s: r for r, s in enumerate(row_subsets)}
-    nrows, ncols = len(row_subsets), len(col_subsets)
-    num = {}
-    for c, subset_i in enumerate(col_subsets):
-        if i in subset_i:
-            continue
-        subset_j = tuple(sorted(set(range(1, n + 1)) - set(subset_i) - {i}))
-        r = row_index[subset_j]
-        sign = _perm_sign(subset_i, i)
-        num[r] = {c: (sign, 0)}
-    return sparse_matrix(nrows, ncols, num, 1)
+    return _frame_level(n, k)[i - 1]
 
 
 @lru_cache(maxsize=None)
@@ -324,10 +327,8 @@ def hilbert_frame(h: int) -> tuple:
     """The embedded standard basis of the rank-one factor of dimension h:
     g_i = (b(h,1,i), ..., b(h,h,i)) inside the enveloping TRO."""
     target = enveloping_tro(CartanDescriptor("I", (1, h)))
-    return tuple(
-        TroElement(target, tuple(b_matrix(h, k, i) for k in range(1, h + 1)))
-        for i in range(1, h + 1)
-    )
+    blocks = zip(*(_frame_level(h, k) for k in range(1, h + 1)))  # each g_i's blocks
+    return tuple(TroElement(target, g) for g in blocks)
 
 
 # --- spin systems -------------------------------------------------------------

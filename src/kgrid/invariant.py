@@ -25,7 +25,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, compress, permutations, product
-from math import comb
 from operator import itemgetter
 from typing import Optional
 
@@ -34,6 +33,8 @@ from .cartan import (
     CartanDescriptor,
     ExceptionalFactorError,
     TripleSpec,
+    UnsupportedFactorError,
+    binomial_row,
     canonicalize_factor,
     enveloping_tro,
     is_exceptional,
@@ -51,10 +52,7 @@ def _family_gamma(d: CartanDescriptor, tabulated: bool = False) -> frozenset:
     dimensions instead, and give III(1) its family's (2,)."""
     if d.kind == "I":
         n, m = d.params
-        if min(n, m) == 1:
-            h = n * m
-            return frozenset({tuple(comb(h - 1, t) for t in range(h))})
-        return frozenset({(1, 1)})
+        return frozenset({binomial_row(n * m - 1) if min(n, m) == 1 else (1, 1)})
     if d.kind == "II":
         return frozenset({(2,)})
     if d.kind == "III":
@@ -437,25 +435,25 @@ def classify(s1: TripleSpec, s2: TripleSpec) -> Verdict:
 
 # --- factor recovery ---------------------------------------------------------------
 
-def _candidates(caps: list) -> list:
-    """Canonical factors whose summand caps are the sorted multiset `caps`."""
-    width = len(caps)
+@lru_cache(maxsize=4096)
+def _candidates(caps: tuple) -> tuple:
+    """Canonical factors whose summand caps are the sorted tuple `caps`: at
+    most one per family, named by the width w and the first cap (l, r)
+    (IV(2p + w) for l = 2^p), kept when it constructs, is canonical and has
+    these caps in ``enveloping_tro``.  Kept per caps in a bounded memo, as
+    every order of a block's summands asks for the same sorted caps."""
+    width, (l, r) = len(caps), caps[0]
+    named = [("I", (l, r))] if l > 1 or r == width else []  # I(1,r) has r summands
+    named += [("II", (l,)), ("III", (l,)), ("IV", (2 * l.bit_length() - 2 + width,))]
     out = []
-    if caps[0] == (1, width) and caps == sorted(
-            (comb(width, t), comb(width, t - 1)) for t in range(1, width + 1)):
-        out.append(CartanDescriptor("I", (1, width)))
-    l, r = caps[0]
-    if width == 2 and min(l, r) >= 2 and caps[1] == (r, l):
-        out.append(CartanDescriptor("I", (min(l, r), max(l, r))))
-    if width <= 2 and l == r and caps[-1] == (l, l):
-        n = l
-        if width == 1 and n >= 5:
-            out.append(CartanDescriptor("II", (n,)))
-        if width == 1 and n >= 2:
-            out.append(CartanDescriptor("III", (n,)))
-        if n >= 4 and n & (n - 1) == 0:  # n = 2^p: IV(2p+1), IV(2p+2)
-            out.append(CartanDescriptor("IV", (2 * n.bit_length() - 2 + width,)))
-    return out
+    for kind, params in named:
+        try:
+            f = CartanDescriptor(kind, params)
+        except UnsupportedFactorError:  # below the family's range
+            continue
+        if canonicalize_factor(f) == f and tuple(sorted(enveloping_tro(f).summands)) == caps:
+            out.append(f)
+    return tuple(out)
 
 
 @lru_cache(maxsize=4096)
@@ -464,7 +462,7 @@ def _block_factors(caps: tuple, classes: frozenset) -> tuple:
     classes matches, at whatever columns it sits.  Assembled blocks share
     the objects of ``_factor_parts``' blocks, so a hit hashes a short caps
     tuple and a frozenset whose hash Python keeps."""
-    return tuple(f for f in _candidates(sorted(caps))
+    return tuple(f for f in _candidates(tuple(sorted(caps)))
                  if _match_block(caps, classes, *_BLOCK(_factor_parts(f))[1:])
                  is not None)
 

@@ -67,12 +67,17 @@ MUTANTS = (
             "tests/test_invariant.py::TestBlockLemma::"
             "test_cap_sharing_multisets_classify_by_canonical_form")),
     Mutant("candidates-without-iv10", "kgrid/invariant.py",
-           "if n >= 4 and n & (n - 1) == 0:",
-           "if n >= 4 and n & (n - 1) == 0 and (n, width) != (16, 2):",
+           "for kind, params in named:",
+           "for kind, params in (named[:-1] if (l, r, width) == (16, 16, 2) else named):",
            ("tests/test_invariant.py::TestBlockLemma::"
             "test_each_factor_is_one_block_separated_and_recovered",
             "tests/test_invariant.py::TestBlockLemma::"
             "test_cap_sharing_multisets_classify_by_canonical_form")),
+    # recovery reads each family's caps and range from cartan
+    Mutant("candidates-not-canonical", "kgrid/invariant.py",
+           "if canonicalize_factor(f) == f and tuple(", "if tuple(",
+           ("tests/test_invariant.py::TestBlockLemma::"
+            "test_each_factor_is_one_block_separated_and_recovered",)),
     Mutant("coincidence-iii2-is-i22", "kgrid/cartan.py",
            '_COINCIDENCES = {CartanDescriptor("III", (1,)): CartanDescriptor("I", (1, 1)),',
            '_COINCIDENCES = {CartanDescriptor("III", (2,)): CartanDescriptor("I", (2, 2)), '
@@ -95,8 +100,8 @@ MUTANTS = (
            ("tests/test_grids.py::TestUnitMonomialRanks::"
             "test_products_spanning_a_plane_are_not_minimal",)),
     Mutant("perm-sign-parity-flipped", "kgrid/cartan.py",
-           "return -1 if inv % 2 else 1",
-           "return 1 if inv % 2 else -1",
+           "{c: (-1 if inv % 2 else 1, 0)}",
+           "{c: (1 if inv % 2 else -1, 0)}",
            ("tests/test_cartan.py::TestBMatrix::test_hodge_star_after_a_wedge",)),
     Mutant("word-adjoint-sign", "kgrid/exact.py",
            "if z.bit_count() & 2 else (re, -im)",

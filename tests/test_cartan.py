@@ -16,8 +16,8 @@ from kgrid.cartan import (
     ParseError,
     TripleSpec,
     UnsupportedFactorError,
-    _perm_sign,
     b_matrix,
+    binomial_row,
     canonicalize_factor,
     canonicalize_spec,
     coords_of,
@@ -39,6 +39,7 @@ from kgrid.tro import (
     parse_space,
 )
 
+from .rank_one import reference_b_matrix, reference_perm_sign
 from .spin import standard_spin_system, to_matrix, word_matrices
 from .strategies import matrices
 
@@ -278,6 +279,16 @@ class TestEnveloping:
         assert enveloping_tro(CD("I", 1, 3)) == parse_space("M(3,1)+M(3,3)+M(1,3)")
         assert enveloping_tro(CD("I", 3, 1)) == parse_space("M(3,1)+M(3,3)+M(1,3)")
 
+    def test_binomial_row_is_comb(self):
+        for h in range(301):
+            assert binomial_row(h) == tuple(comb(h, t) for t in range(h + 1)), h
+
+    def test_rank_one_caps_are_comb(self):
+        for h in range(1, 61):
+            caps = tuple((comb(h, k), comb(h, k - 1)) for k in range(1, h + 1))
+            assert enveloping_tro(CD("I", 1, h)).summands == caps, h
+            assert enveloping_tro(CD("I", h, 1)).summands == caps, h
+
     def test_square_families(self):
         assert enveloping_tro(CD("II", 6)) == parse_space("M(6,6)")
         assert enveloping_tro(CD("III", 3)) == parse_space("M(3,3)")
@@ -318,13 +329,6 @@ class TestDimensions:
         assert intrinsic_dim(CartanDescriptor(*d)) == expected
 
 
-def reference_perm_sign(seq) -> int:
-    """The sign of a permutation by counting its inversions over all pairs."""
-    inversions = sum(seq[a] > seq[b] for a in range(len(seq))
-                     for b in range(a + 1, len(seq)))
-    return -1 if inversions % 2 else 1
-
-
 class TestBMatrix:
     def test_trivial(self):
         assert b_matrix(1, 1, 1) == mat([[1]])
@@ -349,21 +353,11 @@ class TestBMatrix:
 
     def test_signs_match_the_inversion_count(self):
         # the quadratic inversion count of (I, i, J) is the reference for
-        # the sign and for every entry, for each h <= 8, k and i
+        # every entry, for each h <= 8, k and i
         for h in range(1, 9):
             for k in range(1, h + 1):
                 for i in range(1, h + 1):
-                    rows = list(combinations(range(1, h + 1), h - k))
-                    cols = list(combinations(range(1, h + 1), k - 1))
-                    dense = [[0] * len(cols) for _ in rows]
-                    for c, subset_i in enumerate(cols):
-                        if i in subset_i:
-                            continue
-                        subset_j = tuple(sorted(set(range(1, h + 1)) - {i, *subset_i}))
-                        sign = reference_perm_sign(subset_i + (i,) + subset_j)
-                        assert _perm_sign(subset_i, i) == sign
-                        dense[rows.index(subset_j)][c] = sign
-                    assert b_matrix(h, k, i) == mat(dense), (h, k, i)
+                    assert b_matrix(h, k, i) == reference_b_matrix(h, k, i), (h, k, i)
 
     def test_hodge_star_after_a_wedge(self):
         # b(h,k,i) = (-1)^(k-1) ⋆(e_i ∧ ·) from Λ^(k-1) to Λ^(h-k), for each

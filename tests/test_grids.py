@@ -11,7 +11,6 @@ from kgrid.cartan import (
     CartanDescriptor,
     ExceptionalFactorError,
     SpinSystem,
-    b_matrix,
     canonicalize_factor,
     embedded_basis,
     intrinsic_dim,
@@ -52,6 +51,7 @@ from kgrid.tro import (
     ternary_product,
 )
 
+from .rank_one import reference_b_matrix
 from .spin import (
     SIGMA1,
     SIGMA2,
@@ -745,7 +745,7 @@ def _unit(n, m, i, j):
 
 
 def _incidence(h, i):
-    return tuple(b_matrix(h, k, i) for k in range(1, h + 1))
+    return tuple(reference_b_matrix(h, k, i) for k in range(1, h + 1))
 
 
 _S1_2 = kron(SIGMA1, identity(2))

@@ -7,6 +7,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,11 @@ class TestGamma:
 
     def test_rank_one_binomial_row(self):
         assert gamma(CD("I", 1, 3)) == frozenset({(1, 2, 1)})
+
+    def test_rank_one_classes_are_comb(self):
+        for h in range(1, 61):
+            row = frozenset({tuple(comb(h - 1, t) for t in range(h))})
+            assert gamma(CD("I", 1, h)) == gamma(CD("I", h, 1)) == row, h
 
     def test_hermitian(self):
         assert gamma(CD("III", 4)) == frozenset({(1,), (2,)})
@@ -590,7 +596,7 @@ def reference_recover(group, gamma, exceptional_count):
         return UnknownFactorError
     factors = []
     for block in reference_blocks(group, gamma):
-        matches = [f for f in _candidates(sorted(block[1]))
+        matches = [f for f in _candidates(tuple(sorted(block[1])))
                    if _match_block.__wrapped__(*block[1:], *_factor_parts(f)[0][1:])
                    is not None]
         if len(matches) != 1:
@@ -923,7 +929,7 @@ class TestRecoveryMemo:
         # no two supported factors share a block, so offer III(3) twice
         real = invariant._candidates
         monkeypatch.setattr(invariant, "_candidates",
-                            lambda caps: real(caps) * (2 if caps == [(3, 3)] else 1))
+                            lambda caps: real(caps) * (2 if caps == ((3, 3),) else 1))
         _block_factors.cache_clear()
         try:
             lone, after = stranded([(3, 3)], [(1,), (2,)])
@@ -948,6 +954,7 @@ class TestRecoveryMemo:
             "kgrid.invariant._canonical": None,
             "kgrid.invariant._invariant_of_canonical": None,
             "kgrid.invariant._block_factors": 4096,
+            "kgrid.invariant._candidates": 4096,
             "kgrid.invariant._match_block": 4096,
             "kgrid.invariant._shared": 4096,
             "kgrid.invariant._sorted_key": 4096,
@@ -1018,7 +1025,7 @@ class TestRecoveryOracle:
     @pytest.mark.parametrize("d", _oracle_factors(), ids=str)
     def test_factor_is_its_own_candidate_and_recovered(self, d):
         f = canonicalize_factor(d)
-        assert f in _candidates(sorted(enveloping_tro(d).summands))
+        assert f in _candidates(tuple(sorted(enveloping_tro(d).summands)))
         assert recover_factors(k_grid_invariant(TripleSpec((d,)))) == TripleSpec((f,))
 
 
@@ -1031,7 +1038,7 @@ class TestRecoveryStaysCanonical:
         factors += [CD("IV", d) for d in range(5, 81)]
         for f in factors:
             assert canonicalize_factor(f) is f
-            found = _candidates(sorted(enveloping_tro(f).summands))
+            found = _candidates(tuple(sorted(enveloping_tro(f).summands)))
             assert f in found
             for c in found:
                 assert canonicalize_factor(c) is c, (f, c)
@@ -1143,3 +1150,58 @@ class TestBlockLemma:
                 tuple(range(a.group.k))
             assert recover_factors(b) == canonicalize_spec(s)
         assert outcomes == {True, False}
+
+
+def reference_candidates(caps: list) -> list:
+    """``_candidates`` as it was when it stated each family's caps and range
+    itself, instead of reading them from ``enveloping_tro``."""
+    width = len(caps)
+    out = []
+    if caps[0] == (1, width) and caps == sorted(
+            (comb(width, t), comb(width, t - 1)) for t in range(1, width + 1)):
+        out.append(CartanDescriptor("I", (1, width)))
+    l, r = caps[0]
+    if width == 2 and min(l, r) >= 2 and caps[1] == (r, l):
+        out.append(CartanDescriptor("I", (min(l, r), max(l, r))))
+    if width <= 2 and l == r and caps[-1] == (l, l):
+        n = l
+        if width == 1 and n >= 5:
+            out.append(CartanDescriptor("II", (n,)))
+        if width == 1 and n >= 2:
+            out.append(CartanDescriptor("III", (n,)))
+        if n >= 4 and n & (n - 1) == 0:  # n = 2^p: IV(2p+1), IV(2p+2)
+            out.append(CartanDescriptor("IV", (2 * n.bit_length() - 2 + width,)))
+    return out
+
+
+class TestCandidatesAgainstReference:
+    """The candidates read from ``enveloping_tro`` are the ones the stated
+    table gave, in the same order."""
+
+    def test_caps_of_every_factor(self):
+        for f in factors_up_to_dim_3000():
+            caps = sorted(enveloping_tro(f).summands)
+            assert list(_candidates.__wrapped__(tuple(caps))) == \
+                reference_candidates(caps), f
+
+    def test_seeded_cap_multisets(self):
+        # widths 1 to 5; each draw adds a square cap, a cap and its
+        # transpose, or a lone cap
+        rng = random.Random(31)
+        sides = (1, 2, 3, 4, 5, 6, 8, 10, 16, 32)
+        found = 0
+        for _ in range(20000):
+            width, caps = rng.randint(1, 5), []
+            while len(caps) < width:
+                l, r, shape = rng.choice(sides), rng.choice(sides), rng.randrange(3)
+                if shape == 0:
+                    caps.append((l, l))
+                elif shape == 1 and len(caps) + 2 <= width:
+                    caps += [(l, r), (r, l)]
+                else:
+                    caps.append((l, r))
+            caps.sort()
+            expected = reference_candidates(caps)
+            assert list(_candidates.__wrapped__(tuple(caps))) == expected, caps
+            found += bool(expected)
+        assert found > 1000
