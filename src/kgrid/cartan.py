@@ -297,7 +297,7 @@ def _frame_level(h: int, k: int) -> list:
     full = (1 << h) - 1
     odd = sum(1 << p for p in range(0, h, 2))  # the masks of 1, 3, 5, ...
     num: list = [{} for _ in range(h)]
-    for c, mask in enumerate(cols):
+    for mask, c in cols.items():
         inv_i = (mask & odd).bit_count() - (k - 1) * k // 2  # inversions led by I's elements
         for i in range(1, h + 1):
             bit = 1 << (i - 1)
