@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .cartan import (
     CartanDescriptor,
@@ -110,13 +110,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(args: argparse.Namespace, payload: dict, human: str) -> None:
+def _emit(args: argparse.Namespace, payload: dict, human: Callable[[], str]) -> None:
+    """Print the payload as JSON under --json, else the text human() returns,
+    and nothing under --quiet: the human form is formatted only when printed."""
     if args.quiet:
         return
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(human)
+    print(json.dumps(payload, indent=2, sort_keys=True) if args.json else human())
 
 
 def _spec_payload(spec: TripleSpec) -> dict:
@@ -130,9 +129,7 @@ def _spec_payload(spec: TripleSpec) -> dict:
     return payload
 
 
-def _cmd_invariant(args: argparse.Namespace) -> int:
-    spec = parse_triple_spec(args.spec)
-    payload = _spec_payload(spec)
+def _invariant_text(payload: dict) -> str:
     lines = [
         f"factors (canonical): {payload['factors']}",
         f"K0 group: Z^{payload['group']['k']}",
@@ -146,7 +143,12 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
             f"note: {diff['factor']} computed gamma {diff['computed']} differs "
             f"from the tabulated {diff['published']}"
         )
-    _emit(args, payload, "\n".join(lines))
+    return "\n".join(lines)
+
+
+def _cmd_invariant(args: argparse.Namespace) -> int:
+    payload = _spec_payload(parse_triple_spec(args.spec))
+    _emit(args, payload, lambda: _invariant_text(payload))
     return EXIT_OK
 
 
@@ -154,9 +156,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     verdict = classify(parse_triple_spec(args.spec1), parse_triple_spec(args.spec2))
     payload = verdict.to_dict()
     payload["exit_code"] = verdict.exit_code
-    human = f"{verdict.status}: {verdict.detail}"
-    if verdict.witness is not None:
-        human += f"\nwitness permutation: {list(verdict.witness)}"
+
+    def human() -> str:
+        text = f"{verdict.status}: {verdict.detail}"
+        if verdict.witness is not None:
+            text += f"\nwitness permutation: {list(verdict.witness)}"
+        return text
     _emit(args, payload, human)
     return verdict.exit_code
 
@@ -176,6 +181,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         entry["gamma"] = gamma_report(factor, grid_gamma(g))
         entries.append(entry)
         all_ok = all_ok and report.ok
+    _emit(args, {"factors": entries, "ok": all_ok}, lambda: _verify_text(entries))
+    return EXIT_OK if all_ok else EXIT_NEGATIVE
+
+
+def _verify_text(entries: list) -> str:
     lines = []
     for e in entries:
         if e.get("exceptional"):
@@ -191,8 +201,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         g = e["gamma"]
         agree = "agrees with" if g["matches_published"] else "DIFFERS from"
         lines.append(f"  gamma {g['computed']} {agree} tabulated {g['published']}")
-    _emit(args, {"factors": entries, "ok": all_ok}, "\n".join(lines))
-    return EXIT_OK if all_ok else EXIT_NEGATIVE
+    return "\n".join(lines)
 
 
 def _read_int_matrix(path: str) -> list:
@@ -231,13 +240,12 @@ def _cmd_lift(args: argparse.Namespace) -> int:
         payload = {"ok": False, "error": str(exc)}
         if isinstance(exc, LiftError):
             payload.update(summand=exc.summand, side=exc.side, needed=exc.needed, cap=exc.cap)
-        _emit(args, payload, f"not liftable: {exc}")
+        _emit(args, payload, lambda: f"not liftable: {exc}")
         return EXIT_NEGATIVE
     payload = {"ok": True, "mult": [list(r) for r in hom.mult],
                "source": source.to_text(), "target": target.to_text()}
-    _emit(args, payload,
-          f"lifted: {source.to_text()} -> {target.to_text()} with "
-          f"multiplicities {[list(r) for r in hom.mult]}")
+    _emit(args, payload, lambda: f"lifted: {source.to_text()} -> {target.to_text()} with "
+                                 f"multiplicities {payload['mult']}")
     return EXIT_OK
 
 
@@ -271,8 +279,7 @@ def _table_rows(args: argparse.Namespace) -> list:
     return rows
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
-    rows = _table_rows(args)
+def _table_text(rows: list) -> str:
     header = f"{'factor':<10} {'dim':>4}  {'enveloping TRO':<28} {'gamma':<26} {'tabulated':<26} agree"
     lines = [header, "-" * len(header)]
     for r in rows:
@@ -281,7 +288,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
             f"{r['factor']:<10} {r['dim']:>4}  {r['tro']:<28} "
             f"{str(r['gamma_computed']):<26} {str(r['gamma_published']):<26} {agree}"
         )
-    _emit(args, {"rows": rows}, "\n".join(lines))
+    return "\n".join(lines)
+
+
+def _cmd_table(args: argparse.Namespace) -> int:
+    rows = _table_rows(args)
+    _emit(args, {"rows": rows}, lambda: _table_text(rows))
     return EXIT_OK
 
 
@@ -291,21 +303,24 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - start
     failures = [str(c) for c in found.recovery_failures]
     ok = not found.mismatches and not failures
-    lines = found.mismatches + [f"RECOVERY FAILURE: {c}" for c in failures] + [
-        f"{found.multisets} multisets of <= {args.max_factors} factors, "
-        f"{len(found.classes)} isomorphism classes ({elapsed:.1f}s)",
-        f"classification mismatches: {len(found.mismatches)}",
-        f"recovery failures: {len(failures)}",
-        # worded before block matching replaced the witness search; kept as output
-        f"near-collisions separated by the witness search: "
-        f"{len(found.near_collisions)}",
-    ] + [f"  {a}  |  {b}" for a, b in found.near_collisions]
+
+    def human() -> str:
+        lines = found.mismatches + [f"RECOVERY FAILURE: {c}" for c in failures] + [
+            f"{found.multisets} multisets of <= {args.max_factors} factors, "
+            f"{len(found.classes)} isomorphism classes ({elapsed:.1f}s)",
+            f"classification mismatches: {len(found.mismatches)}",
+            f"recovery failures: {len(failures)}",
+            # worded before block matching replaced the witness search; kept as output
+            f"near-collisions separated by the witness search: "
+            f"{len(found.near_collisions)}",
+        ] + [f"  {a}  |  {b}" for a, b in found.near_collisions]
+        return "\n".join(lines)
     payload = {"max_factors": args.max_factors, "multisets": found.multisets,
                "classes": len(found.classes), "mismatches": found.mismatches,
                "recovery_failures": failures, "ok": ok,
                "near_collisions": [[str(a), str(b)]
                                    for a, b in found.near_collisions]}
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, payload, human)
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 

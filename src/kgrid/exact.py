@@ -1,9 +1,10 @@
 """Exact arithmetic over the Gaussian rationals Q(i): scalars, sparse matrices
 of Gaussian-integer numerators over one common denominator, rank and span by
 one fraction-free elimination, Kronecker products and block-diagonal sums,
-and the product and adjoint of Clifford words.
-No other module reads the sparse format; span and compression tests and the
-ranks of unit-monomial elements take block tuples.
+and the product and adjoint of Clifford words.  Matrix and word products,
+alone, in triples (a b c) and in Jordan products, share one accumulation loop
+per format.  No other module reads the sparse format; span, line and
+compression tests and the ranks of unit-monomial elements take block tuples.
 
 Everything here is exact; no floating point is ever involved.  Matrices are
 immutable value types, so they can be shared freely and used as dict keys.
@@ -15,6 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Optional, Sequence, Union
 
 
@@ -341,6 +343,21 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return sparse_matrix(a.rows, b.cols, _mat_products(a.num, b.num, {}), a.den * b.den)
 
 
+def _triple(products, a: Matrix, b: Matrix, c: Matrix) -> Matrix:
+    """a b c in one block format, given its product loop: a b is accumulated
+    as numerators, then times c, over a.den b.den c.den, which is normalized
+    once."""
+    return sparse_matrix(a.rows, c.cols, products(products(a.num, b.num, {}), c.num, {}),
+                         a.den * b.den * c.den)
+
+
+def mat_triple(a: Matrix, b: Matrix, c: Matrix) -> Matrix:
+    """The matrix product a b c, in one normalized pass."""
+    if a.cols != b.rows or b.cols != c.rows:
+        raise ShapeError(f"cannot multiply {a.shape} by {b.shape} by {c.shape}")
+    return _triple(_mat_products, a, b, c)
+
+
 def _jordan(products, adjoint, a: Matrix, b: Matrix, c: Matrix) -> Matrix:
     """{a,b,c} = (a b* c + c b* a) / 2 in one block format, given its product
     loop and adjoint.  b* is formed once, and both products are accumulated
@@ -370,7 +387,7 @@ def _word_products(anum: dict, bnum: dict, num: dict) -> dict:
     """Add the numerators of the word product (see word_mul) of the row maps
     anum and bnum into row 0 of num and return num, which holds no zero
     value and no empty row, before and after."""
-    brow = list(bnum.get(0, _NO_ROW).items())
+    brow = bnum.get(0, _NO_ROW).items()
     acc = num.get(0, {})
     for x, (ar, ai) in anum.get(0, _NO_ROW).items():
         # bit q of odd is set when an odd number of bits of x lie above q, so
@@ -386,12 +403,13 @@ def _word_products(anum: dict, bnum: dict, num: dict) -> dict:
             else:
                 re, im = ar * br - ai * bi, ar * bi + ai * br
             z = x ^ y
-            if z in acc:
-                old = acc[z]
-                re, im = old[0] + re, old[1] + im
-            acc[z] = (re, im)
-    if (0, 0) in acc.values():
-        acc = {z: v for z, v in acc.items() if v != (0, 0)}
+            old = acc.get(z)
+            if old is None:
+                acc[z] = (re, im)
+            elif old[0] + re or old[1] + im:
+                acc[z] = (old[0] + re, old[1] + im)
+            else:  # a cancelled entry is dropped where it cancels
+                del acc[z]
     if acc:
         num[0] = acc
     else:
@@ -415,6 +433,14 @@ def word_jordan(a: Matrix, b: Matrix, c: Matrix) -> Matrix:
     _word_check(a, b)
     _word_check(a, c)
     return _jordan(_word_products, word_adjoint, a, b, c)
+
+
+def word_triple(a: Matrix, b: Matrix, c: Matrix) -> Matrix:
+    """The word product a b c of three words of one N, in one normalized
+    pass."""
+    _word_check(a, b)
+    _word_check(a, c)
+    return _triple(_word_products, a, b, c)
 
 
 def word_adjoint(a: Matrix) -> Matrix:
@@ -604,6 +630,53 @@ def span_coords(vs: Sequence[Union[Matrix, tuple]],
         coords.append(Scalar(Fraction(f * (xr * rr + xi * ri), n),
                              Fraction(f * (xi * rr - xr * ri), n)) if xr or xi else ZERO)
     return coords
+
+
+def _entry_counts(blocks: tuple) -> list:
+    return [sum(map(len, x.num.values())) for x in blocks]
+
+
+def in_line(e: tuple, ws: Iterable[tuple]) -> bool:
+    """True iff e and every w of ws, tuples of matrix blocks of one shape,
+    lie on one complex line: span_dim([e, *ws]) <= 1.  For e != 0 that is
+    every w a complex multiple of e; for e = 0, of the first nonzero w.
+
+    Decided on Gaussian-integer numerators, with no division: let v be that
+    first nonzero vector and p its numerator at its first entry, in block b,
+    and q the numerator of w there.  If q is absent, w must be 0.  Otherwise
+    the multiple is w = (q dv_b / (p dw_b)) v, so w must have an entry exactly
+    where v has one, and at each, with numerators V of v and W of w in a
+    block whose denominators are dv and dw, p W dw_b dv = q V dv_b dw.  The
+    ws are read in order, and the first one off the line ends the test.
+    """
+    vs = chain((e,), ws)
+    v = next((v for v in vs if any(x.num for x in v)), None)
+    if v is None:
+        return True
+    counts = _entry_counts(v)
+    b = next(k for k, x in enumerate(v) if x.num)
+    i, row = next(iter(v[b].num.items()))
+    j, p = next(iter(row.items()))
+    for w in vs:
+        q = w[b].num.get(i, _NO_ROW).get(j)
+        if q is None:  # then w must be 0
+            if any(y.num for y in w):
+                return False
+            continue
+        if _entry_counts(w) != counts:  # w has an entry off v's support
+            return False
+        for x, y in zip(v, w):
+            f, g = w[b].den * x.den, v[b].den * y.den
+            for r, xrow in x.num.items():
+                yrow = y.num.get(r, _NO_ROW)
+                for c, xv in xrow.items():
+                    yv = yrow.get(c)
+                    if yv is None:
+                        return False
+                    (ar, ai), (cr, ci) = _gmul(p, yv), _gmul(q, xv)
+                    if ar * f != cr * g or ai * f != ci * g:
+                        return False
+    return True
 
 
 def compressed_in_line(e: tuple, ws: Iterable[tuple]) -> bool:

@@ -38,8 +38,8 @@ from .exact import (
     HALF,
     I,
     compressed_in_line,
+    in_line,
     row_support,
-    span_dim,
     unit_monomial_ranks,
 )
 from .ktheory import k0_class_of_projection
@@ -272,13 +272,16 @@ def _minimal(g: Grid, e: TroElement, unit_monomial: bool, by_row: dict,
     0/1 projections onto e's rows and columns, so p b q is b cut down to them
     (``exact.compressed_in_line``), and no product is formed.  Every other e
     (a Clifford word, or a non-tripotent or non-monomial one) takes its
-    products e b* e, b* from mids, in one span: each lies in Ce exactly when
-    they span at most one dimension with e, as e != 0 spans one and e = 0
-    makes every product 0."""
+    products w_k = e b_k* e, b_k* from mids, and the line test
+    ``exact.in_line``: for e != 0, dim span{e, w_1 ... w_d} <= 1 exactly when
+    every w_k lies in Ce, as e spans one dimension on its own, and e = 0
+    makes every product 0, which lies in Ce = 0.  Every product is formed
+    before the test, as the span formed them."""
     if unit_monomial:
         near = {k for key in row_support(e.blocks) for k in by_row.get(key, ())}
         return compressed_in_line(e.blocks, (g.basis[k].blocks for k in near))
-    return span_dim([e.blocks, *map(e.sandwich, mids)]) <= 1
+    products = [e.sandwich(m) for m in mids]
+    return in_line(e.blocks, products)
 
 
 def verify_grid(g: Grid) -> GridReport:

@@ -23,11 +23,13 @@ from .exact import (
     dagger,
     mat_jordan,
     mat_mul,
+    mat_triple,
     span_coords,
     span_dim,
     word_adjoint,
     word_jordan,
     word_mul,
+    word_triple,
     zeros,
 )
 
@@ -124,9 +126,12 @@ class TroElement:
     """An element of a TroSpace: one matrix per summand, shapes matching.
 
     Every operation below builds its result as ``type(self)`` and multiplies
-    blocks with ``block_mul``, ``block_adjoint`` and ``block_jordan``, so a
-    subclass with its own block kernels (``CliffordElement``) shares all of
-    it."""
+    blocks with ``block_mul``, ``block_triple``, ``block_adjoint`` and
+    ``block_jordan``, so a subclass with its own block kernels
+    (``CliffordElement``) shares all of it.  Results are built by
+    ``_result``, without the shape check: their operands are checked
+    elements of one space, and each operation keeps that shape (or, for
+    ``range_projection``, takes the left algebra's)."""
 
     space: TroSpace
     blocks: tuple
@@ -147,24 +152,23 @@ class TroElement:
         # looked up by name on each call, so a rebound kgrid.tro.mat_mul is seen
         return mat_mul(a, b)
 
+    block_triple = staticmethod(mat_triple)
     block_adjoint = staticmethod(dagger)
     block_jordan = staticmethod(mat_jordan)
 
     def __add__(self, other: "TroElement") -> "TroElement":
         _require_same_space(self, other)
-        return type(self)(self.space,
-                          tuple(a + b for a, b in zip(self.blocks, other.blocks)))
+        return _result(self, self.space, tuple(map(Matrix.__add__, self.blocks, other.blocks)))
 
     def __sub__(self, other: "TroElement") -> "TroElement":
         _require_same_space(self, other)
-        return type(self)(self.space,
-                          tuple(a - b for a, b in zip(self.blocks, other.blocks)))
+        return _result(self, self.space, tuple(map(Matrix.__sub__, self.blocks, other.blocks)))
 
     def __neg__(self) -> "TroElement":
-        return type(self)(self.space, tuple(-b for b in self.blocks))
+        return _result(self, self.space, tuple(map(Matrix.__neg__, self.blocks)))
 
     def scale(self, s: EntryLike) -> "TroElement":
-        return type(self)(self.space, tuple(b.scale(s) for b in self.blocks))
+        return _result(self, self.space, tuple(b.scale(s) for b in self.blocks))
 
     def is_zero(self) -> bool:
         return all(b.is_zero() for b in self.blocks)
@@ -175,8 +179,16 @@ class TroElement:
 
     def sandwich(self, mids: tuple) -> tuple:
         """The blocks x m x, for each block x and the matching m of mids."""
-        mul = self.block_mul
-        return tuple(mul(mul(x, m), x) for x, m in zip(self.blocks, mids))
+        return tuple(map(self.block_triple, self.blocks, mids, self.blocks))
+
+
+def _result(like: TroElement, space: TroSpace, blocks: tuple) -> TroElement:
+    """An element of like's type, built without ``__post_init__`` the way
+    ``exact._new`` builds a matrix: blocks must already have space's shapes."""
+    e = object.__new__(type(like))
+    object.__setattr__(e, "space", space)
+    object.__setattr__(e, "blocks", blocks)
+    return e
 
 
 def clifford_summands(n: int) -> tuple:
@@ -199,8 +211,8 @@ class CliffordElement(TroElement):
     gamma_1 ... gamma_N acts as i^((N - 1)/2) (see ``ktheory``).
 
     It is a ``TroElement`` with its own shape check and block kernels: its
-    products, adjoints and Jordan products are ``word_mul``,
-    ``word_adjoint`` and ``word_jordan``.  Its
+    products, triple products, adjoints and Jordan products are
+    ``word_mul``, ``word_triple``, ``word_adjoint`` and ``word_jordan``.  Its
     space has square blocks, so its range projections stay in it."""
 
     def __post_init__(self) -> None:
@@ -212,6 +224,7 @@ class CliffordElement(TroElement):
                              f"an element of {self.space}")
 
     block_mul = staticmethod(word_mul)
+    block_triple = staticmethod(word_triple)
     block_adjoint = staticmethod(word_adjoint)
     block_jordan = staticmethod(word_jordan)
 
@@ -235,18 +248,17 @@ def _require_same_space(*els: TroElement) -> None:
 
 
 def ternary_product(x: TroElement, y: TroElement, z: TroElement) -> TroElement:
-    """Blockwise x y* z, with the block kernels of the elements' type."""
+    """Blockwise x y* z, with the triple kernel of the elements' type."""
     _require_same_space(x, y, z)
-    mul = x.block_mul
-    return type(x)(x.space, tuple(mul(mul(a, b), c) for a, b, c
-                                  in zip(x.blocks, y.adjoint_blocks(), z.blocks)))
+    return _result(x, x.space, tuple(map(x.block_triple, x.blocks, y.adjoint_blocks(),
+                                         z.blocks)))
 
 
 def jordan_triple(a: TroElement, b: TroElement, c: TroElement) -> TroElement:
     """{a,b,c} = (a b* c + c b* a) / 2, blockwise with the Jordan kernel of
     the elements' type."""
     _require_same_space(a, b, c)
-    return type(a)(a.space, tuple(map(a.block_jordan, a.blocks, b.blocks, c.blocks)))
+    return _result(a, a.space, tuple(map(a.block_jordan, a.blocks, b.blocks, c.blocks)))
 
 
 def is_tripotent(e: TroElement) -> bool:
@@ -256,9 +268,8 @@ def is_tripotent(e: TroElement) -> bool:
 
 def range_projection(x: TroElement) -> TroElement:
     """Blockwise x x*, living in the left algebra; a projection iff x is tripotent."""
-    mul = x.block_mul
-    return type(x)(left_algebra_space(x.space),
-                   tuple(map(mul, x.blocks, x.adjoint_blocks())))
+    return _result(x, left_algebra_space(x.space),
+                   tuple(map(x.block_mul, x.blocks, x.adjoint_blocks())))
 
 
 def element_span_dim(els: Sequence[TroElement]) -> int:

@@ -95,8 +95,8 @@ MUTANTS = (
            ("tests/test_grids.py::TestCompression::test_entry_ratio_decides_minimality",
             "tests/test_grids.py::TestCompression::test_entry_ratio_differs[1-2]")),
     Mutant("minimal-span-two", "kgrid/grids.py",
-           "return span_dim([e.blocks, *map(e.sandwich, mids)]) <= 1",
-           "return span_dim([e.blocks, *map(e.sandwich, mids)]) <= 2",
+           "return in_line(e.blocks, products)",
+           "return element_span_dim([e, *(type(e)(e.space, w) for w in products)]) <= 2",
            ("tests/test_grids.py::TestUnitMonomialRanks::"
             "test_products_spanning_a_plane_are_not_minimal",)),
     Mutant("perm-sign-parity-flipped", "kgrid/cartan.py",
@@ -120,6 +120,19 @@ MUTANTS = (
            "p = _match_block(caps, classes, caps, classes)",
            tuple(f"{_MEMO_TESTS}test_answers_are_the_searchs[{s}]" for s in range(6))
            + (f"{_MEMO_TESTS}test_second_comparison_misses_nothing",)),
+    # the triple kernel of both block formats, exact._triple
+    Mutant("triple-without-c-denominator", "kgrid/exact.py",
+           "c.num, {}),\n                         a.den * b.den * c.den)",
+           "c.num, {}),\n                         a.den * b.den)",
+           ("tests/test_tro.py::TestTripleProducts::test_fractional_entries",
+            "tests/test_grids.py::TestVerifyGrid::test_catalog_grids_pass[d4]")),
+    # the line test of minimality by products
+    Mutant("in-line-off-support-unchecked", "kgrid/exact.py",
+           "if _entry_counts(w) != counts:", "if False:",
+           ("tests/test_exact.py::TestInLine::test_entry_off_the_support[0]",
+            "tests/test_exact.py::TestInLine::test_entry_off_the_support[1]",
+            "tests/test_grids.py::TestUnitMonomialRanks::"
+            "test_product_off_the_support_is_not_minimal")),
     # span solving on leading columns, and coordinates read at leads
     Mutant("span-coords-relation-unchecked", "kgrid/exact.py",
            "if not mat_mul(tags, stack).num:", "if True:",

@@ -51,6 +51,22 @@ class TestInvariantCommand:
         code, out, _ = invoke(capsys, "invariant", "I(2,3)", "--quiet")
         assert code == 0 and out == ""
 
+    def test_quiet_formats_nothing(self, capsys):
+        # the caps of IV(28580) pass 2^14000, past the 4300 digits that
+        # CPython turns into decimal text by default; --quiet prints nothing,
+        # so it formats nothing and exits 0
+        code, out, err = invoke(capsys, "--quiet", "invariant", "IV(28580)")
+        assert (code, out, err) == (0, "", "")
+
+    def test_json_formats_no_text(self, capsys, monkeypatch):
+        def unformattable(payload):
+            raise AssertionError("the human form was formatted")
+        monkeypatch.setattr(cli, "_invariant_text", unformattable)
+        code, out, _ = invoke(capsys, "invariant", "I(2,3)", "--json")
+        assert code == 0 and json.loads(out)["group"]["k"] == 2
+        with pytest.raises(AssertionError, match="human form"):
+            invoke(capsys, "invariant", "I(2,3)")
+
 
 class TestClassifyCommand:
     def test_isomorphic_exit_zero(self, capsys):

@@ -21,6 +21,7 @@ from kgrid.exact import (
     dagger,
     direct_sum,
     identity,
+    in_line,
     kron,
     mat,
     mat_jordan,
@@ -760,6 +761,94 @@ class TestNormalization:
         assert repr(m[1, 2]) == "Scalar(-2+1/6*i)"
         with pytest.raises(IndexError):
             m[2, 0]
+
+
+# blocks of 1-3 matrices up to 3 x 3, or one word (a 1 x 2^n row, n <= 4);
+# entries are zero half the time
+_LINE_SHAPES = st.one_of(
+    st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3),
+    st.integers(1, 4).map(lambda n: [(1, 1 << n)]))
+_SPARSE = st.one_of(st.just(ZERO), scalars)
+
+
+def _vectors(shape: list):
+    return st.tuples(*[matrices(n, m, _SPARSE) for n, m in shape])
+
+
+def _with_entry(v: tuple, b: int, k: int, value: Scalar) -> tuple:
+    """v with the row-major entry k of block b set to value."""
+    x = v[b]
+    entries = [x[divmod(t, x.cols)] for t in range(x.rows * x.cols)]
+    entries[k] = value
+    return v[:b] + (Matrix(x.rows, x.cols, tuple(entries)),) + v[b + 1:]
+
+
+def _scaled(v: tuple, s: Scalar) -> tuple:
+    return tuple(x.scale(s) for x in v)
+
+
+class TestInLine:
+    """exact.in_line, the line test of the minimality check's product path,
+    against the span: in_line(e, ws) == (span_dim([e, *ws]) <= 1)."""
+
+    @given(data=st.data())
+    def test_matches_the_span(self, data):
+        shape = data.draw(_LINE_SHAPES)
+        e = data.draw(_vectors(shape))
+        ws = []
+        for _ in range(data.draw(st.integers(0, 3))):
+            kind = data.draw(st.sampled_from(("drawn", "multiple", "changed")))
+            if kind == "drawn":
+                ws.append(data.draw(_vectors(shape)))
+                continue
+            w = _scaled(e, data.draw(scalars))
+            if kind == "changed":  # one entry, on e's support or off it
+                b = data.draw(st.integers(0, len(shape) - 1))
+                k = data.draw(st.integers(0, shape[b][0] * shape[b][1] - 1))
+                w = _with_entry(w, b, k, data.draw(scalars))
+            ws.append(w)
+        assert in_line(e, ws) is (span_dim([e, *ws]) <= 1)
+
+    def test_zero_e_takes_the_first_nonzero_w(self):
+        zero, w = (zeros(2, 2), zeros(1, 3)), (identity(2), mat([[1, 0, 2]]))
+        assert in_line(zero, []) and in_line(zero, [zero, zero])
+        assert in_line(zero, [zero, w, _scaled(w, Scalar(-1, 2))])
+        other = _with_entry(w, 1, 1, ONE)
+        assert not in_line(zero, [w, other])
+        assert span_dim([zero, w, other]) == 2
+
+    def test_zero_w(self):
+        e = (mat([[1, I]]),)
+        assert in_line(e, [(zeros(1, 2),), _scaled(e, Scalar(3)), (zeros(1, 2),)])
+
+    def test_non_real_multiple_over_other_denominators(self):
+        # e over 3 and 1, w = (1/2 + 2/5 i) e over 30 and 10
+        e = (mat([[Fraction(1, 3), 0], [0, 2]]), mat([[5]]))
+        s = Scalar(Fraction(1, 2), Fraction(2, 5))
+        w = _scaled(e, s)
+        assert (w[0].den, w[1].den) != (e[0].den, e[1].den)
+        assert in_line(e, [w])
+        assert in_line(w, [e, _scaled(e, I)])
+        # s on one block and its conjugate on the other, and the multiple
+        # changed in its second block
+        assert not in_line(e, [w, (e[0].scale(s), e[1].scale(s.conjugate()))])
+        assert not in_line(e, [_with_entry(w, 1, 0, Scalar(5) * s + ONE)])
+
+    @pytest.mark.parametrize("block", [0, 1])
+    def test_entry_off_the_support(self, block):
+        # w equals 2e on e's support and has one more entry, in either block
+        e = (mat([[1, 0], [0, 1]]), mat([[0, I], [0, 0]]))
+        w = _with_entry(_scaled(e, Scalar(2)), block, 2, ONE)
+        assert span_dim([e, w]) == 2
+        assert not in_line(e, [w])
+        assert not in_line(e, [_scaled(e, I), w])
+
+    def test_words(self):
+        # 1 + gamma_1 and i(1 + gamma_1); gamma_1 alone is off the line
+        e = (mat([[1, 1, 0, 0]]),)
+        assert in_line(e, [(mat([[I, I, 0, 0]]),)])
+        assert not in_line(e, [(mat([[1, 1, 1, 0]]),)])
+        assert not in_line(e, [(mat([[0, 1, 0, 0]]),)])
 
 
 def test_sparse_format_is_read_only_in_exact():

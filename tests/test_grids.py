@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-import kgrid.tro
+import kgrid.exact
 from kgrid.cartan import (
     CartanDescriptor,
     ExceptionalFactorError,
@@ -25,6 +25,7 @@ from kgrid.exact import (
     block_diagonal,
     compressed_in_line,
     identity,
+    in_line,
     kron,
     mat,
     mat_mul,
@@ -224,7 +225,7 @@ class TestSpinGrids:
 
     @pytest.mark.parametrize("dim", range(4, 10))
     def test_verdicts_match_full_products(self, dim):
-        # every spin element takes the product path: one span per element
+        # every spin element takes the product path: one line test per element
         for path in self.PATHS:
             g = path(CD("IV", dim))
             assert [c.minimal for c in verify_grid(g).element_checks] == \
@@ -401,14 +402,18 @@ _MULTIPLIERS = {
 
 
 def _span_in_line(e: TroElement, w: TroElement) -> bool:
-    """The span criterion of the minimality check: w lies in Ce exactly
-    when adding it to e leaves the span's dimension unchanged."""
-    return span_dim([e.blocks, w.blocks]) == span_dim([e.blocks])
+    """The span criterion: w lies in Ce exactly when adding it to e leaves
+    the span's dimension unchanged.  The product path of the minimality
+    check decides it with exact.in_line, which must agree."""
+    found = span_dim([e.blocks, w.blocks]) == span_dim([e.blocks])
+    if not e.is_zero():
+        assert in_line(e.blocks, [w.blocks]) is found
+    return found
 
 
 class TestLineTest:
-    """The span criterion of the minimality check's product path against the
-    reference line test."""
+    """The span criterion of the minimality check's product path, and its
+    line test exact.in_line, against the reference line test."""
 
     @pytest.mark.parametrize("kind", sorted(_MULTIPLIERS))
     @given(data=st.data())
@@ -460,15 +465,17 @@ _COMPRESSED = ([CD("I", n, m) for n in range(1, 7) for m in range(n, 7)]
                + [CD("III", n) for n in range(2, 9)])
 
 
-def _count_mat_mul(monkeypatch) -> list:
-    # block_mul looks kgrid.tro.mat_mul up by name, so every block product counts
+def _count_block_products(monkeypatch) -> list:
+    # every product of two matrix blocks, alone (mat_mul), in a triple
+    # (mat_triple) or in a Jordan product (mat_jordan), runs the shared loop
+    # kgrid.exact._mat_products, looked up by name on each call
     calls = []
-    real = kgrid.tro.mat_mul
+    real = kgrid.exact._mat_products
 
-    def counted(a, b):
+    def counted(anum, bnum, num):
         calls.append(1)
-        return real(a, b)
-    monkeypatch.setattr(kgrid.tro, "mat_mul", counted)
+        return real(anum, bnum, num)
+    monkeypatch.setattr(kgrid.exact, "_mat_products", counted)
     return calls
 
 
@@ -492,7 +499,7 @@ class TestCompression:
                                    CD("I", 1, 9)], ids=str)
     def test_only_tripotency_multiplies(self, d, monkeypatch):
         g = grid_for(d)
-        calls = _count_mat_mul(monkeypatch)
+        calls = _count_block_products(monkeypatch)
         assert verify_grid(g).ok
         assert grid_gamma(g)
         # every element is unit-monomial: tripotency and the classes are
@@ -546,7 +553,7 @@ class TestCompression:
                + _unit(2, 2, 2, 2)).scale(HALF)
         g = self._doctored(CD("I", 2, 2), "g[1,1]", (blk, blk))
         assert unit_monomial_ranks((blk, blk)) is None
-        calls = _count_mat_mul(monkeypatch)
+        calls = _count_block_products(monkeypatch)
         report = verify_grid(g)
         checks = {c.label: c for c in report.element_checks}
         assert (checks["g[1,1]"].tripotent, checks["g[1,1]"].minimal) == (True, True)
@@ -698,6 +705,20 @@ class TestUnitMonomialRanks:
         assert [(c.tripotent, c.minimal) for c in verify_grid(g).element_checks] == \
             list(zip([ternary_product(x, x, x) == x for x in g.elements],
                      full_product_verdicts(g)))
+
+    def test_product_off_the_support_is_not_minimal(self):
+        # x = diag(2, 1) is not a unit monomial, so e = (x, x) takes the
+        # product path; with B* = [[1, 1], [0, 2]], x B* x = 2x + 2 E12 is 2e
+        # on e's support and has one more entry off it
+        x = mat([[2, 0], [0, 1]])
+        b = mat([[1, 0], [1, 2]])
+        g = grid_for(CD("I", 2, 2))
+        e, basis = TroElement(g.ambient, (x, x)), TroElement(g.ambient, (b, b))
+        assert ternary_product(e, basis, e).blocks == ((x.scale(2) + _unit(2, 2, 1, 2).scale(2),)
+                                                       * 2)
+        g = dataclasses.replace(g, basis=(basis,), elements=(e,), labels=("e",))
+        assert not verify_grid(g).element_checks[0].minimal
+        assert full_product_verdicts(g) == [False]
 
     def test_products_spanning_a_plane_are_not_minimal(self):
         # e = (x, y) with x and y of rank one: each e b* e is (a x, c y), and

@@ -11,6 +11,7 @@ from kgrid.exact import (
     ShapeError,
     identity,
     mat,
+    mat_mul,
     matrix_unit,
     zeros,
 )
@@ -38,7 +39,8 @@ from kgrid.tro import (
 )
 
 from .spin import SIGMA1, SIGMA2, SIGMA3
-from .strategies import matrices, space_with_elements, spaces
+from .strategies import matrices, scalars, space_with_elements, spaces
+from .test_clifford import words
 from .test_exact import entry_mix, r_combine, r_flat, r_rank, r_scale, ref_of
 
 M2 = parse_space("M(2,2)")
@@ -55,6 +57,31 @@ def unit_elem(i, j) -> TroElement:
 def two_products(a, b, c):
     """The reference {a,b,c}: two ternary products, summed and halved."""
     return (ternary_product(a, b, c) + ternary_product(c, b, a)).scale(HALF)
+
+
+def _unchecked_results(x, y, z, s) -> list:
+    """The results that are built without the shape check, for operands of
+    one space and a scalar s."""
+    return [x + y, x - y, -x, x.scale(s), ternary_product(x, y, z),
+            jordan_triple(x, y, z), range_projection(x)]
+
+
+class TestUncheckedResults:
+    """Results built without __post_init__ pass the public constructor, which
+    keeps every check."""
+
+    @given(space_with_elements(3), scalars)
+    def test_matrix_blocks(self, xyz, s):
+        for r in _unchecked_results(*xyz, s):
+            assert type(r) is TroElement
+            assert TroElement(r.space, r.blocks) == r
+
+    @given(st.integers(3, 6).flatmap(lambda n: st.tuples(words(n), words(n), words(n))),
+           scalars)
+    def test_words(self, xyz, s):
+        for r in _unchecked_results(*xyz, s):
+            assert type(r) is type(xyz[0])
+            assert type(r)(r.space, r.blocks) == r
 
 
 class TestSpaces:
@@ -122,6 +149,16 @@ class TestTripleProducts:
         # sigma1 sigma2* sigma3 = sigma1 sigma2 sigma3 = i id
         got = ternary_product(m2_elem(SIGMA1), m2_elem(SIGMA2), m2_elem(SIGMA3))
         assert got == m2_elem(identity(2).scale(I))
+
+    def test_fractional_entries(self):
+        # x y* z in one pass over x.den y.den z.den, against two products
+        x, y, z = (m2_elem(mat([[Fraction(1, d), 1], [0, Fraction(d, 7)]]).scale(I))
+                   for d in (2, 3, 5))
+        got = ternary_product(x, y, z)
+        assert got.blocks == (mat_mul(mat_mul(x.blocks[0], y.blocks[0].dagger()),
+                                      z.blocks[0]),)
+        assert got == m2_elem(mat([[Fraction(7, 30), Fraction(433, 294)],
+                                   [Fraction(2, 35), Fraction(128, 343)]]).scale(I))
 
     def test_jordan_tripotent(self):
         # a projection, and a partial isometry, which is not self-adjoint
