@@ -51,6 +51,7 @@ COMMANDS = (
         ["lift", ALPHA, "M(2,1)", "M(3,3)", "--json"],  # rejected
         ["sweep", "--max-factors", "2"],
         ["sweep", "--max-factors", "2", "--json"],
+        ["sweep", "--max-factors", "3", "--json"],
         # the shared flags ahead of the subcommand
         ["--json", "invariant", "I(2,3)"],
         ["--quiet", "classify", "IV(5)", "III(4)"],
