@@ -322,7 +322,6 @@ def b_matrix(n: int, k: int, i: int) -> Matrix:
     return _frame_level(n, k)[i - 1]
 
 
-@lru_cache(maxsize=None)
 def hilbert_frame(h: int) -> tuple:
     """The embedded standard basis of the rank-one factor of dimension h:
     g_i = (b(h,1,i), ..., b(h,h,i)) inside the enveloping TRO."""

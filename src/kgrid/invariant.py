@@ -62,7 +62,6 @@ def _family_gamma(d: CartanDescriptor, tabulated: bool = False) -> frozenset:
     return frozenset({half, ident} if (d.params[0] % 2 == 1) != tabulated else {half})
 
 
-@lru_cache(maxsize=None)
 def gamma(d: CartanDescriptor) -> frozenset:
     """Classes of the grid range projections of one factor, as rank vectors."""
     if is_exceptional(d):
@@ -101,15 +100,17 @@ class KGridInvariant:
     built from a dense ``gamma`` splits it into blocks once, here.  Equal
     gammas give equal blocks either way, so equality and hashing mean what
     they meant on the dense set.  ``gamma`` rebuilds the dense set on every
-    read and is not kept.  ``_key``, set when the invariant is built, merges
-    its blocks' ``_sorted_key`` (see ``_merged_key``); it takes no part in
-    equality, hashing or ``repr``.
+    read and is not kept.  ``_block_keys`` holds each block's
+    ``_sorted_key``, in block order, and ``_key`` merges them (see
+    ``_merged_key``); both are set when the invariant is built, by
+    ``_store``, and take no part in equality, hashing or ``repr``.
     """
 
     group: DoubleScaledGroup
     blocks: tuple
     zero_class: bool
     exceptional_count: int
+    _block_keys: tuple = field(compare=False, hash=False, repr=False)
     _key: tuple = field(compare=False, hash=False, repr=False)
 
     def __init__(self, group: DoubleScaledGroup, gamma: frozenset,
@@ -123,9 +124,10 @@ class KGridInvariant:
         if set(map(len, gamma)) - {group.k}:
             raise ValueError(f"every grid class needs {group.k} entries, "
                              "one per summand")
-        blocks, zero_class = _blocks(group, gamma), (0,) * group.k in gamma
-        _store(self, group, blocks, zero_class, exceptional_count,
-               _merged_key((_sorted_key(*block[1:]) for block in blocks), zero_class))
+        blocks = _blocks(group, gamma)
+        _store(self, group, blocks,
+               tuple([_shared(_sorted_key(*block[1:])) for block in blocks]),
+               (0,) * group.k in gamma, exceptional_count)
 
     @property
     def gamma(self) -> frozenset:
@@ -148,9 +150,10 @@ class KGridInvariant:
         }
 
 
-def _store(inv: KGridInvariant, group: DoubleScaledGroup, blocks: tuple,
-           zero_class: bool, exceptional_count: int, key: tuple) -> KGridInvariant:
-    """Set the fields of a frozen invariant."""
+def _store(inv: KGridInvariant, group: DoubleScaledGroup, blocks: tuple, keys: tuple,
+           zero_class: bool, exceptional_count: int) -> KGridInvariant:
+    """Set the fields of a frozen invariant: `keys` are its blocks'
+    ``_sorted_key`` in block order, and its own key merges them."""
     if type(exceptional_count) is not int or exceptional_count < 0:
         raise ValueError("exceptional_count must be a non-negative int, "
                          f"got {exceptional_count!r}")
@@ -159,7 +162,8 @@ def _store(inv: KGridInvariant, group: DoubleScaledGroup, blocks: tuple,
     set_field(inv, "blocks", blocks)
     set_field(inv, "zero_class", zero_class)
     set_field(inv, "exceptional_count", exceptional_count)
-    set_field(inv, "_key", key)
+    set_field(inv, "_block_keys", keys)
+    set_field(inv, "_key", _merged_key(keys, zero_class))
     return inv
 
 
@@ -206,9 +210,10 @@ def _blocks(group: DoubleScaledGroup, gamma) -> tuple:
 
 @lru_cache(maxsize=4096)
 def _shared(part):
-    """The first-seen object equal to a block's caps tuple or class set, so
-    that blocks of equal factors share them, in invariants built from dense
-    classes as in assembled ones (which share the blocks of ``_factor_parts``)."""
+    """The first-seen object equal to a block's caps tuple, class set or key,
+    so that blocks of equal factors share them, in invariants built from
+    dense classes as in assembled ones (which share the parts of
+    ``_factor_parts``)."""
     return part
 
 
@@ -216,7 +221,8 @@ def _shared(part):
 def _factor_parts(f: CartanDescriptor) -> tuple:
     """What assembly takes from one canonical factor, built once: its own
     block (all its summands, their caps and its grid classes), its left and
-    right caps, and its block's ``_sorted_key`` (its share of the key)."""
+    right caps, and its block's ``_sorted_key``, which every invariant
+    holding that block stores as its key."""
     caps = enveloping_tro(f).summands
     classes = gamma(f)
     return ((tuple(range(len(caps))), caps, classes),
@@ -252,8 +258,8 @@ def _invariant_of_canonical(*factors: CartanDescriptor) -> KGridInvariant:
         offset = end
     group = DoubleScaledGroup(tuple(chain.from_iterable(map(_LEFT, parts))),
                               tuple(chain.from_iterable(map(_RIGHT, parts))))
-    return _store(object.__new__(KGridInvariant), group, tuple(blocks), False,
-                  len(factors) - len(blocks), _merged_key(map(_KEY, parts), False))
+    return _store(object.__new__(KGridInvariant), group, tuple(blocks),
+                  tuple(map(_KEY, parts)), False, len(factors) - len(blocks))
 
 
 def k_grid_invariant(s: TripleSpec) -> KGridInvariant:
@@ -264,14 +270,13 @@ def k_grid_invariant(s: TripleSpec) -> KGridInvariant:
 
 # --- isomorphism of invariants -----------------------------------------------------
 
-@lru_cache(maxsize=4096)
 def _sorted_key(caps, classes) -> tuple:
     """A block's permutation-invariant data: its sorted cap pairs, and the
-    sorted tuple of each class's sorted nonzero entries, kept per (caps,
-    classes) in a bounded memo.  Blocks with equal sorted caps have equal
-    width, and for a fixed width dropping the zeros is a bijection on sorted
-    classes, so two such keys are equal exactly when the keys that keep the
-    zeros are."""
+    sorted tuple of each class's sorted nonzero entries, computed once per
+    block, when its invariant is built (``_store``).  Blocks with equal
+    sorted caps have equal width, and for a fixed width dropping the zeros
+    is a bijection on sorted classes, so two such keys are equal exactly
+    when the keys that keep the zeros are."""
     return (tuple(sorted(caps)), tuple(sorted(tuple(sorted(filter(None, c)))
                                               for c in classes)))
 
@@ -330,9 +335,10 @@ def invariants_isomorphic(a: KGridInvariant,
     """A summand permutation carrying caps to caps and gamma onto gamma.
 
     Returns pi with summand i of `a` matched to summand pi[i] of `b`, or None.
-    Equal invariants get the identity.  Otherwise the stored factor blocks
-    of `a` are matched to those of `b` as a multiset, each pair by a
-    cap-preserving map of its columns (``_match_block``).  The summands may
+    The stored factor blocks of `a` are matched to those of `b` as a
+    multiset, bucketed by their stored keys, each pair by a cap-preserving
+    map of its columns (``_match_block``).  Equal invariants get the
+    identity: each block meets its equal first.  The summands may
     come in any order; on invariants assembled from factors the cost is
     polynomial in the number of summands.  A raw invariant's block of many
     equal-cap columns costs factorial time in that number, once per distinct
@@ -340,14 +346,12 @@ def invariants_isomorphic(a: KGridInvariant,
     """
     if a._key != b._key:
         return None
-    if a == b:
-        return tuple(range(a.group.k))
     unmatched: dict = {}
-    for block in b.blocks:
-        unmatched.setdefault(_sorted_key(*block[1:]), []).append(block)
+    for key, block in zip(b._block_keys, b.blocks):
+        unmatched.setdefault(key, []).append(block)
     perm = [0] * a.group.k
-    for columns, caps, classes in a.blocks:
-        bucket = unmatched.get(_sorted_key(caps, classes), [])
+    for key, (columns, caps, classes) in zip(a._block_keys, a.blocks):
+        bucket = unmatched.get(key, [])
         for n, other in enumerate(bucket):
             p = _match_block(caps, classes, other[1], other[2])
             if p is not None:

@@ -45,6 +45,7 @@ _MEMO_TESTS = "tests/test_invariant.py::TestBlockMatchMemo::"
 _JORDAN_TESTS = ("tests/test_tro.py::TestTripleProducts::test_jordan_tripotent",
                  "tests/test_grids.py::TestSpinGrids::test_grid_identities_dim5")
 _LEADING_TESTS = "tests/test_exact.py::TestLeadingColumns::"
+_KEY_TESTS = "tests/test_invariant.py::TestStoredKeys::"
 
 MUTANTS = (
     # the mutations recorded by earlier changes
@@ -154,6 +155,17 @@ MUTANTS = (
     Mutant("merged-key-drops-zero-class", "kgrid/invariant.py",
            "caps, classes = [], [()] * zero_class", "caps, classes = [], []",
            ("tests/test_invariant.py::TestKeyRule::test_key_is_set_at_construction",)),
+    # block keys stored in block order when an invariant is built, and read
+    # from each side's own blocks by isomorphism
+    Mutant("assembled-keys-reversed", "kgrid/invariant.py",
+           "tuple(map(_KEY, parts)), False,", "tuple(map(_KEY, parts))[::-1], False,",
+           (f"{_KEY_TESTS}test_assembled_invariants_store_their_blocks_keys",
+            f"{_KEY_TESTS}test_isomorphism_computes_no_key")),
+    Mutant("buckets-from-a-keys", "kgrid/invariant.py",
+           "for key, block in zip(b._block_keys, b.blocks):",
+           "for key, block in zip(a._block_keys, b.blocks):",
+           (f"{_KEY_TESTS}test_isomorphism_computes_no_key",
+            f"{_MEMO_TESTS}test_answers_are_the_searchs[0]")),
     # coordinates off the factor, and a spanning set with a surplus element
     Mutant("intrinsic-jordan-unchecked", "kgrid/cartan.py",
            "for v in (x, y, z):", "for v in ():",

@@ -441,8 +441,8 @@ class TestEmbed:
 
     @pytest.mark.parametrize("h", range(1, 7))
     def test_rank_one_basis_is_the_frame(self, h):
-        assert embedded_basis(CD("I", 1, h)) is hilbert_frame(h)
-        assert embedded_basis(CD("I", h, 1)) is hilbert_frame(h)
+        assert embedded_basis(CD("I", 1, h)) == hilbert_frame(h)
+        assert embedded_basis(CD("I", h, 1)) == hilbert_frame(h)
 
     @pytest.mark.parametrize("dim", range(4, 10))
     def test_spin_basis_is_the_system(self, dim):

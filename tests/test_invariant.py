@@ -6,7 +6,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from math import comb
 from pathlib import Path
 
@@ -45,6 +45,7 @@ from kgrid.invariant import (
     _candidates,
     _factor_parts,
     _match_block,
+    _merged_key,
     _sorted_key,
 )
 from kgrid.ktheory import DoubleScaledGroup
@@ -871,27 +872,129 @@ class TestKeyRule:
     def test_buckets_are_the_zero_keeping_rules(self, monkeypatch):
         # shuffled raw invariants, some with a class dropped or an entry
         # changed first, or drawn afresh: bucketing blocks by the
-        # zero-keeping key gives the same verdicts and witnesses
-        rng = random.Random(32)
-        pairs = []
-        for _ in range(2000):
-            group, gamma = seeded_raw(rng, rng.randint(1, 6))
-            a = KGridInvariant(group, gamma, rng.choice((0, 0, 0, 1)))
-            edit = rng.choice(["none", "none", "drop", "change", "fresh"])
-            if edit == "fresh":
-                group, gamma = seeded_raw(rng, group.k)
-            elif edit == "drop" and gamma:
-                gamma = gamma - {rng.choice(sorted(gamma))}
-            elif edit == "change" and gamma:
-                old, i = rng.choice(sorted(gamma)), rng.randrange(group.k)
-                gamma = gamma - {old} | {old[:i] + (rng.choice((0, 1, 2)),) + old[i + 1:]}
-            pairs.append((a, shuffled(KGridInvariant(group, gamma, a.exceptional_count), rng)))
-        verdicts = [classify_invariants(a, b) for a, b in pairs]
+        # zero-keeping key gives the same verdicts and witnesses.  Keys are
+        # stored when an invariant is built, so the pairs are built again,
+        # from the same draws, once that rule is in place
+        def pairs():
+            rng = random.Random(32)
+            out = []
+            for _ in range(2000):
+                group, gamma = seeded_raw(rng, rng.randint(1, 6))
+                a = KGridInvariant(group, gamma, rng.choice((0, 0, 0, 1)))
+                edit = rng.choice(["none", "none", "drop", "change", "fresh"])
+                if edit == "fresh":
+                    group, gamma = seeded_raw(rng, group.k)
+                elif edit == "drop" and gamma:
+                    gamma = gamma - {rng.choice(sorted(gamma))}
+                elif edit == "change" and gamma:
+                    old, i = rng.choice(sorted(gamma)), rng.randrange(group.k)
+                    gamma = gamma - {old} | {old[:i] + (rng.choice((0, 1, 2)),) + old[i + 1:]}
+                out.append((a, shuffled(KGridInvariant(group, gamma, a.exceptional_count),
+                                        rng)))
+            return out
+        production = pairs()
+        verdicts = [classify_invariants(a, b) for a, b in production]
         monkeypatch.setattr(invariant, "_sorted_key", reference_sorted_key)
-        assert verdicts == [classify_invariants(a, b) for a, b in pairs]
+        zero_keeping = pairs()
+        assert zero_keeping == production
+        assert any(a._block_keys != c._block_keys
+                   for (a, _), (c, _) in zip(production, zero_keeping))
+        for inv in chain.from_iterable(zero_keeping):
+            assert inv._block_keys == tuple(reference_sorted_key(*block[1:])
+                                            for block in inv.blocks)
+        assert verdicts == [classify_invariants(a, b) for a, b in zero_keeping]
         assert {v.status for v in verdicts} == {"ISOMORPHIC", "NOT_ISOMORPHIC",
                                                "INDETERMINATE"}
         assert {v.distinguishing for v in verdicts} >= {"caps", "gamma"}
+
+
+# --- stored block keys --------------------------------------------------------------
+
+def counting_sorted_key(monkeypatch) -> list:
+    """Wrap the module's ``_sorted_key`` so that each call is recorded; the
+    returned list fills as it is called."""
+    calls = []
+    real = invariant._sorted_key
+
+    def counted(caps, classes):
+        calls.append((caps, classes))
+        return real(caps, classes)
+    monkeypatch.setattr(invariant, "_sorted_key", counted)
+    return calls
+
+
+def assert_keys_stored(inv):
+    """inv holds each block's ``_sorted_key`` in block order, and its own key
+    merges them."""
+    assert inv._block_keys == tuple(_sorted_key(caps, classes)
+                                    for _, caps, classes in inv.blocks)
+    assert inv._key == _merged_key(inv._block_keys, inv.zero_class)
+
+
+STORED_FACTORS = catalog_descriptors() + (CD("V"), CD("VI"))
+
+
+def seeded_assembled(rng):
+    """The invariant of 1-5 factors drawn from the catalog, V and VI, with
+    repeats."""
+    return k_grid_invariant(TripleSpec(tuple(rng.choice(STORED_FACTORS)
+                                             for _ in range(rng.randint(1, 5)))))
+
+
+class TestStoredKeys:
+    # each block's key is computed once, when its invariant is built
+
+    def test_raw_invariants_store_their_blocks_keys(self):
+        rng = random.Random(33)
+        for _ in range(500):
+            group, gamma = seeded_raw(rng, rng.randint(0, 6))
+            inv = KGridInvariant(group, gamma)
+            assert_keys_stored(inv)
+            assert_keys_stored(shuffled(inv, rng))
+
+    def test_assembled_invariants_store_their_blocks_keys(self):
+        rng = random.Random(34)
+        exceptional = wide = 0
+        for _ in range(300):
+            inv = seeded_assembled(rng)
+            assert_keys_stored(inv)
+            assert_keys_stored(shuffled(inv, rng))
+            exceptional += inv.exceptional_count > 0
+            wide += len(set(inv._block_keys)) > 1
+        assert exceptional and wide
+
+    def test_isomorphism_computes_no_key(self, monkeypatch):
+        # raw and assembled invariants against shuffled copies, equal copies
+        # built apart, and other draws; built first, then compared with
+        # ``_sorted_key`` counted
+        rng = random.Random(35)
+        pairs = []
+        for _ in range(200):
+            group, gamma = seeded_raw(rng, rng.randint(1, 6))
+            raw = KGridInvariant(group, gamma)
+            assembled = seeded_assembled(rng)
+            for a in raw, assembled:
+                pairs += [(a, shuffled(a, rng)), (shuffled(a, rng), a),
+                          (a, KGridInvariant(a.group, a.gamma, a.exceptional_count))]
+            pairs.append((raw, KGridInvariant(*seeded_raw(rng, group.k))))
+            pairs.append((assembled, seeded_assembled(rng)))
+        pairs.append((shuffled(k_grid_invariant(spec("II(5)+III(6)")), rng),
+                      shuffled(k_grid_invariant(spec("II(6)+III(5)")), rng)))
+        calls = counting_sorted_key(monkeypatch)
+        perms = [invariants_isomorphic(a, b) for a, b in pairs]
+        verdicts = [classify_invariants(a, b) for a, b in pairs]
+        assert calls == []
+        assert [v.witness for v in verdicts] == [
+            None if v.status == "NOT_ISOMORPHIC" else p for v, p in zip(verdicts, perms)]
+        for (a, b), perm in zip(pairs, perms):
+            if a == b:
+                assert perm == tuple(range(a.group.k))
+            elif perm is not None:
+                assert_witness(a, b, perm)
+        assert all(perms[i] is not None for i in range(len(pairs) - 1) if i % 8 < 6)
+        assert perms[-1] is None
+        assert {v.status for v in verdicts} == {"ISOMORPHIC", "NOT_ISOMORPHIC",
+                                               "INDETERMINATE"}
 
 
 # --- recovery memo ------------------------------------------------------------------
@@ -948,8 +1051,6 @@ class TestRecoveryMemo:
                         value.cache_info().maxsize
         assert caches == {
             "kgrid.cartan.embedded_basis": None,
-            "kgrid.cartan.hilbert_frame": None,
-            "kgrid.invariant.gamma": None,
             "kgrid.invariant._factor_parts": None,
             "kgrid.invariant._canonical": None,
             "kgrid.invariant._invariant_of_canonical": None,
@@ -957,7 +1058,6 @@ class TestRecoveryMemo:
             "kgrid.invariant._candidates": 4096,
             "kgrid.invariant._match_block": 4096,
             "kgrid.invariant._shared": 4096,
-            "kgrid.invariant._sorted_key": 4096,
             "kgrid.invariant._identity_verdict": 256,
         }
 
@@ -969,8 +1069,8 @@ MEMO_PADDING = (CD("III", 2), CD("III", 4), CD("III", 5), CD("IV", 5))
 
 
 class TestBlockMatchMemo:
-    """``_match_block`` and ``_sorted_key`` are memoized by the value of
-    their parts; the memo answers as the search does."""
+    """``_match_block`` is memoized by the value of its parts; the memo
+    answers as the search does, and block keys are read as stored."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_answers_are_the_searchs(self, seed, monkeypatch):
@@ -986,25 +1086,26 @@ class TestBlockMatchMemo:
         pairs.append((shuffled(k_grid_invariant(spec("II(5)+III(6)")), rng),
                       shuffled(k_grid_invariant(spec("II(6)+III(5)")), rng)))
         _match_block.cache_clear()
-        _sorted_key.cache_clear()
         memoized = [(invariants_isomorphic(a, b), recovered(b)) for a, b in pairs]
-        for name in ("_match_block", "_sorted_key", "_block_factors"):
+        for name in ("_match_block", "_block_factors"):
             monkeypatch.setattr(invariant, name, getattr(invariant, name).__wrapped__)
         assert memoized == [(invariants_isomorphic(a, b), recovered(b)) for a, b in pairs]
         assert memoized[-1][0] is None
         for (a, b), (perm, _) in zip(pairs[:-1], memoized):
             assert_witness(a, b, perm)
 
-    def test_second_comparison_misses_nothing(self):
+    def test_second_comparison_misses_nothing(self, monkeypatch):
         a = k_grid_invariant(TripleSpec((CD("I", 1, 4),) * 3 + (CD("III", 3),)))
         rng = random.Random(26)
         b, c = shuffled(a, rng), shuffled(a, rng)
         assert b != c
+        keys = counting_sorted_key(monkeypatch)
         perm = invariants_isomorphic(b, c)
         assert_witness(b, c, perm)
-        misses = _match_block.cache_info().misses, _sorted_key.cache_info().misses
+        misses = _match_block.cache_info().misses
         assert invariants_isomorphic(b, c) == perm
-        assert (_match_block.cache_info().misses, _sorted_key.cache_info().misses) == misses
+        assert _match_block.cache_info().misses == misses
+        assert keys == []
 
     def test_equal_parts_that_are_other_objects_hit(self):
         (_, caps, classes), = k_grid_invariant(spec("I(1,4)")).blocks
